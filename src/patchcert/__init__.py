@@ -20,16 +20,12 @@ from .train import LabeledDataset, TrainConfig, ablation_accuracy, fit, make_str
 from .vit import (
     Model,
     TOY_CONFIG,
-    TokenSet,
     ViTConfig,
-    drop_masked_tokens,
-    encoder_forward,
     load_checkpoint,
     masked_attention_oracle_forward,
     process_ablation,
     save_checkpoint,
     smoothed_vit_forward,
-    tokenize,
 )
 
 __all__ = [
@@ -55,14 +51,10 @@ __all__ = [
     "make_stripe_dataset",
     "Model",
     "TOY_CONFIG",
-    "TokenSet",
     "ViTConfig",
-    "drop_masked_tokens",
-    "encoder_forward",
     "load_checkpoint",
     "masked_attention_oracle_forward",
     "process_ablation",
     "save_checkpoint",
     "smoothed_vit_forward",
-    "tokenize",
 ]

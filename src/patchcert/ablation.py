@@ -22,6 +22,7 @@ __all__ = [
     "block_ablation",
     "ablation_set",
     "ablation_anchors",
+    "retained_axes",
 ]
 
 KINDS = ("column", "block")
@@ -81,12 +82,13 @@ class AblatedImage:
     mask: np.ndarray
 
 
-def _wrapped_interval(start: int, length: int, size: int) -> np.ndarray:
-    """Boolean indicator of {start, ..., start+length-1} mod size."""
-    ind = np.zeros(size, dtype=bool)
-    idx = (start + np.arange(length)) % size
-    ind[idx] = True
-    return ind
+def _wrapped_interval(start, length: int, size: int) -> np.ndarray:
+    """Boolean indicator of {start, ..., start+length-1} mod size.
+
+    ``start`` may be an array of starts; the result then has one row per
+    start. Requires length <= size.
+    """
+    return (np.arange(size) - np.asarray(start)[..., None]) % size < length
 
 
 def column_ablation(x: np.ndarray, start: int, b: int) -> AblatedImage:
@@ -142,3 +144,17 @@ def ablation_set(x: np.ndarray, spec: AblationSpec) -> list[AblatedImage]:
     if spec.kind == "column":
         return [column_ablation(x, a, spec.b) for a in anchors]
     return [block_ablation(x, t, l, spec.b) for t, l in anchors]
+
+
+def retained_axes(h: int, w: int, spec: AblationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Retained rows (q, h) and columns (q, w) of every ablation, in anchor order.
+
+    Each axis of an ablation keeps one wrapped interval, so ablation j
+    keeps pixel (r, c) iff rows[j, r] and cols[j, c]: the same mask
+    ablation_set builds, without building the ablated images.
+    """
+    anchors = np.asarray(ablation_anchors(h, w, spec), dtype=np.int64)
+    if spec.kind == "column":
+        return np.ones((anchors.size, h), dtype=bool), _wrapped_interval(anchors, spec.b, w)
+    anchors = anchors.reshape(-1, 2)  # keeps two columns when the set is empty
+    return _wrapped_interval(anchors[:, 0], spec.b, h), _wrapped_interval(anchors[:, 1], spec.b, w)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ablation import AblationSpec, ablation_anchors
 from .errors import ParameterError
-from .vit import Model, ViTConfig, ablation_logits, encoder_forward, tokenize
+from .vit import Model, ViTConfig, _encoder_core, _full_grid_tokens, ablation_logits
 
 __all__ = [
     "CostModel",
@@ -148,7 +148,7 @@ def wallclock_harness(model: Model, batch, trials: int = 5) -> dict:
 
     def run_full():
         for z_m in batch:
-            encoder_forward(tokenize(z_m, params, cfg), params, cfg)
+            _encoder_core(_full_grid_tokens(z_m.pixels, params, cfg), params, cfg)
 
     run_drop()  # warm up caches and allocator before timing
     run_full()

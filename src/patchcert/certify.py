@@ -21,8 +21,6 @@ lowest class index everywhere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,15 +310,12 @@ def certified_accuracy(
     spec: AblationSpec,
     patch_sizes,
     delta_mode: str = "safe",
-    workers: int = 1,
 ) -> dict:
     """Standard and certified accuracy of a smoothed model over a dataset.
 
     Returns the report record emitted by the CLI: one certified-accuracy
-    entry per requested patch size plus a per-image certificate list.
-    Images are independent, so evaluation fans out over a thread pool;
-    aggregation is order-independent and bit-identical for any worker
-    count.
+    entry per requested patch size plus a per-image certificate list,
+    whose runner-up and margin come from the first patch size.
     """
     from .vit import smoothed_vit_forward  # deferred: vit builds on this module
 
@@ -335,40 +330,25 @@ def certified_accuracy(
     patch_sizes = [int(m) for m in patch_sizes]
     deltas = {m: _delta_for(spec, m, delta_mode, h, w) for m in patch_sizes}
 
-    def vote(i: int):
-        _, v = smoothed_vit_forward(images[i], spec, model.params, model.cfg)
-        return v
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ctxs = [copy_context() for _ in range(n)]
-            votes = list(pool.map(lambda a: a[0].run(vote, a[1]), zip(ctxs, range(n))))
-    else:
-        votes = [vote(i) for i in range(n)]
-
     per_image = []
     n_correct = 0
     n_cert = {m: 0 for m in patch_sizes}
     for i in range(n):
-        v = votes[i]
-        pred = smoothed_predict(v)
+        pred, v = smoothed_vit_forward(images[i], spec, model.params, model.cfg)
         correct = pred == int(labels[i])
         n_correct += correct
-        cert_by_m = {}
-        for m in patch_sizes:
-            c = certify_votes(v, deltas[m], m, delta_mode)
-            cert_by_m[str(m)] = c.certified
+        certs = [certify_votes(v, deltas[m], m, delta_mode) for m in patch_sizes]
+        for c in certs:
             if correct and c.certified:
-                n_cert[m] += 1
-        first = certify_votes(v, deltas[patch_sizes[0]], patch_sizes[0], delta_mode)
+                n_cert[c.patch_m] += 1
         per_image.append(
             {
                 "index": i,
                 "label": int(labels[i]),
                 "predicted": pred,
-                "runner_up": first.runner_up,
-                "margin": first.margin,
-                "certified": cert_by_m,
+                "runner_up": certs[0].runner_up,
+                "margin": certs[0].margin,
+                "certified": {str(c.patch_m): c.certified for c in certs},
             }
         )
     return {

@@ -238,8 +238,11 @@ def _merge_config(args, keys) -> dict:
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ParameterError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a JSON object")
         merged.update(loaded)
@@ -381,13 +384,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _certify_report(model, data, spec, patch_sizes, delta_mode, workers):
+def _certify_report(model, data, spec, patch_sizes, delta_mode):
     _check_compat(model, data)
     if max(patch_sizes) > min(model.cfg.h, model.cfg.w):
         raise ParameterError(
             f"patch size {max(patch_sizes)} exceeds image side {min(model.cfg.h, model.cfg.w)}"
         )
-    return certified_accuracy(data, model, spec, patch_sizes, delta_mode, workers)
+    return certified_accuracy(data, model, spec, patch_sizes, delta_mode)
 
 
 def cmd_certify(args) -> int:
@@ -400,7 +403,7 @@ def cmd_certify(args) -> int:
     spec = _spec_from(cfg)
     patch_sizes = _int_list(cfg.get("patch_sizes", "2"))
     delta_mode = cfg.get("delta_mode", "safe")
-    report = _certify_report(model, data, spec, patch_sizes, delta_mode, args.workers)
+    report = _certify_report(model, data, spec, patch_sizes, delta_mode)
     resolved = {"command": "certify", "cfg": cfg, "seed": args.seed}
     stamp = config_hash(resolved)
     out = args.out or "."
@@ -481,7 +484,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for b, s in points:
         spec = AblationSpec(kind=kind, b=b, s=s, offset=int(cfg.get("offset", 0)))
-        report = _certify_report(model, data, spec, patch_sizes, delta_mode, args.workers)
+        report = _certify_report(model, data, spec, patch_sizes, delta_mode)
         for entry in report["certified"]:
             rows.append(
                 {
@@ -576,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="output directory (default: current)")
 
     def data_flags(p):

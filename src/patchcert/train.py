@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import block_ablation, column_ablation
+from .ablation import AblationSpec, block_ablation, column_ablation
 from .errors import DivergenceError, ParameterError
-from .vit import Model, loss_and_gradients, process_ablation
+from .vit import Model, loss_and_gradients, per_ablation_predictions
 
 __all__ = [
     "TrainConfig",
@@ -202,21 +202,13 @@ def ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int, kind: str
     """Fraction of correct single-ablation predictions over the stride-1 set."""
     if len(data) == 0:
         raise ParameterError("cannot evaluate an empty dataset")
-    h, w = model.cfg.h, model.cfg.w
+    spec = AblationSpec(kind, b_eval)
     correct = 0
     total = 0
-    for i in range(len(data)):
-        x = data.images[i]
-        label = int(data.labels[i])
-        if kind == "column":
-            ablations = (column_ablation(x, s, b_eval) for s in range(w))
-        else:
-            ablations = (
-                block_ablation(x, t, l, b_eval) for t in range(h) for l in range(w)
-            )
-        for z_m in ablations:
-            correct += process_ablation(z_m, model.params, model.cfg) == label
-            total += 1
+    for x, label in zip(data.images, data.labels):
+        preds = per_ablation_predictions(x, spec, model.params, model.cfg)
+        correct += preds.count(int(label))
+        total += len(preds)
     return correct / total
 
 

@@ -21,19 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .ablation import AblatedImage, AblationSpec, ablation_set
+# ablation_set is unused here, but certbench's traced run wraps it under
+# the name vit.ablation_set, so it stays importable from this module.
+from .ablation import (  # noqa: F401
+    AblatedImage,
+    AblationSpec,
+    ablation_set,
+    retained_axes,
+    validate_image,
+)
 from .certify import aggregate_votes, smoothed_predict
 from .errors import DimensionError, FormatError, InputError, ParameterError
 
 __all__ = [
     "ViTConfig",
-    "TokenSet",
     "Model",
     "TOY_CONFIG",
     "init_params",
-    "tokenize",
-    "drop_masked_tokens",
-    "encoder_forward",
     "ablation_logits",
     "process_ablation",
     "masked_attention_oracle_forward",
@@ -46,6 +50,17 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"SVIT"
 CHECKPOINT_VERSION = 1
+
+# Token rows per stacked forward in per_ablation_predictions. Unbounded
+# stacks raise peak memory; small ones pay more per-call overhead.
+ROW_BUDGET = 256
+
+_LAYER_NAMES = (
+    "ln1.gamma", "ln1.beta",
+    "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+    "ln2.gamma", "ln2.beta",
+    "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
+)
 
 
 @dataclass(frozen=True)
@@ -103,46 +118,12 @@ class ViTConfig:
 TOY_CONFIG = ViTConfig(h=16, w=16, c=1, p=4, d=32, heads=4, layers=2, k=4)
 
 
-@dataclass(frozen=True)
-class TokenSet:
-    """Unordered token collection; position identity travels with each token.
-
-    positions[i] is the (row, col) grid cell of token i, or None for the
-    class token. embeddings has one length-d row per token.
-    """
-
-    positions: tuple
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        if len(self.positions) != self.embeddings.shape[0]:
-            raise DimensionError("positions and embeddings disagree on token count")
-        grid = [p for p in self.positions if p is not None]
-        if len(set(grid)) != len(grid):
-            raise InputError("duplicate grid positions in token set")
-        if sum(1 for p in self.positions if p is None) > 1:
-            raise InputError("at most one class token allowed")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def class_row(self) -> int | None:
-        for i, p in enumerate(self.positions):
-            if p is None:
-                return i
-        return None
-
-
 def _param_names(cfg: ViTConfig) -> list[str]:
     names = ["patch_embed.weight", "patch_embed.bias", "pos_embed"]
     if cfg.use_class_token:
         names += ["cls_token", "cls_pos"]
     for i in range(cfg.layers):
-        pre = f"layers.{i}."
-        names += [pre + "ln1.gamma", pre + "ln1.beta"]
-        names += [pre + "attn." + n for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        names += [pre + "ln2.gamma", pre + "ln2.beta"]
-        names += [pre + "mlp.w1", pre + "mlp.b1", pre + "mlp.w2", pre + "mlp.b2"]
+        names += [f"layers.{i}.{n}" for n in _LAYER_NAMES]
     names += ["final_ln.gamma", "final_ln.beta", "head.weight", "head.bias"]
     return names
 
@@ -228,74 +209,84 @@ def _surviving_cells(mask: np.ndarray, cfg: ViTConfig) -> np.ndarray:
     return mask.reshape(gh, p, gw, p).any(axis=(1, 3))
 
 
-def _embed_cells(patches, grid_idx, params, cfg, with_cls=True):
-    """Project patch rows and add positional embeddings; prepend class token."""
-    t = nx.bias_add(nx.matmul(patches, params["patch_embed.weight"]), params["patch_embed.bias"])
-    t = t + params["pos_embed"][grid_idx]
-    positions = [(int(g) // cfg.grid_w, int(g) % cfg.grid_w) for g in grid_idx]
-    if cfg.use_class_token and with_cls:
-        cls = (params["cls_token"] + params["cls_pos"])[None, :]
-        t = np.concatenate([cls.astype(t.dtype), t], axis=0)
-        positions = [None] + positions
-    return TokenSet(positions=tuple(positions), embeddings=t)
-
-
-def tokenize(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> TokenSet:
-    """Positionally encode every grid cell of the (already masked) image."""
+def _reduced_cells(z_m: AblatedImage, cfg: ViTConfig):
+    """Patch rows and grid indices of the cells of one ablation that keep a pixel."""
     _check_shape(z_m, cfg)
-    patches = _patch_matrix(z_m.pixels, cfg)
-    return _embed_cells(patches, np.arange(cfg.grid_tokens), params, cfg)
+    grid_idx = np.nonzero(_surviving_cells(z_m.mask, cfg).ravel())[0]
+    if grid_idx.size == 0:
+        raise InputError("ablation masks every token; nothing to classify")
+    return _patch_matrix(z_m.pixels, cfg)[grid_idx], grid_idx
 
 
-def drop_masked_tokens(t: TokenSet, mask: np.ndarray, cfg: ViTConfig) -> TokenSet:
-    """Remove grid tokens whose entire p*p region is masked out."""
-    if mask.shape != (cfg.h, cfg.w):
-        raise DimensionError(f"mask shape {mask.shape} != ({cfg.h}, {cfg.w})")
-    alive = _surviving_cells(mask, cfg)
-    keep = [i for i, pos in enumerate(t.positions) if pos is None or alive[pos[0], pos[1]]]
-    return TokenSet(
-        positions=tuple(t.positions[i] for i in keep),
-        embeddings=t.embeddings[keep],
-    )
+def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
+    """Each layer's parameters keyed by short name; the values are the arrays themselves."""
+    return [{n: params[f"layers.{i}.{n}"] for n in _LAYER_NAMES} for i in range(cfg.layers)]
 
 
-def _layer_params(params: dict, i: int) -> dict:
-    pre = f"layers.{i}."
-    return {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
+def _embed(patches, grid_idx, params, cfg):
+    """Token stack (B, n, d) of B patch sets (B, n, p*p*c) at grid cells (B, n).
 
-
-def _forward_core(x, readout, params, cfg, key_keep=None, record=False):
-    """Shared encoder body.
-
-    readout is ("cls", row) or ("mean", keep_bool_or_None). key_keep, when
-    given, blanks attention scores toward dropped tokens (the oracle
-    path); it cannot be combined with gradient recording.
+    Projects the patches, adds their positional embeddings and, when the
+    config has one, puts the class token in row 0 of every set.
     """
-    if x.shape[0] == 0:
-        raise InputError("cannot classify an empty token set")
-    if record and key_keep is not None:
-        raise ParameterError("gradient recording is only supported on the reduced path")
-    n = x.shape[0]
-    dh = cfg.head_dim
-    scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
-    ctx = {"layers": [], "n": n, "readout": readout} if record else None
+    bsz, n, pdim = patches.shape
+    t = nx.bias_add(
+        nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]),
+        params["patch_embed.bias"],
+    )
+    t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
+    if cfg.use_class_token:
+        cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
+        t = np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
+    return t
 
-    for i in range(cfg.layers):
-        lp = _layer_params(params, i)
+
+def _full_grid_tokens(pixels, params, cfg):
+    """Token stack (1, n, d) of every grid cell of an image, masked or not."""
+    return _embed(_patch_matrix(pixels, cfg)[None], np.arange(cfg.grid_tokens)[None], params, cfg)
+
+
+def _encoder_core(x, params, cfg, key_keep=None, record=False):
+    """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
+
+    Weight products run once over all B*n rows; attention runs per set
+    and head. The readout is the class token (row 0) when the config has
+    one, else the mean over the kept rows. key_keep (n,) bool, when
+    given, blanks attention scores toward dropped tokens (the oracle
+    path). record, for a single set only, also returns the activations
+    the backward pass needs.
+    """
+    bsz, n, d = x.shape
+    if n == 0:
+        raise InputError("cannot classify an empty token set")
+    if record and (key_keep is not None or bsz != 1):
+        raise ParameterError("gradient recording needs one set on the reduced path")
+    heads, dh = cfg.heads, cfg.head_dim
+    scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
+    ctx = {"layers": [], "n": n} if record else None
+    x = x.reshape(bsz * n, d)
+
+    for lp in _layer_views(params, cfg):
         h1, ln1_ctx = nx.layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"])
         q = nx.bias_add(nx.matmul(h1, lp["attn.wq"]), lp["attn.bq"])
         kk = nx.bias_add(nx.matmul(h1, lp["attn.wk"]), lp["attn.bk"])
         v = nx.bias_add(nx.matmul(h1, lp["attn.wv"]), lp["attn.bv"])
+        # (B, heads, n, dh) views: [b, hd] is head hd's column slice of set b
+        q_h, v_h = (t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3) for t in (q, v))
+        k_t = np.ascontiguousarray(kk.reshape(bsz, n, heads, dh).transpose(0, 2, 3, 1))
+        scores = np.empty((bsz, heads, n, n), dtype=q.dtype)
+        for b in range(bsz):
+            for hd in range(heads):
+                scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
+        scores *= scale
+        if key_keep is not None:
+            scores[..., ~key_keep] = -np.inf
+        attn = nx.softmax_last_dim(scores)
         o = np.empty_like(q)
-        attn_maps = []
-        for hd in range(cfg.heads):
-            sl = slice(hd * dh, (hd + 1) * dh)
-            scores = nx.matmul(q[:, sl], np.ascontiguousarray(kk[:, sl].T)) * scale
-            if key_keep is not None:
-                scores[:, ~key_keep] = -np.inf
-            a = nx.softmax_last_dim(scores)
-            o[:, sl] = nx.matmul(a, v[:, sl])
-            attn_maps.append(a)
+        o_h = o.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)
+        for b in range(bsz):
+            for hd in range(heads):
+                o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
         attn_out = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
         x_mid = x + attn_out
         h2, ln2_ctx = nx.layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
@@ -307,20 +298,21 @@ def _forward_core(x, readout, params, cfg, key_keep=None, record=False):
             ctx["layers"].append(
                 {
                     "ln1": ln1_ctx, "h1": h1, "q": q, "k": kk, "v": v,
-                    "attn": attn_maps, "o": o, "ln2": ln2_ctx, "h2": h2,
+                    "attn": attn[0], "o": o, "ln2": ln2_ctx, "h2": h2,
                     "m1": m1, "act": act,
                 }
             )
         x = x_out
 
     f, lnf_ctx = nx.layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
-    mode, arg = readout
-    if mode == "cls":
-        r = f[arg : arg + 1]
+    f3 = f.reshape(bsz, n, d)
+    if cfg.use_class_token:
+        r = f3[:, 0]
+    elif key_keep is None:
+        r = f3.mean(axis=1)
     else:
-        keep = arg if arg is not None else np.ones(n, dtype=bool)
-        r = f[keep].mean(axis=0, keepdims=True)
-    logits = nx.bias_add(nx.matmul(r, params["head.weight"]), params["head.bias"])[0]
+        r = f3[:, key_keep].mean(axis=1)
+    logits = nx.bias_add(nx.matmul(r, params["head.weight"]), params["head.bias"])
     if record:
         ctx["final_ln"] = lnf_ctx
         ctx["f"] = f
@@ -330,38 +322,19 @@ def _forward_core(x, readout, params, cfg, key_keep=None, record=False):
     return logits
 
 
-def encoder_forward(t: TokenSet, params: dict, cfg: ViTConfig) -> np.ndarray:
-    """Logits for an explicit token set; readout from the class token."""
-    if cfg.use_class_token:
-        row = t.class_row()
-        if row is None:
-            raise InputError("config expects a class token but none is present")
-        readout = ("cls", row)
-    else:
-        readout = ("mean", None)
-    return _forward_core(t.embeddings, readout, params, cfg)
-
-
-def _reduced_tokens(z_m: AblatedImage, params: dict, cfg: ViTConfig):
-    """Fused tokenize+drop: project only grid cells that keep a pixel."""
-    _check_shape(z_m, cfg)
-    alive = _surviving_cells(z_m.mask, cfg).ravel()
-    grid_idx = np.nonzero(alive)[0]
-    if grid_idx.size == 0:
-        raise InputError("ablation masks every token; nothing to classify")
-    patches = _patch_matrix(z_m.pixels, cfg)[grid_idx]
-    return _embed_cells(patches, grid_idx, params, cfg), patches, grid_idx
-
-
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
     """Logits of the reduced-token forward pass for one ablation."""
-    tokens, _, _ = _reduced_tokens(z_m, params, cfg)
-    return encoder_forward(tokens, params, cfg)
+    patches, grid_idx = _reduced_cells(z_m, cfg)
+    return _encoder_core(_embed(patches[None], grid_idx[None], params, cfg), params, cfg)[0]
 
 
-def process_ablation(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> int:
-    """Class of one ablation: tokenize, drop masked tokens, encode, argmax."""
-    return int(np.argmax(ablation_logits(z_m, params, cfg)))
+def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cfg: ViTConfig):
+    """Classes of a stack of B ablations with n surviving cells each.
+
+    patches (B, n, p*p*c) are the ablated pixels of the cells at grid
+    indices grid_idx (B, n); returns B argmax classes.
+    """
+    return np.argmax(_encoder_core(_embed(patches, grid_idx, params, cfg), params, cfg), axis=1)
 
 
 def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
@@ -372,23 +345,46 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
     the encoder on the reduced set.
     """
     _check_shape(z_m, cfg)
-    t = tokenize(z_m, params, cfg)
-    alive = _surviving_cells(z_m.mask, cfg)
-    keep = np.array(
-        [pos is None or alive[pos[0], pos[1]] for pos in t.positions], dtype=bool
-    )
+    keep = _surviving_cells(z_m.mask, cfg).ravel()
     if not keep.any():
         raise InputError("ablation masks every token; nothing to classify")
     if cfg.use_class_token:
-        readout = ("cls", t.class_row())
-    else:
-        readout = ("mean", keep)
-    return _forward_core(t.embeddings, readout, params, cfg, key_keep=keep)
+        keep = np.concatenate([[True], keep])
+    x = _full_grid_tokens(z_m.pixels, params, cfg)
+    return _encoder_core(x, params, cfg, key_keep=keep)[0]
 
 
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
-    """Base-classifier prediction for every ablation in the set."""
-    return [process_ablation(z_m, params, cfg) for z_m in ablation_set(x, spec)]
+    """Base-classifier prediction for every ablation in the set, in anchor order.
+
+    The image is patchified once. An ablation's surviving cells and their
+    pixel masks follow from its retained rows and columns; ablations with
+    equal token counts are classified together, in stacks of at most
+    ROW_BUDGET token rows.
+    """
+    x = validate_image(x)
+    if x.shape != (cfg.h, cfg.w, cfg.c):
+        raise DimensionError(f"image shape {x.shape} does not match config ({cfg.h}, {cfg.w}, {cfg.c})")
+    rows, cols = retained_axes(cfg.h, cfg.w, spec)
+    q, p, gw = rows.shape[0], cfg.p, cfg.grid_w
+    row_cells = rows.reshape(q, cfg.grid_h, p)  # retained pixel rows of each cell row
+    col_cells = cols.reshape(q, gw, p)
+    row_alive, col_alive = row_cells.any(axis=2), col_cells.any(axis=2)
+    alive = (row_alive[:, :, None] & col_alive[:, None, :]).reshape(q, cfg.grid_tokens)
+    counts = alive.sum(axis=1)
+    patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, p, p, cfg.c)
+    preds = np.empty(q, dtype=np.int64)
+    for n in np.unique(counts).tolist():
+        members = np.nonzero(counts == n)[0]
+        stack = max(1, ROW_BUDGET // (n + int(cfg.use_class_token)))
+        for start in range(0, members.size, stack):
+            ids = members[start : start + stack]
+            grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
+            keep = (row_cells[ids[:, None], grid_idx // gw][..., :, None]
+                    & col_cells[ids[:, None], grid_idx % gw][..., None, :])
+            cells = (patches[grid_idx] * keep[..., None]).reshape(ids.size, n, -1)
+            preds[ids] = process_ablation(cells, grid_idx, params, cfg)
+    return preds.tolist()
 
 
 def smoothed_vit_forward(x, spec: AblationSpec, params: dict, cfg: ViTConfig):
@@ -403,9 +399,10 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
     Returns (loss, grads) where grads has one entry per parameter;
     parameters untouched by dropped tokens receive zero gradient rows.
     """
-    tokens, patches, grid_idx = _reduced_tokens(z_m, params, cfg)
-    readout = ("cls", tokens.class_row()) if cfg.use_class_token else ("mean", None)
-    logits, ctx = _forward_core(tokens.embeddings, readout, params, cfg, record=True)
+    patches, grid_idx = _reduced_cells(z_m, cfg)
+    x = _embed(patches[None], grid_idx[None], params, cfg)
+    logits, ctx = _encoder_core(x, params, cfg, record=True)
+    logits = logits[0]
     loss = nx.cross_entropy(logits, label)
 
     grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -418,9 +415,8 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
 
     n = ctx["n"]
     df = np.zeros_like(ctx["f"])
-    mode, arg = readout
-    if mode == "cls":
-        df[arg] = dr[0]
+    if cfg.use_class_token:
+        df[0] = dr[0]
     else:
         df += dr / n
     dx, dgf, dbf = nx.layer_norm_bwd(ctx["final_ln"], df)
@@ -429,9 +425,10 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
 
     dh = cfg.head_dim
     scale = ctx["scale"]
+    layers = _layer_views(params, cfg)
     for i in reversed(range(cfg.layers)):
         lc = ctx["layers"][i]
-        lp = _layer_params(params, i)
+        lp = layers[i]
         pre = f"layers.{i}."
 
         # MLP residual: x_out = x_mid + W2(gelu(W1 ln2(x_mid)))
@@ -518,6 +515,8 @@ def load_checkpoint(path) -> Model:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise FormatError(f"checkpoint truncated at {len(blob)} bytes, inside its 12-byte preamble")
     version, hlen = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")

@@ -11,6 +11,7 @@ from patchcert.ablation import (
     ablation_set,
     block_ablation,
     column_ablation,
+    retained_axes,
 )
 from patchcert.errors import ParameterError
 
@@ -124,6 +125,22 @@ def test_column_mask_count_property(data):
     b = data.draw(st.integers(1, w))
     x = np.zeros((5, w, 1), np.float32)
     assert column_ablation(x, start, b).mask.sum() == 5 * b
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_retained_axes_match_ablation_set_masks(data):
+    h = data.draw(st.integers(1, 12))
+    w = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["column", "block"]))
+    s = data.draw(st.integers(1, w))
+    spec = AblationSpec(kind, data.draw(st.integers(1, w if kind == "column" else min(h, w))),
+                        s, data.draw(st.integers(0, s - 1)))
+    rows, cols = retained_axes(h, w, spec)
+    masks = [a.mask for a in ablation_set(np.zeros((h, w, 1), np.float32), spec)]
+    assert rows.shape == (len(masks), h) and cols.shape == (len(masks), w)
+    for mask, r, c in zip(masks, rows, cols):
+        np.testing.assert_array_equal(mask.astype(bool), r[:, None] & c[None, :])
 
 
 def test_parameter_validation():

@@ -312,7 +312,7 @@ def test_certified_accuracy_requires_correctness():
     assert report["per_image"][0]["certified"]["2"] is True
 
 
-def test_certified_accuracy_worker_counts_agree():
+def test_certified_accuracy_images_are_independent():
     data = LabeledDataset(
         images=np.random.default_rng(9).uniform(0, 1, (4, 16, 16, 1)).astype(np.float32),
         labels=np.array([0, 1, 2, 3], dtype=np.int64),
@@ -321,9 +321,12 @@ def test_certified_accuracy_worker_counts_agree():
     )
     model = Model.init(TOY_CONFIG, seed=3)
     spec = AblationSpec("column", 3)
-    r1 = certified_accuracy(data, model, spec, [1, 2], workers=1)
-    r3 = certified_accuracy(data, model, spec, [1, 2], workers=3)
-    assert r1 == r3
+    whole = certified_accuracy(data, model, spec, [1, 2])
+    for i in range(4):
+        one = LabeledDataset(images=data.images[i : i + 1], labels=data.labels[i : i + 1],
+                             splits=data.splits[i : i + 1], k=4)
+        alone = certified_accuracy(one, model, spec, [1, 2])["per_image"][0]
+        assert whole["per_image"][i] == dict(alone, index=i)
 
 
 def test_certified_accuracy_empty_dataset_rejected():
