@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .ablation import AblatedImage, AblationSpec, ablation_set, block_ablation, column_ablation
 from .certify import (
     Certificate,
-    PatchThreatModel,
     VoteCounts,
     adversarial_flip_search,
     aggregate_votes,
@@ -35,7 +34,6 @@ __all__ = [
     "block_ablation",
     "column_ablation",
     "Certificate",
-    "PatchThreatModel",
     "VoteCounts",
     "adversarial_flip_search",
     "aggregate_votes",

@@ -11,8 +11,8 @@ a single m*m patch can intersect. Delta comes in three flavours here:
   under-count when the stride does not divide the width, because the
   strided start grid has one short wrap gap), falling back to
   ceil((m+b-1)/s) per dimension without them;
-* ``delta_oracle``: brute-force enumeration of every placement against
-  every generated ablation mask, exact by construction.
+* ``delta_oracle``: exhaustive count of the ablations every placement
+  hits, exact by construction.
 
 Certification uses integer arithmetic only and breaks argmax ties by
 lowest class index everywhere.
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblationSpec, ablation_anchors, ablation_set
+from .ablation import AblationSpec, ablation_anchors, retained_axes
 from .errors import BudgetError, EmptyVotesError, InputError, ParameterError
 
 __all__ = [
     "VoteCounts",
     "Certificate",
-    "PatchThreatModel",
     "FlipSearchResult",
     "aggregate_votes",
     "smoothed_predict",
@@ -67,18 +66,6 @@ class Certificate:
     patch_m: int
     certified: bool
     delta_mode: str
-
-
-@dataclass(frozen=True)
-class PatchThreatModel:
-    """An m*m adversarial patch placed anywhere inside the image (no wrap)."""
-
-    m: int
-
-    def placements(self, h: int, w: int) -> list:
-        if not 1 <= self.m <= min(h, w):
-            raise ParameterError(f"patch side {self.m} outside [1, {min(h, w)}]")
-        return [(t, l) for t in range(h - self.m + 1) for l in range(w - self.m + 1)]
 
 
 @dataclass(frozen=True)
@@ -170,40 +157,41 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str = "safe", dims=None)
     return _exact_hits_1d(h, b, s, m, off) * _exact_hits_1d(w, b, s, m, off)
 
 
-def _intersection_matrix(h: int, w: int, spec: AblationSpec, m: int):
-    """(ablations x placements) boolean intersection table from real masks.
+def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:
+    """(q, size-m+1) int64: does the window [t, t+m) meet row j's retained set."""
+    pref = np.zeros((axis.shape[0], axis.shape[1] + 1), dtype=np.int64)
+    np.cumsum(axis, axis=1, out=pref[:, 1:])
+    return (pref[:, m:] > pref[:, :-m]).astype(np.int64)
 
-    Row j is ablation j of the set; column p is the patch placement in
-    row-major (top, left) order. Entry true iff the patch square overlaps
-    at least one retained pixel of that ablation's mask.
+
+def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
+    """Per-axis patch-hit tables of every ablation, in anchor order.
+
+    Ablation j keeps the pixels rows[j] x cols[j] (``retained_axes``), so
+    an m*m patch at (top, left) overlaps it iff rowhit[j, top] and
+    colhit[j, left]. Returns rowhit (q, h-m+1) and colhit (q, w-m+1).
     """
     if not 1 <= m <= min(h, w):
         raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
-    anchors = ablation_anchors(h, w, spec)
-    q = len(anchors)
+    q = len(ablation_anchors(h, w, spec))
     n_place = (h - m + 1) * (w - m + 1)
     if q * n_place > ORACLE_BUDGET:
         raise BudgetError(
             f"enumeration of {q} ablations x {n_place} placements exceeds the "
             f"budget of {ORACLE_BUDGET}; use the closed form instead"
         )
-    dummy = np.zeros((h, w, 1), dtype=np.float32)
-    masks = np.stack([a.mask for a in ablation_set(dummy, spec)]).astype(np.int32)
-    # prefix sums turn "any retained pixel in an m*m window" into O(1) lookups
-    pref = np.zeros((q, h + 1, w + 1), dtype=np.int32)
-    np.cumsum(masks, axis=1, out=pref[:, 1:, 1:])
-    np.cumsum(pref[:, 1:, 1:], axis=2, out=pref[:, 1:, 1:])
-    window = (
-        pref[:, m:, m:] - pref[:, :-m, m:] - pref[:, m:, :-m] + pref[:, :-m, :-m]
-    )
-    placements = [(t, l) for t in range(h - m + 1) for l in range(w - m + 1)]
-    return (window > 0).reshape(q, n_place), placements
+    if q == 0:
+        raise ParameterError(
+            f"{spec.kind} offset {spec.offset} leaves no ablation anchor in {h}x{w}"
+        )
+    rows, cols = retained_axes(h, w, spec)
+    return _window_hits(rows, m), _window_hits(cols, m)
 
 
 def delta_oracle(h: int, w: int, spec: AblationSpec, m: int) -> int:
-    """Exact Delta by enumerating every placement against every mask."""
-    hits, _ = _intersection_matrix(h, w, spec, m)
-    return int(hits.sum(axis=0).max())
+    """Exact Delta by counting, for every placement, the ablations it hits."""
+    rowhit, colhit = _hit_tables(h, w, spec, m)
+    return int((rowhit.T @ colhit).max())
 
 
 def certify_votes(v: VoteCounts, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
@@ -259,17 +247,18 @@ def adversarial_flip_search(
         raise InputError(f"prediction outside [0, {k})")
     if k < 2:
         raise ParameterError("flip search needs at least two classes")
-    hits, placements = _intersection_matrix(h, w, spec, m)
-    if hits.shape[0] != preds.size:
+    rowhit, colhit = _hit_tables(h, w, spec, m)
+    if rowhit.shape[0] != preds.size:
         raise InputError(
-            f"{preds.size} predictions but the ablation set has {hits.shape[0]} members"
+            f"{preds.size} predictions but the ablation set has {rowhit.shape[0]} members"
         )
     base = np.bincount(preds, minlength=k).astype(np.int64)
     g0 = int(np.argmax(base))
-    onehot = np.zeros((preds.size, k), dtype=np.int64)
-    onehot[np.arange(preds.size), preds] = 1
-    in_patch = hits.T.astype(np.int64) @ onehot  # (placements, k) votes intersected
-    sizes = hits.sum(axis=0).astype(np.int64)
+    # in_patch[j, c]: votes for class c among the ablations placement j hits
+    in_patch = np.stack(
+        [rowhit[preds == c].T @ colhit[preds == c] for c in range(k)], axis=-1
+    ).reshape(-1, k)
+    sizes = in_patch.sum(axis=1)
 
     best = None  # (changed, advantage, -placement, -rival) lexicographic max
     for r in range(k):
@@ -279,22 +268,24 @@ def adversarial_flip_search(
         post[:, r] += sizes
         pred_after = np.argmax(post, axis=1)
         adv = post[:, r] - post[:, g0]
-        for j in range(len(placements)):
-            changed = int(pred_after[j]) != g0
-            key = (changed, int(adv[j]), -j, -r)
-            if best is None or key > best[0]:
-                best = (
-                    key,
-                    FlipSearchResult(
-                        changed=changed,
-                        worst_prediction=int(pred_after[j]),
-                        placement=placements[j],
-                        rival=r,
-                        original_prediction=g0,
-                        post_counts=tuple(int(c) for c in post[j]),
-                        advantage=int(adv[j]),
-                    ),
-                )
+        changed = pred_after != g0
+        top = changed == changed.max()
+        top &= adv == adv[top].max()
+        j = int(np.argmax(top))  # lowest placement index among the best
+        key = (bool(changed[j]), int(adv[j]), -j, -r)
+        if best is None or key > best[0]:
+            best = (
+                key,
+                FlipSearchResult(
+                    changed=key[0],
+                    worst_prediction=int(pred_after[j]),
+                    placement=divmod(j, w - m + 1),
+                    rival=r,
+                    original_prediction=g0,
+                    post_counts=tuple(int(c) for c in post[j]),
+                    advantage=key[1],
+                ),
+            )
     return best[1]
 
 
@@ -314,8 +305,9 @@ def certified_accuracy(
     """Standard and certified accuracy of a smoothed model over a dataset.
 
     Returns the report record emitted by the CLI: one certified-accuracy
-    entry per requested patch size plus a per-image certificate list,
-    whose runner-up and margin come from the first patch size.
+    entry per distinct requested patch size, in first-seen order, plus a
+    per-image certificate list, whose runner-up and margin come from the
+    first patch size.
     """
     from .vit import smoothed_vit_forward  # deferred: vit builds on this module
 
@@ -327,7 +319,7 @@ def certified_accuracy(
     if n == 0:
         raise InputError("dataset is empty")
     h, w = model.cfg.h, model.cfg.w
-    patch_sizes = [int(m) for m in patch_sizes]
+    patch_sizes = list(dict.fromkeys(int(m) for m in patch_sizes))
     deltas = {m: _delta_for(spec, m, delta_mode, h, w) for m in patch_sizes}
 
     per_image = []

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .ablation import AblationSpec, ablation_set
-from .bench import smoothing_cost, tokens_for_ablation, wallclock_harness
+from .bench import smoothing_cost, wallclock_harness
 from .certify import certified_accuracy, delta_closed_form, delta_oracle
 from .errors import (
     BudgetError,
@@ -153,41 +153,6 @@ def write_pgm(path, gray: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
-def _read_pnm(path, magic: bytes):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(magic):
-        raise FormatError(f"expected {magic!r} file, got {blob[:2]!r}")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(blob[start:pos]))
-    pos += 1  # the single whitespace byte after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"only 8-bit PNM supported, maxval {maxval}")
-    return blob[pos:], w, h
-
-
-def read_ppm(path) -> np.ndarray:
-    data, w, h = _read_pnm(path, b"P6")
-    if len(data) != w * h * 3:
-        raise FormatError(f"PPM payload {len(data)} != {w * h * 3}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-def read_pgm(path) -> np.ndarray:
-    data, w, h = _read_pnm(path, b"P5")
-    if len(data) != w * h:
-        raise FormatError(f"PGM payload {len(data)} != {w * h}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()
-
-
 # ---------------------------------------------------------------------------
 # config plumbing and reports
 
@@ -253,12 +218,20 @@ def _merge_config(args, keys) -> dict:
     return merged
 
 
-def _int_list(text) -> list[int]:
-    if isinstance(text, list):
-        return [int(v) for v in text]
+def _config_number(cfg: dict, key: str, default, kind=int):
+    """cfg[key] (else default) converted by kind; a wrong type is a ParameterError."""
+    value = cfg.get(key, default)
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"config value {key}={value!r} is not {kind.__name__}") from exc
+
+
+def _int_list(text) -> list[int]:
+    tokens = text if isinstance(text, list) else [t for t in str(text).split(",") if t.strip()]
+    try:
+        return [int(tok) for tok in tokens]
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
 
 
@@ -289,11 +262,11 @@ def _load_dataset(cfg: dict, seed: int) -> LabeledDataset:
         )
     if fmt == "stripe":
         return make_stripe_dataset(
-            n=int(cfg.get("stripe_n", 256)),
-            h=int(cfg.get("stripe_h", 16)),
-            w=int(cfg.get("stripe_w", 16)),
-            k=int(cfg.get("stripe_k", 4)),
-            noise=float(cfg.get("stripe_noise", 0.1)),
+            n=_config_number(cfg, "stripe_n", 256),
+            h=_config_number(cfg, "stripe_h", 16),
+            w=_config_number(cfg, "stripe_w", 16),
+            k=_config_number(cfg, "stripe_k", 4),
+            noise=_config_number(cfg, "stripe_noise", 0.1, float),
             seed=seed,
         )
     raise ParameterError(f"unknown data format {fmt!r}")
@@ -309,9 +282,9 @@ def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
 def _spec_from(cfg: dict) -> AblationSpec:
     return AblationSpec(
         kind=cfg.get("ablation", "column"),
-        b=int(cfg.get("b", 3)),
-        s=int(cfg.get("stride", 1)),
-        offset=int(cfg.get("offset", 0)),
+        b=_config_number(cfg, "b", 3),
+        s=_config_number(cfg, "stride", 1),
+        offset=_config_number(cfg, "offset", 0),
     )
 
 
@@ -333,7 +306,7 @@ def cmd_ablate(args) -> int:
             "stripe_n", "stripe_h", "stripe_w", "stripe_k", "stripe_noise"]
     cfg = _merge_config(args, keys)
     data = _load_dataset(cfg, args.seed)
-    index = int(cfg.get("index", 0))
+    index = _config_number(cfg, "index", 0)
     if not 0 <= index < len(data):
         raise ParameterError(f"image index {index} outside dataset of {len(data)}")
     spec = _spec_from(cfg)
@@ -356,20 +329,20 @@ def cmd_train(args) -> int:
     h, w, c = data.images.shape[1:]
     vit_cfg = ViTConfig(
         h=int(h), w=int(w), c=int(c),
-        p=int(cfg.get("p", 4)), d=int(cfg.get("d", 32)),
-        heads=int(cfg.get("heads", 4)), layers=int(cfg.get("layers", 2)),
+        p=_config_number(cfg, "p", 4), d=_config_number(cfg, "d", 32),
+        heads=_config_number(cfg, "heads", 4), layers=_config_number(cfg, "layers", 2),
         k=data.k,
     )
     train_cfg = TrainConfig(
-        epochs=int(cfg.get("epochs", 30)),
-        batch_size=int(cfg.get("batch_size", 32)),
-        lr=float(cfg.get("lr", 0.05)),
-        momentum=float(cfg.get("momentum", 0.9)),
-        weight_decay=float(cfg.get("weight_decay", 5e-4)),
-        b_train=int(cfg.get("b_train", 3)),
+        epochs=_config_number(cfg, "epochs", 30),
+        batch_size=_config_number(cfg, "batch_size", 32),
+        lr=_config_number(cfg, "lr", 0.05, float),
+        momentum=_config_number(cfg, "momentum", 0.9, float),
+        weight_decay=_config_number(cfg, "weight_decay", 5e-4, float),
+        b_train=_config_number(cfg, "b_train", 3),
         kind=cfg.get("kind", "column"),
         seed=args.seed,
-        patience=int(cfg.get("patience", 5)),
+        patience=_config_number(cfg, "patience", 5),
     )
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -430,8 +403,8 @@ def cmd_certify(args) -> int:
 def cmd_delta(args) -> int:
     keys = ["h", "w", "ablation", "b", "stride", "offset", "patch_sizes"]
     cfg = _merge_config(args, keys)
-    h = int(cfg.get("h", 224))
-    w = int(cfg.get("w", 224))
+    h = _config_number(cfg, "h", 224)
+    w = _config_number(cfg, "w", 224)
     spec = _spec_from(cfg)
     patch_sizes = _int_list(cfg.get("patch_sizes", "32"))
     header = f"{'m':>5} {'safe':>10} {'paper':>10} {'oracle':>10}  note"
@@ -483,7 +456,7 @@ def cmd_sweep(args) -> int:
             points.append((b, s))
     rows = []
     for b, s in points:
-        spec = AblationSpec(kind=kind, b=b, s=s, offset=int(cfg.get("offset", 0)))
+        spec = AblationSpec(kind=kind, b=b, s=s, offset=_config_number(cfg, "offset", 0))
         report = _certify_report(model, data, spec, patch_sizes, delta_mode)
         for entry in report["certified"]:
             rows.append(
@@ -511,36 +484,32 @@ def cmd_bench(args) -> int:
             "stride", "offset", "batch", "trials"]
     cfg = _merge_config(args, keys)
     vit_cfg = ViTConfig(
-        h=int(cfg.get("h", 224)), w=int(cfg.get("w", 224)), c=int(cfg.get("c", 3)),
-        p=int(cfg.get("p", 16)), d=int(cfg.get("d", 128)), heads=int(cfg.get("heads", 4)),
-        layers=int(cfg.get("layers", 3)), k=int(cfg.get("k", 10)),
+        h=_config_number(cfg, "h", 224), w=_config_number(cfg, "w", 224),
+        c=_config_number(cfg, "c", 3), p=_config_number(cfg, "p", 16),
+        d=_config_number(cfg, "d", 128), heads=_config_number(cfg, "heads", 4),
+        layers=_config_number(cfg, "layers", 3), k=_config_number(cfg, "k", 10),
     )
     model = Model.init(vit_cfg, seed=args.seed)
     b_grid = _int_list(cfg.get("b_grid", "13,19,37,67"))
-    stride = int(cfg.get("stride", 1))
-    batch = int(cfg.get("batch", 8))
-    trials = int(cfg.get("trials", 5))
+    stride = _config_number(cfg, "stride", 1)
+    batch = _config_number(cfg, "batch", 8)
+    trials = _config_number(cfg, "trials", 5)
     rng = np.random.default_rng(args.seed)
     image = rng.uniform(0.0, 1.0, size=(vit_cfg.h, vit_cfg.w, vit_cfg.c)).astype(np.float32)
     rows = []
     for b in sorted(set(b_grid)):
         spec = AblationSpec(kind=cfg.get("ablation", "column"), b=b, s=stride,
-                            offset=int(cfg.get("offset", 0)))
+                            offset=_config_number(cfg, "offset", 0))
         full_set = ablation_set(image, spec)
         step = max(1, len(full_set) // batch)
         sample = full_set[::step][:batch]
         cost = smoothing_cost(vit_cfg, spec)
         timing = wallclock_harness(model, sample, trials=trials)
-        anchors = list(range(spec.offset, vit_cfg.w, spec.s)) if spec.kind == "column" else None
-        if anchors is not None:
-            tokens = [tokens_for_ablation(vit_cfg, spec, a) for a in anchors]
-        else:
-            tokens = cost["tokens"]
         rows.append(
             {
                 "b": b,
                 "stride": stride,
-                "n_tokens_mean": float(np.mean(tokens)),
+                "n_tokens_mean": float(np.mean(cost["tokens"])),
                 "macs_drop": cost["macs_drop"],
                 "macs_full": cost["macs_full"],
                 "mac_ratio": cost["mac_ratio"],

@@ -27,7 +27,6 @@ __all__ = [
     "OptState",
     "make_stripe_dataset",
     "train_epoch",
-    "early_stopping_select",
     "ablation_accuracy",
     "fit",
 ]
@@ -176,26 +175,6 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
         total_loss += batch_loss
     state.epoch += 1
     return model, total_loss / len(data), state
-
-
-def early_stopping_select(history, patience: int) -> int:
-    """Index of the best validation accuracy under patience-based stopping.
-
-    Walks the history as training would: tracks the best epoch (ties go
-    to the earliest) and stops once ``patience`` epochs pass without
-    improvement. Later entries beyond the stopping point are ignored.
-    """
-    if len(history) == 0:
-        raise ParameterError("early stopping needs a nonempty history")
-    if patience < 1:
-        raise ParameterError(f"patience must be >= 1, got {patience}")
-    best = 0
-    for i, acc in enumerate(history):
-        if acc > history[best]:
-            best = i
-        elif i - best >= patience:
-            break
-    return best
 
 
 def ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int, kind: str = "column") -> float:

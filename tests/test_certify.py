@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchcert.ablation import AblationSpec, ablation_anchors
+from patchcert.ablation import AblationSpec, ablation_anchors, ablation_set
 from patchcert.certify import (
     Certificate,
+    FlipSearchResult,
     VoteCounts,
     adversarial_flip_search,
     aggregate_votes,
@@ -240,6 +241,47 @@ def test_flip_search_soundness_against_oracle_delta():
             assert not res.changed, (h, w, kind, b, s, m, preds.tolist())
 
 
+# The slow path the separable hit tables replace: a (ablations x placements)
+# table built from the real masks, and a scan over every (placement, rival).
+
+
+def _reference_intersection_matrix(h, w, spec, m):
+    masks = np.stack([a.mask for a in ablation_set(np.zeros((h, w, 1)), spec)]).astype(np.int32)
+    pref = np.zeros((masks.shape[0], h + 1, w + 1), dtype=np.int32)
+    pref[:, 1:, 1:] = masks.cumsum(axis=1).cumsum(axis=2)
+    window = pref[:, m:, m:] - pref[:, :-m, m:] - pref[:, m:, :-m] + pref[:, :-m, :-m]
+    placements = [(t, l) for t in range(h - m + 1) for l in range(w - m + 1)]
+    return (window > 0).reshape(masks.shape[0], -1), placements
+
+
+def _reference_flip_search(preds, spec, h, w, m, k):
+    hits, placements = _reference_intersection_matrix(h, w, spec, m)
+    preds = np.asarray(preds, dtype=np.int64)
+    base = np.bincount(preds, minlength=k).astype(np.int64)
+    g0 = int(np.argmax(base))
+    onehot = np.eye(k, dtype=np.int64)[preds]
+    in_patch = hits.T.astype(np.int64) @ onehot
+    sizes = hits.sum(axis=0).astype(np.int64)
+    best = None
+    for r in range(k):
+        if r == g0:
+            continue
+        post = base[None, :] - in_patch
+        post[:, r] += sizes
+        pred_after = np.argmax(post, axis=1)
+        adv = post[:, r] - post[:, g0]
+        for j in range(len(placements)):
+            changed = int(pred_after[j]) != g0
+            key = (changed, int(adv[j]), -j, -r)
+            if best is None or key > best[0]:
+                best = (key, FlipSearchResult(
+                    changed=changed, worst_prediction=int(pred_after[j]),
+                    placement=placements[j], rival=r, original_prediction=g0,
+                    post_counts=tuple(int(c) for c in post[j]), advantage=int(adv[j]),
+                ))
+    return best[1]
+
+
 def test_flip_search_near_tightness_constructive():
     # place every intersected ablation on the predicted class; with margin
     # <= 2*delta and a lower-index rival, the adversary must force a change
@@ -248,9 +290,7 @@ def test_flip_search_near_tightness_constructive():
     m = 2
     delta = delta_oracle(h, w, spec, m)  # = 4
     q = len(ablation_anchors(h, w, spec))
-    from patchcert.certify import _intersection_matrix
-
-    hits, placements = _intersection_matrix(h, w, spec, m)
+    hits, _ = _reference_intersection_matrix(h, w, spec, m)
     counts = hits.sum(axis=0)
     j = int(np.argmax(counts))
     intersected = np.nonzero(hits[:, j])[0]
@@ -265,6 +305,45 @@ def test_flip_search_near_tightness_constructive():
     assert 0 < margin <= 2 * delta
     res = adversarial_flip_search(preds, spec, h, w, m, true_class=1, k=2)
     assert res.changed and res.worst_prediction == 0
+
+
+@st.composite
+def _audit_case(draw):
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["column", "block"]))
+    b = draw(st.integers(1, w if kind == "column" else min(h, w)))
+    s = draw(st.integers(1, w))
+    spec = AblationSpec(kind, b, s, draw(st.integers(0, s - 1)))
+    m = draw(st.integers(1, min(h, w)))
+    k = draw(st.integers(2, 5))
+    q = len(ablation_anchors(h, w, spec))
+    favored = draw(st.integers(0, k - 1))
+    # skewed votes (one class dominates) or near-uniform ones, which tie often
+    skew = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    vote = st.tuples(st.floats(0, 1), st.integers(0, k - 1))
+    draws = draw(st.lists(vote, min_size=q, max_size=q))
+    preds = [favored if u < skew else c for u, c in draws]
+    return h, w, spec, m, k, preds
+
+
+@settings(deadline=None, max_examples=150)
+@given(_audit_case())
+@example((6, 13, AblationSpec("block", 6, 11, 9), 4, 2, []))  # offset 9 >= h: no anchor row
+def test_hit_tables_match_the_mask_reference(case):
+    h, w, spec, m, k, preds = case
+    if not preds:
+        with pytest.raises(ParameterError):
+            delta_oracle(h, w, spec, m)
+        with pytest.raises(ParameterError):
+            adversarial_flip_search([0], spec, h, w, m, 0, k)
+        return
+    hits, _ = _reference_intersection_matrix(h, w, spec, m)
+    assert delta_oracle(h, w, spec, m) == int(hits.sum(axis=0).max())
+    found = adversarial_flip_search(preds, spec, h, w, m, preds[0], k)
+    assert found == _reference_flip_search(preds, spec, h, w, m, k)
+    assert type(found.changed) is bool
+    assert all(type(v) is int for v in found.placement + found.post_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +417,11 @@ def test_certified_accuracy_empty_dataset_rejected():
     )
     with pytest.raises(InputError):
         certified_accuracy(empty, _constant_model(0), AblationSpec("column", 3), [2])
+
+
+def test_certified_accuracy_counts_a_repeated_patch_size_once():
+    report = certified_accuracy(
+        _single_image_dataset(2), _constant_model(2), AblationSpec("column", 3), [2, 1, 2]
+    )
+    assert [(e["m"], e["accuracy"]) for e in report["certified"]] == [(2, 1.0), (1, 1.0)]
+    assert report["per_image"][0]["certified"] == {"2": True, "1": True}

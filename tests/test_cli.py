@@ -26,6 +26,13 @@ def files(tmp_path):
         "list.json": b"[1, 2]",
         "binary.json": b"\xff\xfe\x00",
         "cifar.bin": b"\0" * 100,
+        "b_word.json": b'{"b": "wide"}',
+        "index_list.json": b'{"index": [0]}',
+        "lr_word.json": b'{"lr": "fast"}',
+        "k_word.json": b'{"k": "ten"}',
+        "noise_null.json": b'{"stripe_noise": null}',
+        "offset_word.json": b'{"offset": "x"}',
+        "sizes_words.json": b'{"patch_sizes": ["a"]}',
         "idx.bin": b"\1\2\3\4",
     }
     for name, data in contents.items():
@@ -59,6 +66,17 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--workers", "2"], 3),
     (["certify", "--bogus"], 3),
     (["delta", "--b", "3", "--patch-sizes", "0"], 3),
+    (["delta", "--h", "6", "--w", "13", "--ablation", "block", "--b", "6", "--stride", "11",
+      "--offset", "9", "--patch-sizes", "4"], 3),
+    # a config value of the wrong type: 3
+    (["delta", "--config", "b_word.json"], 3),
+    (["delta", "--config", "sizes_words.json"], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "b_word.json"], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "noise_null.json"], 3),
+    (["ablate", "--config", "index_list.json"], 3),
+    (["train", "--config", "lr_word.json"], 3),
+    (["bench", "--config", "k_word.json"], 3),
+    (["sweep", "--ckpt", "good.svit", "--config", "offset_word.json"], 3),
     (["train", "--epochs", "0"], 3),
     (["sweep", "--ckpt", "good.svit", "--b-grid", "x"], 3),
 ]
