@@ -141,6 +141,8 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str = "safe", dims=None)
         raise ParameterError(f"patch side must be >= 1, got {m}")
     if mode not in ("safe", "paper"):
         raise ParameterError(f"unknown delta mode {mode!r}; use safe or paper")
+    if dims is not None:
+        _require_anchor(*dims, spec)
     b, s, off = spec.b, spec.s, spec.offset
     if mode == "paper":
         d1 = _paper_delta_1d(b, s, m)
@@ -149,7 +151,6 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str = "safe", dims=None)
         d1 = _literal_safe_1d(b, s, m)
         return d1 if spec.kind == "column" else d1 * d1
     h, w = dims
-    spec.validate_for(h, w)
     if m > min(h, w):
         raise ParameterError(f"patch side {m} exceeds image {h}x{w}")
     if spec.kind == "column":
@@ -162,6 +163,15 @@ def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:
     pref = np.zeros((axis.shape[0], axis.shape[1] + 1), dtype=np.int64)
     np.cumsum(axis, axis=1, out=pref[:, 1:])
     return (pref[:, m:] > pref[:, :-m]).astype(np.int64)
+
+
+def _require_anchor(h: int, w: int, spec: AblationSpec) -> None:
+    """Validate spec for h x w; a block offset of h or more leaves no anchor row."""
+    spec.validate_for(h, w)
+    if spec.kind == "block" and spec.offset >= h:
+        raise ParameterError(
+            f"{spec.kind} offset {spec.offset} leaves no ablation anchor in {h}x{w}"
+        )
 
 
 def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
@@ -180,10 +190,7 @@ def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
             f"enumeration of {q} ablations x {n_place} placements exceeds the "
             f"budget of {ORACLE_BUDGET}; use the closed form instead"
         )
-    if q == 0:
-        raise ParameterError(
-            f"{spec.kind} offset {spec.offset} leaves no ablation anchor in {h}x{w}"
-        )
+    _require_anchor(h, w, spec)
     rows, cols = retained_axes(h, w, spec)
     return _window_hits(rows, m), _window_hits(cols, m)
 

@@ -2,9 +2,9 @@
 
 Commands: ablate, train, certify, delta, sweep, bench. Every command is
 deterministic given (config, seed) except for measured wall-clock
-columns in bench reports. Reports are named by a content hash of the
-resolved run config, so re-runs regenerate the same file and sweeps
-never clobber unrelated results.
+columns, which bench writes to a separate run-stamped file. Reports are
+named by a content hash of the resolved run config, so re-runs
+regenerate the same file and sweeps never clobber unrelated results.
 
 Exit codes: 0 success, 1 internal error, 2 missing/corrupt input,
 3 invalid parameters. Set PATCHCERT_LOG={error,info,debug} for logging.
@@ -21,6 +21,7 @@ import logging
 import os
 import struct
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _csv_text(rows, fieldnames, comment: str | None = None) -> str:
     buf = io.StringIO()
     if comment:
         buf.write(f"# {comment}\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
@@ -276,7 +277,11 @@ def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
     if split == "all":
         return data
     sub = data.subset(split)
-    return sub if len(sub) else data
+    if not len(sub):
+        present = ", ".join(sorted(set(data.splits.tolist()))) or "none"
+        raise ParameterError(f"dataset has no {split!r} split (splits present: {present}); "
+                             "choose one of those or --split all")
+    return sub
 
 
 def _spec_from(cfg: dict) -> AblationSpec:
@@ -519,20 +524,23 @@ def cmd_bench(args) -> int:
             }
         )
         log.info("bench b=%d speedup %.2fx", b, timing["speedup"])
+    # the MAC model is deterministic and named by config hash; measured
+    # times differ per run, so they go to a run-stamped file beside it
     stamp = config_hash({"command": "bench", "cfg": cfg, "seed": args.seed})
+    run = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     out = args.out or "."
-    comment = (
-        f"timing a fixed batch of {batch} ablations per row over {trials} trials; "
-        "MAC columns cover one full smoothed pass"
+    mac_text = _csv_text(
+        rows, ["b", "stride", "n_tokens_mean", "macs_drop", "macs_full", "mac_ratio"],
+        comment="MAC columns cover one full smoothed pass",
     )
-    csv_text = _csv_text(
-        rows,
-        ["b", "stride", "n_tokens_mean", "macs_drop", "macs_full", "mac_ratio",
-         "time_drop_s", "time_full_s", "speedup"],
-        comment=comment,
+    time_text = _csv_text(
+        rows, ["b", "stride", "time_drop_s", "time_full_s", "speedup"],
+        comment=f"timing a fixed batch of {batch} ablations per row over {trials} trials",
     )
-    path = write_report(out, f"bench-{stamp}.csv", csv_text)
+    path = write_report(out, f"bench-{stamp}.csv", mac_text)
+    time_path = write_report(out, f"bench-{stamp}-{run}.csv", time_text)
     print(f"bench report: {path}")
+    print(f"timing report: {time_path}")
     return EXIT_OK
 
 

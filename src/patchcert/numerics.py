@@ -24,6 +24,7 @@ __all__ = [
     "count_macs",
     "tensor",
     "matmul",
+    "matmul_stacked",
     "matmul_reference",
     "bias_add",
     "bias_add_backward",
@@ -104,6 +105,18 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s independent products (s, m, k) x (s, k, n); increments the MAC counter by s*m*k*n."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise DimensionError(f"matmul_stacked expects 3-D operands, got {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise DimensionError(f"matmul_stacked operands disagree: {a.shape} x {b.shape}")
+    counter = _active_counter.get()
+    if counter is not None:
+        counter.add(a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
+    return a @ b
+
+
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Naive triple loop with fixed row-major summation order.
 
@@ -166,9 +179,13 @@ def layer_norm_fwd(x, gamma, beta, eps=1e-5):
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.shape[-1] < 1:
         raise ParameterError("layer_norm needs a non-empty last dimension")
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    # add.reduce then divide: the same correctly rounded mean as ndarray.mean, with less overhead
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gamma + beta, (xhat, inv, gamma)
@@ -183,8 +200,11 @@ def layer_norm_bwd(ctx, dy):
     dgamma = (dy * xhat).sum(axis=lead)
     dbeta = dy.sum(axis=lead)
     dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = dy.shape[-1]
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+    m2 /= d
     dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dgamma, dbeta
 

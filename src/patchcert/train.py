@@ -153,25 +153,28 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        acc = {k: np.zeros_like(v) for k, v in model.params.items()}
         batch_loss = 0.0
         for i in idx:
             z_m = _random_ablation(data.images[i], cfg, rng)
-            loss, g = loss_and_gradients(z_m, int(data.labels[i]), model.params, model.cfg)
+            loss, grads = loss_and_gradients(z_m, int(data.labels[i]), model.params, model.cfg)
             batch_loss += loss
-            for k in grads:
-                grads[k] += g[k]
+            for k, g in grads.items():
+                acc[k] += g
         if not np.isfinite(batch_loss):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index}", batch_index=batch_index
             )
         inv = 1.0 / len(idx)
         for k, theta in model.params.items():
-            g = grads[k] * inv + cfg.weight_decay * theta
+            # g = acc*inv + wd*theta; v = momentum*v + g; theta -= lr*v, in place
+            g = acc[k]
+            g *= inv
+            g += cfg.weight_decay * theta
             v = state.velocity[k]
             v *= cfg.momentum
             v += g
-            theta -= lr * v
+            theta -= np.multiply(v, lr, out=g)
         total_loss += batch_loss
     state.epoch += 1
     return model, total_loss / len(data), state

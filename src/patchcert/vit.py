@@ -396,8 +396,8 @@ def smoothed_vit_forward(x, spec: AblationSpec, params: dict, cfg: ViTConfig):
 def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConfig):
     """Cross-entropy loss of one ablation and exact parameter gradients.
 
-    Returns (loss, grads) where grads has one entry per parameter;
-    parameters untouched by dropped tokens receive zero gradient rows.
+    Returns (loss, grads) where grads holds one fresh array per parameter;
+    pos_embed rows of dropped tokens receive zero gradient.
     """
     patches, grid_idx = _reduced_cells(z_m, cfg)
     x = _embed(patches[None], grid_idx[None], params, cfg)
@@ -405,12 +405,12 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
     logits = logits[0]
     loss = nx.cross_entropy(logits, label)
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = {}
     dlogits = nx.cross_entropy_backward(logits, label)
 
     r = ctx["r"]
-    grads["head.weight"] += nx.matmul(r.T, dlogits[None, :])
-    grads["head.bias"] += dlogits
+    grads["head.weight"] = nx.matmul(r.T, dlogits[None, :])
+    grads["head.bias"] = dlogits
     dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
 
     n = ctx["n"]
@@ -419,12 +419,15 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
         df[0] = dr[0]
     else:
         df += dr / n
-    dx, dgf, dbf = nx.layer_norm_bwd(ctx["final_ln"], df)
-    grads["final_ln.gamma"] += dgf
-    grads["final_ln.beta"] += dbf
+    dx, grads["final_ln.gamma"], grads["final_ln.beta"] = nx.layer_norm_bwd(ctx["final_ln"], df)
 
-    dh = cfg.head_dim
+    heads, dh = cfg.heads, cfg.head_dim
     scale = ctx["scale"]
+
+    def by_head(t):
+        """(heads, n, dh) view of an (n, d) array: [hd] is head hd's column slice."""
+        return t.reshape(n, heads, dh).transpose(1, 0, 2)
+
     layers = _layer_views(params, cfg)
     for i in reversed(range(cfg.layers)):
         lc = ctx["layers"][i]
@@ -433,64 +436,61 @@ def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConf
 
         # MLP residual: x_out = x_mid + W2(gelu(W1 ln2(x_mid)))
         dm2 = dx
-        grads[pre + "mlp.w2"] += nx.matmul(lc["act"].T, dm2)
-        grads[pre + "mlp.b2"] += dm2.sum(axis=0)
+        grads[pre + "mlp.w2"] = nx.matmul(lc["act"].T, dm2)
+        grads[pre + "mlp.b2"] = dm2.sum(axis=0)
         dact = nx.matmul(dm2, lp["mlp.w2"].T)
         dm1 = nx.gelu_backward(lc["m1"], dact)
-        grads[pre + "mlp.w1"] += nx.matmul(lc["h2"].T, dm1)
-        grads[pre + "mlp.b1"] += dm1.sum(axis=0)
+        grads[pre + "mlp.w1"] = nx.matmul(lc["h2"].T, dm1)
+        grads[pre + "mlp.b1"] = dm1.sum(axis=0)
         dh2 = nx.matmul(dm1, lp["mlp.w1"].T)
-        dx_mid, dg2, db2 = nx.layer_norm_bwd(lc["ln2"], dh2)
-        grads[pre + "ln2.gamma"] += dg2
-        grads[pre + "ln2.beta"] += db2
+        dx_mid, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nx.layer_norm_bwd(
+            lc["ln2"], dh2)
         dx = dx + dx_mid
 
-        # attention residual: x_mid = x_in + Wo(attn(ln1(x_in)))
+        # attention residual: x_mid = x_in + Wo(attn(ln1(x_in))), all heads at once
         dattn = dx
-        grads[pre + "attn.wo"] += nx.matmul(lc["o"].T, dattn)
-        grads[pre + "attn.bo"] += dattn.sum(axis=0)
-        do = nx.matmul(dattn, lp["attn.wo"].T)
+        grads[pre + "attn.wo"] = nx.matmul(lc["o"].T, dattn)
+        grads[pre + "attn.bo"] = dattn.sum(axis=0)
+        do = by_head(nx.matmul(dattn, lp["attn.wo"].T))
+        a = lc["attn"]
+        q_h, k_h, v_h = by_head(lc["q"]), by_head(lc["k"]), by_head(lc["v"])
+        da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.transpose(0, 2, 1)))
+        ds = nx.softmax_backward(a, da)
         dq = np.empty_like(lc["q"])
         dk = np.empty_like(lc["k"])
         dv = np.empty_like(lc["v"])
-        for hd in range(cfg.heads):
-            sl = slice(hd * dh, (hd + 1) * dh)
-            a = lc["attn"][hd]
-            doh = do[:, sl]
-            da = nx.matmul(doh, np.ascontiguousarray(lc["v"][:, sl].T))
-            dv[:, sl] = nx.matmul(a.T, doh)
-            ds = nx.softmax_backward(a, da)
-            dq[:, sl] = nx.matmul(ds, lc["k"][:, sl]) * scale
-            dk[:, sl] = nx.matmul(ds.T, lc["q"][:, sl]) * scale
+        by_head(dv)[...] = nx.matmul_stacked(a.transpose(0, 2, 1), do)
+        by_head(dq)[...] = nx.matmul_stacked(ds, k_h) * scale
+        by_head(dk)[...] = nx.matmul_stacked(ds.transpose(0, 2, 1), q_h) * scale
         h1 = lc["h1"]
-        grads[pre + "attn.wq"] += nx.matmul(h1.T, dq)
-        grads[pre + "attn.bq"] += dq.sum(axis=0)
-        grads[pre + "attn.wk"] += nx.matmul(h1.T, dk)
-        grads[pre + "attn.bk"] += dk.sum(axis=0)
-        grads[pre + "attn.wv"] += nx.matmul(h1.T, dv)
-        grads[pre + "attn.bv"] += dv.sum(axis=0)
+        grads[pre + "attn.wq"] = nx.matmul(h1.T, dq)
+        grads[pre + "attn.bq"] = dq.sum(axis=0)
+        grads[pre + "attn.wk"] = nx.matmul(h1.T, dk)
+        grads[pre + "attn.bk"] = dk.sum(axis=0)
+        grads[pre + "attn.wv"] = nx.matmul(h1.T, dv)
+        grads[pre + "attn.bv"] = dv.sum(axis=0)
         dh1 = (
             nx.matmul(dq, lp["attn.wq"].T)
             + nx.matmul(dk, lp["attn.wk"].T)
             + nx.matmul(dv, lp["attn.wv"].T)
         )
-        dx_in, dg1, db1 = nx.layer_norm_bwd(lc["ln1"], dh1)
-        grads[pre + "ln1.gamma"] += dg1
-        grads[pre + "ln1.beta"] += db1
+        dx_in, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nx.layer_norm_bwd(
+            lc["ln1"], dh1)
         dx = dx + dx_in
 
     # token embeddings: cls row first (if present), then surviving grid rows
     dtok = dx
     row0 = 0
     if cfg.use_class_token:
-        grads["cls_token"] += dtok[0]
-        grads["cls_pos"] += dtok[0]
+        grads["cls_token"] = dtok[0].copy()
+        grads["cls_pos"] = dtok[0].copy()
         row0 = 1
     dgrid = dtok[row0:]
-    grads["patch_embed.weight"] += nx.matmul(patches.T, dgrid)
-    grads["patch_embed.bias"] += dgrid.sum(axis=0)
+    grads["patch_embed.weight"] = nx.matmul(patches.T, dgrid)
+    grads["patch_embed.bias"] = dgrid.sum(axis=0)
+    grads["pos_embed"] = np.zeros_like(params["pos_embed"])
     np.add.at(grads["pos_embed"], grid_idx, dgrid)
-    return loss, grads
+    return loss, {k: grads[k] for k in params}  # in parameter order
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -155,6 +155,17 @@ def test_delta_validation():
         delta_oracle(8, 8, AblationSpec("column", 3), 9)
 
 
+@pytest.mark.parametrize("mode", ["safe", "paper"])
+def test_delta_closed_form_rejects_a_block_offset_without_anchor_rows(mode):
+    # offset 9 >= h = 6: the spec has no ablation, so no threshold is meaningful
+    spec = AblationSpec("block", 6, 11, 9)
+    with pytest.raises(ParameterError, match="no ablation anchor"):
+        delta_closed_form(spec, 4, mode, dims=(6, 13))
+    with pytest.raises(ParameterError, match="no ablation anchor"):
+        delta_oracle(6, 13, spec, 4)
+    assert delta_closed_form(spec, 4, mode) > 0  # without dims: the image-free bound
+
+
 # ---------------------------------------------------------------------------
 # certification
 

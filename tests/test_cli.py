@@ -2,18 +2,21 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from patchcert import cli
 from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
+WIDE = ViTConfig(h=8, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
 
 
 @pytest.fixture
 def files(tmp_path):
     good = tmp_path / "good.svit"
     save_checkpoint(Model.init(CFG, seed=0), good)
+    save_checkpoint(Model.init(WIDE, seed=0), tmp_path / "wide.svit")
     blob = good.read_bytes()
     contents = {
         "trunc6.svit": blob[:6],
@@ -26,6 +29,7 @@ def files(tmp_path):
         "list.json": b"[1, 2]",
         "binary.json": b"\xff\xfe\x00",
         "cifar.bin": b"\0" * 100,
+        "cifar1.bin": b"\1" + bytes(3072),  # one well-formed record, tagged test
         "b_word.json": b'{"b": "wide"}',
         "index_list.json": b'{"index": [0]}',
         "lr_word.json": b'{"lr": "fast"}',
@@ -63,6 +67,12 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--b", "40"], 3),
     (["certify", "--ckpt", "good.svit", "--stride", "2", "--offset", "5"], 3),
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-n", "3", "--split", "val"], 3),
+    # a block offset at or past the image height leaves no ablation: 3
+    (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
+      "block", "--b", "4", "--stride", "12", "--offset", "9"], 3),
+    (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
+      "block", "--b", "4", "--stride", "12", "--offset", "9", "--delta-mode", "paper"], 3),
     (["certify", "--ckpt", "good.svit", "--workers", "2"], 3),
     (["certify", "--bogus"], 3),
     (["delta", "--b", "3", "--patch-sizes", "0"], 3),
@@ -88,3 +98,35 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     assert cli.main(argv + ["--out", "out"]) == code
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["exit_code"] == code
+
+
+def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    argv = ["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data", "cifar1.bin",
+            "--split", "val", "--out", "out"]
+    assert cli.main(argv) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "ParameterError"
+    assert "'val'" in record["error"] and "splits present: test" in record["error"]
+
+
+BENCH = ["bench", "--h", "16", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
+         "--layers", "1", "--k", "3", "--b-grid", "3,5", "--batch", "2", "--trials", "3"]
+
+
+def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(BENCH + ["--out", "out"]) == 0
+    assert cli.main(BENCH + ["--out", "out"]) == 0
+    reports = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert len(reports) == 3  # one MAC report named by config hash, one timing report per run
+    mac = [name for name in reports if name.count("-") == 1]
+    assert len(mac) == 1
+    rows = (tmp_path / "out" / mac[0]).read_text().splitlines()
+    assert rows[1] == "b,stride,n_tokens_mean,macs_drop,macs_full,mac_ratio"
+    for name in set(reports) - set(mac):
+        assert name.startswith(mac[0][:-4] + "-")
+        timing = (tmp_path / "out" / name).read_text().splitlines()
+        assert timing[1] == "b,stride,time_drop_s,time_full_s,speedup"
+        assert [r.split(",")[0] for r in timing[2:]] == ["3", "5"]
+        assert np.all([float(x) > 0 for r in timing[2:] for x in r.split(",")[2:]])

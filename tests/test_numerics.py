@@ -60,6 +60,49 @@ def test_mac_counter_counts_mkn_exactly():
     assert c.total == 2 * 3 * 4 * 5
 
 
+def test_matmul_rejects_stacked_operands():
+    with pytest.raises(DimensionError, match="2-D"):
+        nx.matmul(np.zeros((2, 3, 4), np.float32), np.zeros((2, 4, 5), np.float32))
+
+
+def _head_views(rng, s, rows, inner, transposed):
+    """(s, rows, inner) head views of an (rows, s*inner) array, or their transposes."""
+    base = rng.normal(size=(inner, s * rows) if transposed else (rows, s * inner))
+    base = base.astype(np.float32)
+    if transposed:
+        return base.reshape(inner, s, rows).transpose(1, 2, 0)
+    return base.reshape(rows, s, inner).transpose(1, 0, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    s=st.integers(1, 8), m=st.integers(1, 12), k=st.integers(1, 12), n=st.integers(1, 12),
+    ta=st.booleans(), tb=st.booleans(), seed=st.integers(0, 2**16),
+)
+def test_matmul_stacked_equals_per_slice_matmul(s, m, k, n, ta, tb, seed):
+    # operands are strided head views, contiguous or transposed, as in the attention backward
+    rng = np.random.default_rng(seed)
+    a = _head_views(rng, s, m, k, ta)
+    b = _head_views(rng, s, k, n, tb)
+    with nx.count_macs() as stacked_macs:
+        out = nx.matmul_stacked(a, b)
+    with nx.count_macs() as slice_macs:
+        ref = np.stack([nx.matmul(a[i], b[i]) for i in range(s)])
+    assert out.shape == (s, m, n)
+    assert out.tobytes() == ref.tobytes()
+    assert stacked_macs.total == slice_macs.total == s * m * k * n
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (2, 5, 5)), ((3, 4), (4, 5)), ((2, 3, 4), (4, 5))],
+)
+def test_matmul_stacked_rejects_mismatched_operands(a_shape, b_shape):
+    with nx.count_macs() as c, pytest.raises(DimensionError):
+        nx.matmul_stacked(np.zeros(a_shape, np.float32), np.zeros(b_shape, np.float32))
+    assert c.total == 0
+
+
 def test_mac_counter_safe_across_threads():
     a = np.zeros((2, 8), np.float32)
     b = np.zeros((8, 2), np.float32)
@@ -156,6 +199,53 @@ def test_layer_norm_normalizes_pre_affine():
 def test_layer_norm_rejects_bad_eps():
     with pytest.raises(ParameterError):
         nx.layer_norm_fwd(np.ones(3, np.float32), np.ones(3), np.zeros(3), eps=0.0)
+
+
+def test_layer_norm_rejects_empty_last_dim():
+    with pytest.raises(ParameterError):
+        nx.layer_norm_fwd(np.zeros((2, 0), np.float32), np.ones(0), np.zeros(0))
+
+
+def _mean_layer_norm_fwd(x, gamma, beta, eps=1e-5):
+    """The ndarray.mean formulation layer_norm_fwd replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv, gamma)
+
+
+def _mean_layer_norm_bwd(ctx, dy):
+    xhat, inv, gamma = ctx
+    lead = tuple(range(dy.ndim - 1))
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), (dy * xhat).sum(axis=lead), dy.sum(axis=lead)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    lead=st.lists(st.integers(1, 9), min_size=0, max_size=2), d=st.integers(1, 300),
+    dtype=st.sampled_from([np.float32, np.float64]), loc=st.floats(-100, 100),
+    scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16),
+)
+def test_layer_norm_equals_the_mean_formulation_bit_for_bit(lead, d, dtype, loc, scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, d)
+    x = (loc + scale * rng.normal(size=shape)).astype(dtype)
+    gamma, beta = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
+    dy = rng.normal(size=shape).astype(dtype)
+    y, ctx = nx.layer_norm_fwd(x, gamma, beta)
+    y_ref, ctx_ref = _mean_layer_norm_fwd(x, gamma, beta)
+    assert y.dtype == y_ref.dtype
+    assert y.tobytes() == y_ref.tobytes()
+    for got, want in zip(ctx, ctx_ref):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(nx.layer_norm_bwd(ctx, dy), _mean_layer_norm_bwd(ctx_ref, dy)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
