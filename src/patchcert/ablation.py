@@ -136,11 +136,12 @@ def ablation_anchors(h: int, w: int, spec: AblationSpec) -> list:
     return [(t, l) for t in tops for l in lefts]
 
 
-def ablation_set(x: np.ndarray, spec: AblationSpec) -> list[AblatedImage]:
-    """All ablations of x under spec, in anchor order."""
+def ablation_set(x: np.ndarray, spec: AblationSpec, anchors=None) -> list[AblatedImage]:
+    """The ablations of x under spec at anchors (default: all of them, in anchor order)."""
     x = validate_image(x)
     h, w, _ = x.shape
-    anchors = ablation_anchors(h, w, spec)
+    if anchors is None:
+        anchors = ablation_anchors(h, w, spec)
     if spec.kind == "column":
         return [column_ablation(x, a, spec.b) for a in anchors]
     return [block_ablation(x, t, l, spec.b) for t, l in anchors]

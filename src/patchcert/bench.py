@@ -26,7 +26,6 @@ from .vit import Model, ViTConfig, _encoder_core, _full_grid_tokens, ablation_lo
 
 __all__ = [
     "CostModel",
-    "predicted_macs",
     "tokens_for_ablation",
     "smoothing_cost",
     "wallclock_harness",
@@ -76,11 +75,6 @@ class CostModel:
 
     def total(self, n: int) -> int:
         return self.breakdown(n)["total"]
-
-
-def predicted_macs(cfg: ViTConfig, n: int) -> dict:
-    """Itemized MAC prediction for a forward pass over n tokens."""
-    return CostModel.for_config(cfg).breakdown(n)
 
 
 def _axis_token_count(anchor: int, b: int, p: int, cells: int) -> int:

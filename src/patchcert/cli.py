@@ -1,7 +1,10 @@
 """Command-line surface: dataset ingestion, persistence, reports.
 
-Commands: ablate, train, certify, delta, sweep, bench. Every command is
-deterministic given (config, seed) except for measured wall-clock
+Commands: ablate, train, certify, delta, sweep, bench. Each command
+declares its options once, in OPTIONS: every key there is both a
+JSON config-file key and the flag --key-with-dashes, explicit flags
+override the config file, and a command has no flag it does not read.
+Every command is deterministic given (config, seed) except for measured wall-clock
 columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
 regenerate the same file and sweeps never clobber unrelated results.
@@ -26,9 +29,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .ablation import AblationSpec, ablation_set
+from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set
 from .bench import smoothing_cost, wallclock_harness
-from .certify import certified_accuracy, delta_closed_form, delta_oracle
+from .certify import DELTA_MODES, certified_accuracy, delta_closed_form, delta_oracle
 from .errors import (
     BudgetError,
     ConfigError,
@@ -66,13 +69,6 @@ def load_cifar10_binary(path) -> LabeledDataset:
             f"truncated at byte offset {len(blob) - len(blob) % _CIFAR_RECORD}"
         )
     n = len(blob) // _CIFAR_RECORD
-    if n == 0:
-        return LabeledDataset(
-            images=np.zeros((0, 32, 32, 3), dtype=np.float32),
-            labels=np.zeros(0, dtype=np.int64),
-            splits=np.array([], dtype=object),
-            k=10,
-        )
     records = np.frombuffer(blob, dtype=np.uint8).reshape(n, _CIFAR_RECORD)
     labels = records[:, 0].astype(np.int64)
     bad = np.nonzero(labels > 9)[0]
@@ -111,21 +107,6 @@ def load_idx_tensor(path, scale_bytes: bool = True) -> np.ndarray:
         data = np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(dims)
         return data.astype(np.float32) / 255.0 if scale_bytes else data.copy()
     return np.frombuffer(blob, dtype=">f4", offset=head).reshape(dims).astype(np.float32)
-
-
-def write_idx_tensor(path, arr: np.ndarray) -> None:
-    """Write float32 or uint8 data in IDX layout (big-endian)."""
-    arr = np.asarray(arr)
-    if arr.dtype == np.uint8:
-        code, payload = IDX_UBYTE, arr.tobytes()
-    elif arr.dtype == np.float32:
-        code, payload = IDX_FLOAT32, arr.astype(">f4").tobytes()
-    else:
-        raise ParameterError(f"IDX writer supports uint8/float32, got {arr.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(bytes([0, 0, code, arr.ndim]))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(payload)
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
@@ -198,10 +179,87 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _merge_config(args, keys) -> dict:
-    """Resolve settings: JSON config file first, explicit flags override."""
-    merged = {}
-    if getattr(args, "config", None):
+# ---------------------------------------------------------------------------
+# options: one table per command, key -> (kind, default)
+#
+# kind is int, float, a tuple of choices, _int_list (comma-separated
+# integers, or a JSON list) or _path (a file path, used as given). Each
+# key is both a config-file key and the flag --key-with-dashes.
+
+
+def _int_list(value) -> list[int]:
+    tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t.strip()]
+    return [int(tok) for tok in tokens]
+
+
+def _path(value):
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a path")
+    return value
+
+
+_KIND_NAMES = {_int_list: "comma-separated integers", _path: "a path"}
+
+_DATA = {
+    "data": (_path, None), "labels": (_path, None),  # labels: IDX file, idx format only
+    "data_format": (("cifar10", "idx", "stripe"), "stripe"),
+    "stripe_n": (int, 256), "stripe_h": (int, 16), "stripe_w": (int, 16), "stripe_k": (int, 4),
+    "stripe_noise": (float, 0.1),
+}
+_SPLIT = {"split": (("train", "val", "test", "all"), "test")}
+_KIND = {"ablation": (KINDS, "column"), "offset": (int, 0)}
+_SPEC = {**_KIND, "b": (int, 3), "stride": (int, 1)}
+_DELTA_MODE = {"delta_mode": (DELTA_MODES, "safe")}
+
+OPTIONS = {
+    "ablate": {**_DATA, **_SPEC, "index": (int, 0)},
+    "train": {
+        **_DATA, "epochs": (int, 30), "batch_size": (int, 32), "lr": (float, 0.05),
+        "momentum": (float, 0.9), "weight_decay": (float, 5e-4), "b_train": (int, 3),
+        "kind": (KINDS, "column"), "patience": (int, 5),
+        "p": (int, 4), "d": (int, 32), "heads": (int, 4), "layers": (int, 2),
+    },
+    "certify": {
+        **_DATA, **_SPLIT, **_SPEC, **_DELTA_MODE,
+        "ckpt": (_path, None), "patch_sizes": (_int_list, "2"),
+    },
+    "delta": {**_SPEC, "h": (int, 224), "w": (int, 224), "patch_sizes": (_int_list, "32")},
+    "sweep": {
+        **_DATA, **_SPLIT, **_KIND, **_DELTA_MODE, "ckpt": (_path, None),
+        "b_grid": (_int_list, "2,3,4"), "stride_grid": (_int_list, "1"),
+        "patch_sizes": (_int_list, "2"),
+    },
+    "bench": {
+        **_KIND, "stride": (int, 1), "b_grid": (_int_list, "13,19,37,67"),
+        "h": (int, 224), "w": (int, 224), "c": (int, 3), "k": (int, 10),
+        "p": (int, 16), "d": (int, 128), "heads": (int, 4), "layers": (int, 3),
+        "batch": (int, 8), "trials": (int, 5),
+    },
+}
+
+
+def _convert(key: str, kind, value):
+    """value converted by kind; anything it does not accept is a ParameterError."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        want = "one of " + ", ".join(kind)
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            want = _KIND_NAMES.get(kind, kind.__name__)
+    raise ParameterError(f"option {key}={value!r} is not {want}")
+
+
+def _options(args) -> tuple[dict, dict]:
+    """(raw, o): the JSON config overlaid with explicit flags, and the command's options.
+
+    raw is hashed, exactly as given, into report names; o holds every
+    option of the command converted, with its default where unset.
+    """
+    raw = {}
+    if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         try:
@@ -211,29 +269,13 @@ def _merge_config(args, keys) -> dict:
             raise ParameterError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a JSON object")
-        merged.update(loaded)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _config_number(cfg: dict, key: str, default, kind=int):
-    """cfg[key] (else default) converted by kind; a wrong type is a ParameterError."""
-    value = cfg.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"config value {key}={value!r} is not {kind.__name__}") from exc
-
-
-def _int_list(text) -> list[int]:
-    tokens = text if isinstance(text, list) else [t for t in str(text).split(",") if t.strip()]
-    try:
-        return [int(tok) for tok in tokens]
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
+        raw.update(loaded)
+    table = OPTIONS[args.command]
+    for key in table:
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    o = {key: _convert(key, kind, raw.get(key, default)) for key, (kind, default) in table.items()}
+    return raw, o
 
 
 def _require_file(path, what: str) -> str:
@@ -244,13 +286,13 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _load_dataset(cfg: dict, seed: int) -> LabeledDataset:
-    fmt = cfg.get("data_format", "stripe")
+def _load_dataset(o: dict, seed: int) -> LabeledDataset:
+    fmt = o["data_format"]
     if fmt == "cifar10":
-        return load_cifar10_binary(_require_file(cfg.get("data"), "dataset"))
+        return load_cifar10_binary(_require_file(o["data"], "dataset"))
     if fmt == "idx":
-        images = load_idx_tensor(_require_file(cfg.get("data"), "dataset"))
-        labels = load_idx_tensor(_require_file(cfg.get("labels"), "labels"), scale_bytes=False)
+        images = load_idx_tensor(_require_file(o["data"], "dataset"))
+        labels = load_idx_tensor(_require_file(o["labels"], "labels"), scale_bytes=False)
         if images.ndim == 3:
             images = images[..., None]
         labels = labels.astype(np.int64).ravel()
@@ -261,16 +303,10 @@ def _load_dataset(cfg: dict, seed: int) -> LabeledDataset:
             splits=np.array(["test"] * len(labels), dtype=object),
             k=max(k, 2),
         )
-    if fmt == "stripe":
-        return make_stripe_dataset(
-            n=_config_number(cfg, "stripe_n", 256),
-            h=_config_number(cfg, "stripe_h", 16),
-            w=_config_number(cfg, "stripe_w", 16),
-            k=_config_number(cfg, "stripe_k", 4),
-            noise=_config_number(cfg, "stripe_noise", 0.1, float),
-            seed=seed,
-        )
-    raise ParameterError(f"unknown data format {fmt!r}")
+    return make_stripe_dataset(
+        n=o["stripe_n"], h=o["stripe_h"], w=o["stripe_w"], k=o["stripe_k"],
+        noise=o["stripe_noise"], seed=seed,
+    )
 
 
 def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
@@ -284,13 +320,8 @@ def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
     return sub
 
 
-def _spec_from(cfg: dict) -> AblationSpec:
-    return AblationSpec(
-        kind=cfg.get("ablation", "column"),
-        b=_config_number(cfg, "b", 3),
-        s=_config_number(cfg, "stride", 1),
-        offset=_config_number(cfg, "offset", 0),
-    )
+def _spec_from(o: dict) -> AblationSpec:
+    return AblationSpec(kind=o["ablation"], b=o["b"], s=o["stride"], offset=o["offset"])
 
 
 def _check_compat(model: Model, data: LabeledDataset) -> None:
@@ -307,54 +338,39 @@ def _check_compat(model: Model, data: LabeledDataset) -> None:
 
 
 def cmd_ablate(args) -> int:
-    keys = ["data", "data_format", "labels", "index", "ablation", "b", "stride", "offset",
-            "stripe_n", "stripe_h", "stripe_w", "stripe_k", "stripe_noise"]
-    cfg = _merge_config(args, keys)
-    data = _load_dataset(cfg, args.seed)
-    index = _config_number(cfg, "index", 0)
+    _, o = _options(args)
+    data = _load_dataset(o, args.seed)
+    index = o["index"]
     if not 0 <= index < len(data):
         raise ParameterError(f"image index {index} outside dataset of {len(data)}")
-    spec = _spec_from(cfg)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    spec = _spec_from(o)
+    os.makedirs(args.out, exist_ok=True)
     ablations = ablation_set(data.images[index], spec)
     for i, abl in enumerate(ablations):
-        write_ppm(os.path.join(out, f"abl_{i}.ppm"), abl.pixels)
-        write_pgm(os.path.join(out, f"mask_{i}.pgm"), abl.mask * 255)
-    print(f"wrote {len(ablations)} ablations to {out}")
+        write_ppm(os.path.join(args.out, f"abl_{i}.ppm"), abl.pixels)
+        write_pgm(os.path.join(args.out, f"mask_{i}.pgm"), abl.mask * 255)
+    print(f"wrote {len(ablations)} ablations to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    keys = ["data_format", "data", "labels", "stripe_n", "stripe_h", "stripe_w", "stripe_k",
-            "stripe_noise", "epochs", "batch_size", "lr", "momentum", "weight_decay",
-            "b_train", "kind", "patience", "p", "d", "heads", "layers"]
-    cfg = _merge_config(args, keys)
-    data = _load_dataset(cfg, args.seed)
+    raw, o = _options(args)
+    data = _load_dataset(o, args.seed)
     h, w, c = data.images.shape[1:]
     vit_cfg = ViTConfig(
-        h=int(h), w=int(w), c=int(c),
-        p=_config_number(cfg, "p", 4), d=_config_number(cfg, "d", 32),
-        heads=_config_number(cfg, "heads", 4), layers=_config_number(cfg, "layers", 2),
-        k=data.k,
+        h=int(h), w=int(w), c=int(c), p=o["p"], d=o["d"], heads=o["heads"],
+        layers=o["layers"], k=data.k,
     )
     train_cfg = TrainConfig(
-        epochs=_config_number(cfg, "epochs", 30),
-        batch_size=_config_number(cfg, "batch_size", 32),
-        lr=_config_number(cfg, "lr", 0.05, float),
-        momentum=_config_number(cfg, "momentum", 0.9, float),
-        weight_decay=_config_number(cfg, "weight_decay", 5e-4, float),
-        b_train=_config_number(cfg, "b_train", 3),
-        kind=cfg.get("kind", "column"),
-        seed=args.seed,
-        patience=_config_number(cfg, "patience", 5),
+        epochs=o["epochs"], batch_size=o["batch_size"], lr=o["lr"], momentum=o["momentum"],
+        weight_decay=o["weight_decay"], b_train=o["b_train"], kind=o["kind"], seed=args.seed,
+        patience=o["patience"],
     )
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    stamp = config_hash({"cfg": cfg, "seed": args.seed, "vit": vit_cfg.to_dict()})
+    os.makedirs(args.out, exist_ok=True)
+    stamp = config_hash({"cfg": raw, "seed": args.seed, "vit": vit_cfg.to_dict()})
     model = Model.init(vit_cfg, seed=args.seed)
-    result = fit(model, data, train_cfg, log_path=os.path.join(out, f"train-{stamp}.jsonl"))
-    ckpt = os.path.join(out, f"ckpt-{stamp}.svit")
+    result = fit(model, data, train_cfg, log_path=os.path.join(args.out, f"train-{stamp}.jsonl"))
+    ckpt = os.path.join(args.out, f"ckpt-{stamp}.svit")
     save_checkpoint(result["model"], ckpt)
     print(f"best epoch {result['best_epoch']} "
           f"val_ablation_acc {result['val_history'][result['best_epoch']]:.4f}")
@@ -372,19 +388,11 @@ def _certify_report(model, data, spec, patch_sizes, delta_mode):
 
 
 def cmd_certify(args) -> int:
-    keys = ["ckpt", "data", "data_format", "labels", "split", "ablation", "b", "stride",
-            "offset", "patch_sizes", "delta_mode", "stripe_n", "stripe_h", "stripe_w",
-            "stripe_k", "stripe_noise"]
-    cfg = _merge_config(args, keys)
-    model = load_checkpoint(_require_file(cfg.get("ckpt"), "checkpoint"))
-    data = _dataset_split(_load_dataset(cfg, args.seed), cfg.get("split", "test"))
-    spec = _spec_from(cfg)
-    patch_sizes = _int_list(cfg.get("patch_sizes", "2"))
-    delta_mode = cfg.get("delta_mode", "safe")
-    report = _certify_report(model, data, spec, patch_sizes, delta_mode)
-    resolved = {"command": "certify", "cfg": cfg, "seed": args.seed}
-    stamp = config_hash(resolved)
-    out = args.out or "."
+    raw, o = _options(args)
+    model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
+    data = _dataset_split(_load_dataset(o, args.seed), o["split"])
+    report = _certify_report(model, data, _spec_from(o), o["patch_sizes"], o["delta_mode"])
+    stamp = config_hash({"command": "certify", "cfg": raw, "seed": args.seed})
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     rows = [
         {
@@ -396,8 +404,8 @@ def cmd_certify(args) -> int:
         for entry in report["certified"]
     ]
     csv_text = _csv_text(rows, ["m", "delta", "certified_accuracy", "standard_accuracy"])
-    jpath = write_report(out, f"certify-{stamp}.json", json_text)
-    write_report(out, f"certify-{stamp}.csv", csv_text)
+    jpath = write_report(args.out, f"certify-{stamp}.json", json_text)
+    write_report(args.out, f"certify-{stamp}.csv", csv_text)
     print(f"standard accuracy {report['standard_accuracy']:.4f}")
     for entry in report["certified"]:
         print(f"m={entry['m']} delta={entry['delta']} certified {entry['accuracy']:.4f}")
@@ -406,17 +414,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    keys = ["h", "w", "ablation", "b", "stride", "offset", "patch_sizes"]
-    cfg = _merge_config(args, keys)
-    h = _config_number(cfg, "h", 224)
-    w = _config_number(cfg, "w", 224)
-    spec = _spec_from(cfg)
-    patch_sizes = _int_list(cfg.get("patch_sizes", "32"))
+    _, o = _options(args)
+    h, w = o["h"], o["w"]
+    spec = _spec_from(o)
     header = f"{'m':>5} {'safe':>10} {'paper':>10} {'oracle':>10}  note"
     print(f"image {h}x{w}, {spec.kind} b={spec.b} s={spec.s} offset={spec.offset}")
     print(header)
     flagged = False
-    for m in patch_sizes:
+    for m in o["patch_sizes"]:
         safe = delta_closed_form(spec, m, "safe", dims=(h, w))
         paper = delta_closed_form(spec, m, "paper")
         try:
@@ -427,13 +432,11 @@ def cmd_delta(args) -> int:
         if oracle != "skipped":
             if paper < int(oracle):
                 notes.append("PAPER-UNDERCOUNTS")
-                flagged = True
             if safe != int(oracle):
                 notes.append("SAFE-MISMATCH")
-                flagged = True
         elif paper < safe:
             notes.append("paper<safe")
-            flagged = True
+        flagged = flagged or bool(notes)
         print(f"{m:>5} {safe:>10} {paper:>10} {oracle:>10}  {','.join(notes)}")
     if flagged:
         print("note: flagged rows mark thresholds below the exact intersection count")
@@ -441,28 +444,20 @@ def cmd_delta(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    keys = ["ckpt", "data", "data_format", "labels", "split", "ablation", "b_grid",
-            "stride_grid", "offset", "patch_sizes", "delta_mode", "stripe_n", "stripe_h",
-            "stripe_w", "stripe_k", "stripe_noise"]
-    cfg = _merge_config(args, keys)
-    model = load_checkpoint(_require_file(cfg.get("ckpt"), "checkpoint"))
-    data = _dataset_split(_load_dataset(cfg, args.seed), cfg.get("split", "test"))
-    b_grid = _int_list(cfg.get("b_grid", "2,3,4"))
-    s_grid = _int_list(cfg.get("stride_grid", "1"))
-    patch_sizes = _int_list(cfg.get("patch_sizes", "2"))
-    delta_mode = cfg.get("delta_mode", "safe")
-    kind = cfg.get("ablation", "column")
+    raw, o = _options(args)
+    model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
+    data = _dataset_split(_load_dataset(o, args.seed), o["split"])
     points = []
-    for b in b_grid:
-        for s in s_grid:
+    for b in o["b_grid"]:
+        for s in o["stride_grid"]:
             if (b, s) in points:
                 log.warning("duplicate sweep point b=%d s=%d skipped", b, s)
                 continue
             points.append((b, s))
     rows = []
     for b, s in points:
-        spec = AblationSpec(kind=kind, b=b, s=s, offset=_config_number(cfg, "offset", 0))
-        report = _certify_report(model, data, spec, patch_sizes, delta_mode)
+        spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
+        report = _certify_report(model, data, spec, o["patch_sizes"], o["delta_mode"])
         for entry in report["certified"]:
             rows.append(
                 {
@@ -474,46 +469,38 @@ def cmd_sweep(args) -> int:
                     "certified_accuracy": entry["accuracy"],
                 }
             )
-    stamp = config_hash({"command": "sweep", "cfg": cfg, "seed": args.seed})
-    out = args.out or "."
+    stamp = config_hash({"command": "sweep", "cfg": raw, "seed": args.seed})
     csv_text = _csv_text(
         rows, ["b", "s", "m", "delta", "standard_accuracy", "certified_accuracy"]
     )
-    path = write_report(out, f"sweep-{stamp}.csv", csv_text)
+    path = write_report(args.out, f"sweep-{stamp}.csv", csv_text)
     print(f"swept {len(points)} grid points; report: {path}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    keys = ["h", "w", "c", "p", "d", "heads", "layers", "k", "ablation", "b_grid",
-            "stride", "offset", "batch", "trials"]
-    cfg = _merge_config(args, keys)
+    raw, o = _options(args)
     vit_cfg = ViTConfig(
-        h=_config_number(cfg, "h", 224), w=_config_number(cfg, "w", 224),
-        c=_config_number(cfg, "c", 3), p=_config_number(cfg, "p", 16),
-        d=_config_number(cfg, "d", 128), heads=_config_number(cfg, "heads", 4),
-        layers=_config_number(cfg, "layers", 3), k=_config_number(cfg, "k", 10),
+        h=o["h"], w=o["w"], c=o["c"], p=o["p"], d=o["d"], heads=o["heads"],
+        layers=o["layers"], k=o["k"],
     )
+    batch, trials = o["batch"], o["trials"]
+    if batch < 1:
+        raise ParameterError(f"need a batch of at least 1 ablation, got {batch}")
     model = Model.init(vit_cfg, seed=args.seed)
-    b_grid = _int_list(cfg.get("b_grid", "13,19,37,67"))
-    stride = _config_number(cfg, "stride", 1)
-    batch = _config_number(cfg, "batch", 8)
-    trials = _config_number(cfg, "trials", 5)
     rng = np.random.default_rng(args.seed)
     image = rng.uniform(0.0, 1.0, size=(vit_cfg.h, vit_cfg.w, vit_cfg.c)).astype(np.float32)
     rows = []
-    for b in sorted(set(b_grid)):
-        spec = AblationSpec(kind=cfg.get("ablation", "column"), b=b, s=stride,
-                            offset=_config_number(cfg, "offset", 0))
-        full_set = ablation_set(image, spec)
-        step = max(1, len(full_set) // batch)
-        sample = full_set[::step][:batch]
+    for b in sorted(set(o["b_grid"])):
+        spec = AblationSpec(kind=o["ablation"], b=b, s=o["stride"], offset=o["offset"])
+        anchors = ablation_anchors(vit_cfg.h, vit_cfg.w, spec)
+        sample = ablation_set(image, spec, anchors[:: max(1, len(anchors) // batch)][:batch])
         cost = smoothing_cost(vit_cfg, spec)
         timing = wallclock_harness(model, sample, trials=trials)
         rows.append(
             {
                 "b": b,
-                "stride": stride,
+                "stride": spec.s,
                 "n_tokens_mean": float(np.mean(cost["tokens"])),
                 "macs_drop": cost["macs_drop"],
                 "macs_full": cost["macs_full"],
@@ -526,9 +513,8 @@ def cmd_bench(args) -> int:
         log.info("bench b=%d speedup %.2fx", b, timing["speedup"])
     # the MAC model is deterministic and named by config hash; measured
     # times differ per run, so they go to a run-stamped file beside it
-    stamp = config_hash({"command": "bench", "cfg": cfg, "seed": args.seed})
+    stamp = config_hash({"command": "bench", "cfg": raw, "seed": args.seed})
     run = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
-    out = args.out or "."
     mac_text = _csv_text(
         rows, ["b", "stride", "n_tokens_mean", "macs_drop", "macs_full", "mac_ratio"],
         comment="MAC columns cover one full smoothed pass",
@@ -537,8 +523,8 @@ def cmd_bench(args) -> int:
         rows, ["b", "stride", "time_drop_s", "time_full_s", "speedup"],
         comment=f"timing a fixed batch of {batch} ablations per row over {trials} trials",
     )
-    path = write_report(out, f"bench-{stamp}.csv", mac_text)
-    time_path = write_report(out, f"bench-{stamp}-{run}.csv", time_text)
+    path = write_report(args.out, f"bench-{stamp}.csv", mac_text)
+    time_path = write_report(args.out, f"bench-{stamp}-{run}.csv", time_text)
     print(f"bench report: {path}")
     print(f"timing report: {time_path}")
     return EXIT_OK
@@ -547,79 +533,33 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+COMMANDS = {
+    "ablate": (cmd_ablate, "dump an image's ablations as PPM/PGM"),
+    "train": (cmd_train, "train the base classifier on random ablations"),
+    "certify": (cmd_certify, "standard and certified accuracy of a checkpoint"),
+    "delta": (cmd_delta, "print certification thresholds and flag gaps"),
+    "sweep": (cmd_sweep, "certify over a grid of ablation sizes/strides"),
+    "bench": (cmd_bench, "MAC model and wall-clock speedup report"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="patchcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"patchcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (func, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output directory (default: current)")
-
-    def data_flags(p):
-        p.add_argument("--data")
-        p.add_argument("--labels", help="labels IDX file (idx format only)")
-        p.add_argument("--data-format", dest="data_format",
-                       choices=["cifar10", "idx", "stripe"])
-        p.add_argument("--split", choices=["train", "val", "test", "all"])
-        for name, typ in [("stripe-n", int), ("stripe-h", int), ("stripe-w", int),
-                          ("stripe-k", int), ("stripe-noise", float)]:
-            p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ)
-
-    def spec_flags(p):
-        p.add_argument("--ablation", choices=["column", "block"])
-        p.add_argument("--b", type=int)
-        p.add_argument("--stride", type=int)
-        p.add_argument("--offset", type=int)
-
-    p = sub.add_parser("ablate", help="dump an image's ablations as PPM/PGM")
-    common(p); data_flags(p); spec_flags(p)
-    p.add_argument("--index", type=int)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("train", help="train the base classifier on random ablations")
-    common(p); data_flags(p)
-    for name, typ in [("epochs", int), ("batch-size", int), ("lr", float),
-                      ("momentum", float), ("weight-decay", float), ("b-train", int),
-                      ("patience", int), ("p", int), ("d", int), ("heads", int),
-                      ("layers", int)]:
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ)
-    p.add_argument("--kind", choices=["column", "block"])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("certify", help="standard and certified accuracy of a checkpoint")
-    common(p); data_flags(p); spec_flags(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--patch-sizes", dest="patch_sizes")
-    p.add_argument("--delta-mode", dest="delta_mode", choices=["safe", "paper", "oracle"])
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("delta", help="print certification thresholds and flag gaps")
-    common(p); spec_flags(p)
-    p.add_argument("--h", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--patch-sizes", dest="patch_sizes")
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("sweep", help="certify over a grid of ablation sizes/strides")
-    common(p); data_flags(p)
-    p.add_argument("--ablation", choices=["column", "block"])
-    p.add_argument("--offset", type=int)
-    p.add_argument("--ckpt")
-    p.add_argument("--b-grid", dest="b_grid")
-    p.add_argument("--stride-grid", dest="stride_grid")
-    p.add_argument("--patch-sizes", dest="patch_sizes")
-    p.add_argument("--delta-mode", dest="delta_mode", choices=["safe", "paper", "oracle"])
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bench", help="MAC model and wall-clock speedup report")
-    common(p); spec_flags(p)
-    for name in ["h", "w", "c", "p", "d", "heads", "layers", "k", "batch", "trials"]:
-        p.add_argument(f"--{name}", type=int)
-    p.add_argument("--b-grid", dest="b_grid")
-    p.set_defaults(func=cmd_bench)
+        p.add_argument("--out", default=".", help="output directory (default: current)")
+        for key, (kind, default) in OPTIONS[name].items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key,
+                type=kind if kind in (int, float) else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                help=None if default is None else f"default: {default}",
+            )
+        p.set_defaults(func=func)
     return parser
 
 
@@ -641,10 +581,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except FileNotFoundError as exc:
-        _emit_error(exc, EXIT_MISSING)
-        return EXIT_MISSING
-    except FormatError as exc:
+    except (FileNotFoundError, FormatError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING
     except (ParameterError, ConfigError) as exc:

@@ -22,12 +22,10 @@ from .errors import DimensionError, ParameterError, UsageError
 __all__ = [
     "MacCounter",
     "count_macs",
-    "tensor",
     "matmul",
     "matmul_stacked",
     "matmul_reference",
     "bias_add",
-    "bias_add_backward",
     "softmax_last_dim",
     "softmax_backward",
     "layer_norm",
@@ -85,14 +83,6 @@ def count_macs(counter: MacCounter | None = None):
         _active_counter.reset(token)
 
 
-def tensor(data, shape=None, dtype=np.float32) -> np.ndarray:
-    """Build a row-major array, optionally reshaping flat input data."""
-    arr = np.asarray(data, dtype=dtype)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return np.ascontiguousarray(arr)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2-D matrix product; increments the active MAC counter by m*k*n."""
     if a.ndim != 2 or b.ndim != 2:
@@ -142,12 +132,6 @@ def bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"bias shape {b.shape} does not match input {x.shape}")
     return x + b
-
-
-def bias_add_backward(dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dx, db) for y = x + b."""
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    return dy, db
 
 
 def softmax_last_dim(x: np.ndarray) -> np.ndarray:

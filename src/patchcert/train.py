@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblationSpec, block_ablation, column_ablation
+from .ablation import KINDS, AblationSpec, block_ablation, column_ablation
 from .errors import DivergenceError, ParameterError
 from .vit import Model, loss_and_gradients, per_ablation_predictions
 
@@ -37,8 +37,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 0.05
-    lr_step_factor: float = 1.0
-    lr_step_period: int = 0
     momentum: float = 0.9
     weight_decay: float = 5e-4
     b_train: int = 3
@@ -53,11 +51,8 @@ class TrainConfig:
             raise ParameterError("lr and weight decay must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.lr_step_period <= 0 or self.lr_step_factor == 1.0:
-            return self.lr
-        return self.lr * self.lr_step_factor ** (epoch // self.lr_step_period)
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown ablation kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,6 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
     if state is None:
         state = OptState.fresh(model, cfg)
     rng = state.rng
-    lr = cfg.lr_at(state.epoch)
     order = rng.permutation(len(data))
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -174,7 +168,7 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
             v = state.velocity[k]
             v *= cfg.momentum
             v += g
-            theta -= np.multiply(v, lr, out=g)
+            theta -= np.multiply(v, cfg.lr, out=g)
         total_loss += batch_loss
     state.epoch += 1
     return model, total_loss / len(data), state
@@ -212,13 +206,12 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path=None) -> 
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_epoch = -1
     for epoch in range(cfg.epochs):
-        lr = cfg.lr_at(epoch)
         model, loss, state = train_epoch(model, train_split, cfg, state)
         val_acc = ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
         losses.append(loss)
         history.append(val_acc)
         line = json.dumps(
-            {"epoch": epoch, "train_loss": round(loss, 6), "val_ablation_acc": val_acc, "lr": lr},
+            {"epoch": epoch, "train_loss": round(loss, 6), "val_ablation_acc": val_acc, "lr": cfg.lr},
             sort_keys=True,
         )
         log_lines.append(line)

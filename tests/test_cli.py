@@ -1,11 +1,12 @@
-"""CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record."""
+"""CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
+write nothing; report names stay pinned; bench builds only what it times."""
 
 import json
 
 import numpy as np
 import pytest
 
-from patchcert import cli
+from patchcert import ablation, cli
 from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
@@ -38,6 +39,11 @@ def files(tmp_path):
         "offset_word.json": b'{"offset": "x"}',
         "sizes_words.json": b'{"patch_sizes": ["a"]}',
         "idx.bin": b"\1\2\3\4",
+        "kind_diag.json": b'{"kind": "diag"}',
+        "mode_x.json": b'{"delta_mode": "x"}',
+        "format_x.json": b'{"data_format": "x"}',
+        "ckpt_fd.json": b'{"ckpt": 0}',
+        "b4.json": b'{"b": 4, "patch_sizes": "2,3"}',
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -89,6 +95,17 @@ CASES = [
     (["sweep", "--ckpt", "good.svit", "--config", "offset_word.json"], 3),
     (["train", "--epochs", "0"], 3),
     (["sweep", "--ckpt", "good.svit", "--b-grid", "x"], 3),
+    # a flag the command does not read does not exist, and flags are not abbreviated: 3
+    (["train", "--split", "test"], 3),
+    (["ablate", "--split", "val"], 3),
+    (["bench", "--b", "7"], 3),
+    (["sweep", "--ckpt", "good.svit", "--b", "3"], 3),
+    # a config value outside its choices fails before any work: 3
+    (["train", "--config", "kind_diag.json"], 3),
+    (["train", "--config", "format_x.json"], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "mode_x.json"], 3),
+    (["certify", "--config", "ckpt_fd.json"], 3),
+    (["bench", "--batch", "0"], 3),
 ]
 
 
@@ -98,6 +115,7 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     assert cli.main(argv + ["--out", "out"]) == code
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["exit_code"] == code
+    assert not (files / "out").exists() or not any((files / "out").iterdir())
 
 
 def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):
@@ -130,3 +148,48 @@ def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):
         assert timing[1] == "b,stride,time_drop_s,time_full_s,speedup"
         assert [r.split(",")[0] for r in timing[2:]] == ["3", "5"]
         assert np.all([float(x) > 0 for r in timing[2:] for x in r.split(",")[2:]])
+
+
+# report names as the option resolution has always produced them; a config
+# file holding the same values as the flags names the same report
+PINNED = [
+    (["certify", "--ckpt", "good.svit", "--b", "4", "--patch-sizes", "2,3"],
+     ["certify-9db89bd5f306.csv", "certify-9db89bd5f306.json"]),
+    (["certify", "--ckpt", "good.svit", "--config", "b4.json"],
+     ["certify-9db89bd5f306.csv", "certify-9db89bd5f306.json"]),
+    (["sweep", "--ckpt", "good.svit", "--b-grid", "2,3,3", "--patch-sizes", "2"],
+     ["sweep-402a5eb54d6a.csv"]),
+    (BENCH, ["bench-168fa6f21211.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv,names", PINNED, ids=[a[0] for a, _ in PINNED])
+def test_report_names_are_pinned(files, monkeypatch, argv, names):
+    monkeypatch.chdir(files)
+    assert cli.main(argv + ["--out", "out"]) == 0
+    stamped = sorted(p.name for p in (files / "out").iterdir() if p.name.count("-") == 1)
+    assert stamped == names
+
+
+def test_bench_builds_only_the_timed_sample(tmp_path, monkeypatch):
+    built, timed = [], []
+
+    class Counted(ablation.AblatedImage):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def harness(model, batch, trials):
+        timed.append(batch)
+        return wallclock_harness(model, batch, trials)
+
+    wallclock_harness = cli.wallclock_harness
+    monkeypatch.setattr(ablation, "AblatedImage", Counted)
+    monkeypatch.setattr(cli, "wallclock_harness", harness)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(BENCH + ["--ablation", "block", "--out", "out"]) == 0
+    assert len(built) == 4  # --batch 2 for each b in 3,5, not 2 x 256 block ablations
+    blank = np.zeros((16, 16, 1), dtype=np.float32)
+    for b, batch in zip([3, 5], timed):
+        full = ablation.ablation_set(blank, ablation.AblationSpec("block", b))
+        assert [z.mask.tolist() for z in batch] == [z.mask.tolist() for z in full[::128]]

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from patchcert import vit
 from patchcert.ablation import AblationSpec, ablation_set, block_ablation, column_ablation
-from patchcert.bench import smoothing_cost
+from patchcert.bench import smoothing_cost, wallclock_harness
 from patchcert import cli, train
 from patchcert import numerics as nx
-from patchcert.errors import FormatError
+from patchcert.errors import FormatError, ParameterError
 from patchcert.numerics import count_macs, finite_difference_gradient
 from patchcert.train import OptState, TrainConfig, fit, make_stripe_dataset, train_epoch
 from patchcert.vit import (
@@ -331,3 +331,23 @@ def test_truncation_at_every_tensor_boundary_is_a_format_error(tmp_path, capsys)
             load_checkpoint(cut_path)
         assert cli.main(["certify", "--ckpt", str(cut_path), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 2
+
+
+def test_train_config_rejects_an_unknown_kind():
+    with pytest.raises(ParameterError, match="'diag'"):
+        TrainConfig(kind="diag")
+
+
+def test_wallclock_harness_checks_its_inputs_and_times_both_paths():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=8, heads=2, layers=1, k=3)
+    model = Model.init(cfg, seed=0)
+    batch = ablation_set(_image(cfg), AblationSpec("column", 3, 4))
+    with pytest.raises(ParameterError, match="at least 3 trials"):
+        wallclock_harness(model, batch, trials=2)
+    with pytest.raises(ParameterError, match="nonempty"):
+        wallclock_harness(model, [], trials=3)
+    timing = wallclock_harness(model, batch, trials=3)
+    assert timing["trials"] == 3 and timing["batch_size"] == len(batch)
+    for key in ("time_drop_mean_s", "time_full_mean_s", "speedup"):
+        assert timing[key] > 0
+    assert timing["time_drop_std_s"] >= 0 and timing["time_full_std_s"] >= 0
