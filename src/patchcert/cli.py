@@ -3,7 +3,8 @@
 Commands: ablate, train, certify, delta, sweep, bench. Each command
 declares its options once, in OPTIONS: every key there is both a
 JSON config-file key and the flag --key-with-dashes, explicit flags
-override the config file, and a command has no flag it does not read.
+override the config file, and a command has no flag or config key it
+does not read.
 Every command is deterministic given (config, seed) except for measured wall-clock
 columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
@@ -256,7 +257,8 @@ def _options(args) -> tuple[dict, dict]:
     """(raw, o): the JSON config overlaid with explicit flags, and the command's options.
 
     raw is hashed, exactly as given, into report names; o holds every
-    option of the command converted, with its default where unset.
+    option of the command converted, with its default where unset. A
+    config key the command does not declare is a ParameterError.
     """
     raw = {}
     if args.config:
@@ -271,6 +273,12 @@ def _options(args) -> tuple[dict, dict]:
             raise ParameterError("config file must hold a JSON object")
         raw.update(loaded)
     table = OPTIONS[args.command]
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ParameterError(
+            f"config file {args.config} has keys {args.command} does not read: "
+            f"{', '.join(unknown)}; its keys are {', '.join(table)}"
+        )
     for key in table:
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)

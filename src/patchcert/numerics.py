@@ -4,8 +4,7 @@ passes, and a finite-difference oracle.
 Tensors are plain numpy arrays: row-major storage, float32 for model
 state and compute (reductions may accumulate wider). Every exported op
 is a pure function of its inputs; the only side channel is the
-multiply-accumulate counter, which is scoped per invocation context so
-concurrent workers never corrupt each other's counts.
+multiply-accumulate counter installed by ``count_macs``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import threading
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "bias_add",
     "softmax_last_dim",
     "softmax_backward",
-    "layer_norm",
     "layer_norm_fwd",
     "layer_norm_bwd",
     "gelu",
@@ -44,23 +41,16 @@ _GELU_A = 0.044715
 
 
 class MacCounter:
-    """Thread-safe multiply-accumulate tally.
-
-    matmul(m*k by k*n) adds exactly m*k*n. Safe to share across worker
-    threads; use one counter per context you want to measure.
-    """
+    """Multiply-accumulate tally: matmul(m*k by k*n) adds exactly m*k*n."""
 
     def __init__(self) -> None:
         self.total = 0
-        self._lock = threading.Lock()
 
     def add(self, n: int) -> None:
-        with self._lock:
-            self.total += n
+        self.total += n
 
     def reset(self) -> None:
-        with self._lock:
-            self.total = 0
+        self.total = 0
 
 
 _active_counter: contextvars.ContextVar[MacCounter | None] = contextvars.ContextVar(
@@ -70,11 +60,7 @@ _active_counter: contextvars.ContextVar[MacCounter | None] = contextvars.Context
 
 @contextlib.contextmanager
 def count_macs(counter: MacCounter | None = None):
-    """Install a MAC counter for the duration of the block.
-
-    Yields the counter. Worker threads spawned inside the block must
-    either copy the caller's context or install the counter themselves.
-    """
+    """Install a MAC counter for the duration of the block; yields the counter."""
     c = counter if counter is not None else MacCounter()
     token = _active_counter.set(c)
     try:
@@ -96,14 +82,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """s independent products (s, m, k) x (s, k, n); increments the MAC counter by s*m*k*n."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError(f"matmul_stacked expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    """Independent products (..., m, k) x (..., k, n) over equal leading dims.
+
+    One BLAS call per product, each computed as the 2-D call on that
+    slice would be; increments the MAC counter by (products)*m*k*n.
+    """
+    if a.ndim < 3 or a.ndim != b.ndim:
+        raise DimensionError(
+            f"matmul_stacked expects stacked operands, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul_stacked operands disagree: {a.shape} x {b.shape}")
     counter = _active_counter.get()
     if counter is not None:
-        counter.add(a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
+        counter.add(math.prod(a.shape) * b.shape[-1])
     return a @ b
 
 
@@ -151,14 +142,11 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize each length-d slice to mean 0 / variance 1, then affine."""
-    y, _ = layer_norm_fwd(x, gamma, beta, eps)
-    return y
-
-
 def layer_norm_fwd(x, gamma, beta, eps=1e-5):
-    """Layer norm returning (y, ctx) where ctx feeds layer_norm_bwd."""
+    """Normalize each length-d slice to mean 0 / variance 1, then affine.
+
+    Returns (y, ctx) where ctx feeds layer_norm_bwd.
+    """
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.shape[-1] < 1:
@@ -175,12 +163,18 @@ def layer_norm_fwd(x, gamma, beta, eps=1e-5):
     return xhat * gamma + beta, (xhat, inv, gamma)
 
 
-def layer_norm_bwd(ctx, dy):
-    """Gradients (dx, dgamma, dbeta) for the stored layer_norm forward."""
+def layer_norm_bwd(ctx, dy, axis=None):
+    """Gradients (dx, dgamma, dbeta) for the stored layer_norm forward.
+
+    dy may be the forward's rows in another shape, e.g. (B, n, d) for
+    (B*n, d). dgamma and dbeta sum over ``axis``, by default every axis
+    but the last; axis=1 gives one sum per set of a (B, n, d) stack.
+    """
     if ctx is None:
         raise UsageError("layer_norm_bwd called before layer_norm_fwd")
     xhat, inv, gamma = ctx
-    lead = tuple(range(dy.ndim - 1))
+    xhat, inv = xhat.reshape(dy.shape), inv.reshape(*dy.shape[:-1], 1)
+    lead = tuple(range(dy.ndim - 1)) if axis is None else axis
     dgamma = (dy * xhat).sum(axis=lead)
     dbeta = dy.sum(axis=lead)
     dxhat = dy * gamma
@@ -194,19 +188,44 @@ def layer_norm_bwd(ctx, dy):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715*x^3)))."""
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(u))
+    """GELU, tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715*x^3))).
+
+    Evaluated in one scratch buffer, in the formula's operation order.
+    """
+    t = _gelu_tanh(x)
+    t += 1.0
+    return (x * 0.5) * t
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi)*(x+0.044715*x^3)) in a fresh buffer, in that operation order."""
+    t = np.asarray(x * _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dx for the tanh-approximation GELU evaluated at x."""
     if x is None:
         raise UsageError("gelu_backward called without the forward input")
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(u)
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    # dy * (0.5*(1+t) + 0.5*x*(1-t*t)*du) with du = C*(1+3A*x*x), in place
+    t = _gelu_tanh(x)
+    du = x * (3.0 * _GELU_A)
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= x * 0.5
+    g *= du
+    t += 1.0
+    t *= 0.5
+    t += g
+    t *= dy
+    return t
 
 
 def cross_entropy(logits: np.ndarray, target: int) -> float:

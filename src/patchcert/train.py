@@ -1,8 +1,11 @@
 """Training on randomly ablated images, plus the synthetic stripe task.
 
 Each epoch applies one uniformly random ablation to every training
-image, forwards it through the reduced-token path, and updates with
-momentum SGD: v <- momentum*v + g + weight_decay*theta, theta -= lr*v.
+image and updates once per batch with momentum SGD:
+v <- momentum*v + g + weight_decay*theta, theta -= lr*v, where g is the
+batch mean gradient. One ``loss_and_gradients`` call per batch runs the
+batch's reduced-token ablations as stacks of equal token count, and
+returns the same bits as summing per-ablation gradients in batch order.
 Runs are single-threaded and bit-deterministic for a given seed.
 
 The stripe dataset paints every pixel with a class-specific base level
@@ -136,9 +139,10 @@ def _random_ablation(x: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
 
 
 def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: OptState | None = None):
-    """One pass over the data with fresh random ablations; returns mean loss.
+    """One pass over the data with fresh random ablations, one gradient call per batch.
 
-    Updates model.params in place and returns (model, epoch_loss, state).
+    Updates model.params in place and returns (model, epoch_loss, state),
+    where epoch_loss is the mean per-sample loss.
     """
     if state is None:
         state = OptState.fresh(model, cfg)
@@ -147,22 +151,17 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
-        acc = {k: np.zeros_like(v) for k, v in model.params.items()}
-        batch_loss = 0.0
-        for i in idx:
-            z_m = _random_ablation(data.images[i], cfg, rng)
-            loss, grads = loss_and_gradients(z_m, int(data.labels[i]), model.params, model.cfg)
-            batch_loss += loss
-            for k, g in grads.items():
-                acc[k] += g
+        ablations = [_random_ablation(data.images[i], cfg, rng) for i in idx]
+        batch_loss, grads = loss_and_gradients(
+            ablations, data.labels[idx].tolist(), model.params, model.cfg)
         if not np.isfinite(batch_loss):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index}", batch_index=batch_index
             )
         inv = 1.0 / len(idx)
         for k, theta in model.params.items():
-            # g = acc*inv + wd*theta; v = momentum*v + g; theta -= lr*v, in place
-            g = acc[k]
+            # g = grads*inv + wd*theta; v = momentum*v + g; theta -= lr*v, in place
+            g = grads[k]
             g *= inv
             g += cfg.weight_decay * theta
             v = state.velocity[k]

@@ -253,14 +253,16 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
     and head. The readout is the class token (row 0) when the config has
     one, else the mean over the kept rows. key_keep (n,) bool, when
     given, blanks attention scores toward dropped tokens (the oracle
-    path). record, for a single set only, also returns the activations
-    the backward pass needs.
+    path). record also returns the activations the backward pass needs,
+    and computes the head per set, as a one-set call computes it: a
+    one-row product is a matrix-vector call, which rounds differently
+    from the rows of a stacked product.
     """
     bsz, n, d = x.shape
     if n == 0:
         raise InputError("cannot classify an empty token set")
-    if record and (key_keep is not None or bsz != 1):
-        raise ParameterError("gradient recording needs one set on the reduced path")
+    if record and key_keep is not None:
+        raise ParameterError("gradient recording needs the reduced path")
     heads, dh = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
     ctx = {"layers": [], "n": n} if record else None
@@ -272,8 +274,8 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         kk = nx.bias_add(nx.matmul(h1, lp["attn.wk"]), lp["attn.bk"])
         v = nx.bias_add(nx.matmul(h1, lp["attn.wv"]), lp["attn.bv"])
         # (B, heads, n, dh) views: [b, hd] is head hd's column slice of set b
-        q_h, v_h = (t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3) for t in (q, v))
-        k_t = np.ascontiguousarray(kk.reshape(bsz, n, heads, dh).transpose(0, 2, 3, 1))
+        q_h, v_h = (_by_head(t, bsz, cfg) for t in (q, v))
+        k_t = np.ascontiguousarray(_by_head(kk, bsz, cfg).swapaxes(2, 3))
         scores = np.empty((bsz, heads, n, n), dtype=q.dtype)
         for b in range(bsz):
             for hd in range(heads):
@@ -283,7 +285,7 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
             scores[..., ~key_keep] = -np.inf
         attn = nx.softmax_last_dim(scores)
         o = np.empty_like(q)
-        o_h = o.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)
+        o_h = _by_head(o, bsz, cfg)
         for b in range(bsz):
             for hd in range(heads):
                 o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
@@ -298,7 +300,7 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
             ctx["layers"].append(
                 {
                     "ln1": ln1_ctx, "h1": h1, "q": q, "k": kk, "v": v,
-                    "attn": attn[0], "o": o, "ln2": ln2_ctx, "h2": h2,
+                    "attn": attn, "o": o, "ln2": ln2_ctx, "h2": h2,
                     "m1": m1, "act": act,
                 }
             )
@@ -312,7 +314,11 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         r = f3.mean(axis=1)
     else:
         r = f3[:, key_keep].mean(axis=1)
-    logits = nx.bias_add(nx.matmul(r, params["head.weight"]), params["head.bias"])
+    if record:
+        logits = nx.matmul_stacked(r[:, None], _per_set(params["head.weight"], bsz))[:, 0]
+    else:
+        logits = nx.matmul(r, params["head.weight"])
+    logits = nx.bias_add(logits, params["head.bias"])
     if record:
         ctx["final_ln"] = lnf_ctx
         ctx["f"] = f
@@ -320,6 +326,16 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         ctx["scale"] = scale
         return logits, ctx
     return logits
+
+
+def _by_head(t, bsz, cfg):
+    """(B, heads, n, dh) view of a (B*n, d) array: [b, hd] is head hd's column slice of set b."""
+    return t.reshape(bsz, -1, cfg.heads, cfg.head_dim).transpose(0, 2, 1, 3)
+
+
+def _per_set(w, bsz):
+    """w repeated for each of bsz sets, as a read-only (bsz, *w.shape) view."""
+    return np.broadcast_to(w, (bsz, *w.shape))
 
 
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
@@ -393,104 +409,136 @@ def smoothed_vit_forward(x, spec: AblationSpec, params: dict, cfg: ViTConfig):
     return smoothed_predict(votes), votes
 
 
-def loss_and_gradients(z_m: AblatedImage, label: int, params: dict, cfg: ViTConfig):
-    """Cross-entropy loss of one ablation and exact parameter gradients.
+def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
+    """Summed cross-entropy loss of a batch of ablations and its summed exact gradients.
 
-    Returns (loss, grads) where grads holds one fresh array per parameter;
-    pos_embed rows of dropped tokens receive zero gradient.
+    Returns (loss_sum, grads) where grads holds one fresh array per
+    parameter, in parameter order; pos_embed rows of dropped tokens
+    receive zero gradient. Both sums run in batch order from +0, over
+    per-ablation values that are bitwise those of a batch of one.
+    Ablations with equal token counts share one recorded forward and
+    one backward, whose every product runs per ablation; ablations with
+    a single surviving cell run alone, since their one-row products are
+    matrix-vector calls, which round differently from a stack's rows.
+    The groups' backwards step in lockstep, so only one parameter's
+    per-ablation gradients are alive at a time.
     """
-    patches, grid_idx = _reduced_cells(z_m, cfg)
-    x = _embed(patches[None], grid_idx[None], params, cfg)
-    logits, ctx = _encoder_core(x, params, cfg, record=True)
-    logits = logits[0]
-    loss = nx.cross_entropy(logits, label)
-
+    if len(ablations) != len(labels) or not ablations:
+        raise ParameterError(
+            f"need equally many ablations and labels, got {len(ablations)} and {len(labels)}")
+    cells = [_reduced_cells(z_m, cfg) for z_m in ablations]
+    by_count: dict[int, list[int]] = {}
+    for i, (_, grid_idx) in enumerate(cells):
+        by_count.setdefault(grid_idx.size, []).append(i)
+    groups = [ids for n, ids in by_count.items() if n > 1] + [[i] for i in by_count.get(1, ())]
+    losses = [0.0] * len(ablations)
+    streams = []
+    for ids in groups:
+        patches = np.stack([cells[i][0] for i in ids])
+        grid_idx = np.stack([cells[i][1] for i in ids])
+        x = _embed(patches, grid_idx, params, cfg)
+        logits, ctx = _encoder_core(x, params, cfg, record=True)
+        dlogits = np.empty_like(logits)
+        for row, i in enumerate(ids):
+            losses[i] = nx.cross_entropy(logits[row], labels[i])
+            dlogits[row] = nx.cross_entropy_backward(logits[row], labels[i])
+        streams.append(_set_gradients(patches, grid_idx, dlogits, ctx, params, cfg))
+    loss_sum = 0.0
+    for loss in losses:
+        loss_sum += loss
+    # per-ablation gradients in batch order, summed row by row from +0: 0 + g_0 + g_1 + ...
     grads = {}
-    dlogits = nx.cross_entropy_backward(logits, label)
+    for parts in zip(*streams):
+        name, first = parts[0]
+        buf = np.empty((len(ablations), *first.shape[1:]), dtype=first.dtype)
+        for ids, (_, stack) in zip(groups, parts):
+            buf[ids] = stack
+        grads[name] = np.add.reduce(buf, axis=0, initial=0.0)
+    return loss_sum, {k: grads[k] for k in params}
 
-    r = ctx["r"]
-    grads["head.weight"] = nx.matmul(r.T, dlogits[None, :])
-    grads["head.bias"] = dlogits
-    dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
 
-    n = ctx["n"]
-    df = np.zeros_like(ctx["f"])
-    if cfg.use_class_token:
-        df[0] = dr[0]
-    else:
-        df += dr / n
-    dx, grads["final_ln.gamma"], grads["final_ln.beta"] = nx.layer_norm_bwd(ctx["final_ln"], df)
+def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
+    """Per-set gradients of one recorded stack, yielded as (name, (B, ...) stack).
 
-    heads, dh = cfg.heads, cfg.head_dim
+    patches (B, n, p*p*c) and grid_idx (B, n) are the stack's cells,
+    dlogits (B, k) its loss gradients. Every product runs once per set
+    (matmul_stacked, weights broadcast), and every sum over rows runs
+    per set, so each set's gradient is bitwise that of a batch of one.
+    """
+    bsz, n = dlogits.shape[0], ctx["n"]
     scale = ctx["scale"]
 
-    def by_head(t):
-        """(heads, n, dh) view of an (n, d) array: [hd] is head hd's column slice."""
-        return t.reshape(n, heads, dh).transpose(1, 0, 2)
+    def sets(t):
+        """(B, n, width) view of a (B*n, width) activation."""
+        return t.reshape(bsz, n, -1)
+
+    def input_grad(dy, w):
+        """dy_b @ w.T for every set b."""
+        return nx.matmul_stacked(dy, _per_set(w.T, bsz))
+
+    def weight_grad(t, dy):
+        """t_b.T @ dy_b for every set b."""
+        return nx.matmul_stacked(sets(t).swapaxes(1, 2), dy)
+
+    yield "head.weight", nx.matmul_stacked(ctx["r"][:, :, None], dlogits[:, None, :])
+    yield "head.bias", dlogits
+    dr = input_grad(dlogits[:, None, :], params["head.weight"])
+    df = np.zeros_like(sets(ctx["f"]))
+    if cfg.use_class_token:
+        df[:, 0] = dr[:, 0]
+    else:
+        df += dr / n
+    dx, dgamma, dbeta = nx.layer_norm_bwd(ctx["final_ln"], df, axis=1)
+    yield "final_ln.gamma", dgamma
+    yield "final_ln.beta", dbeta
 
     layers = _layer_views(params, cfg)
     for i in reversed(range(cfg.layers)):
-        lc = ctx["layers"][i]
-        lp = layers[i]
-        pre = f"layers.{i}."
+        lc, lp, pre = ctx["layers"][i], layers[i], f"layers.{i}."
 
         # MLP residual: x_out = x_mid + W2(gelu(W1 ln2(x_mid)))
-        dm2 = dx
-        grads[pre + "mlp.w2"] = nx.matmul(lc["act"].T, dm2)
-        grads[pre + "mlp.b2"] = dm2.sum(axis=0)
-        dact = nx.matmul(dm2, lp["mlp.w2"].T)
-        dm1 = nx.gelu_backward(lc["m1"], dact)
-        grads[pre + "mlp.w1"] = nx.matmul(lc["h2"].T, dm1)
-        grads[pre + "mlp.b1"] = dm1.sum(axis=0)
-        dh2 = nx.matmul(dm1, lp["mlp.w1"].T)
-        dx_mid, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nx.layer_norm_bwd(
-            lc["ln2"], dh2)
+        yield pre + "mlp.w2", weight_grad(lc["act"], dx)
+        yield pre + "mlp.b2", dx.sum(axis=1)
+        dm1 = nx.gelu_backward(sets(lc["m1"]), input_grad(dx, lp["mlp.w2"]))
+        yield pre + "mlp.w1", weight_grad(lc["h2"], dm1)
+        yield pre + "mlp.b1", dm1.sum(axis=1)
+        dx_mid, dgamma, dbeta = nx.layer_norm_bwd(lc["ln2"], input_grad(dm1, lp["mlp.w1"]), axis=1)
+        yield pre + "ln2.gamma", dgamma
+        yield pre + "ln2.beta", dbeta
         dx = dx + dx_mid
 
         # attention residual: x_mid = x_in + Wo(attn(ln1(x_in))), all heads at once
-        dattn = dx
-        grads[pre + "attn.wo"] = nx.matmul(lc["o"].T, dattn)
-        grads[pre + "attn.bo"] = dattn.sum(axis=0)
-        do = by_head(nx.matmul(dattn, lp["attn.wo"].T))
+        yield pre + "attn.wo", weight_grad(lc["o"], dx)
+        yield pre + "attn.bo", dx.sum(axis=1)
+        do = _by_head(input_grad(dx, lp["attn.wo"]), bsz, cfg)
         a = lc["attn"]
-        q_h, k_h, v_h = by_head(lc["q"]), by_head(lc["k"]), by_head(lc["v"])
-        da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.transpose(0, 2, 1)))
+        q_h, k_h, v_h = (_by_head(lc[t], bsz, cfg) for t in ("q", "k", "v"))
+        da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.swapaxes(2, 3)))
         ds = nx.softmax_backward(a, da)
-        dq = np.empty_like(lc["q"])
-        dk = np.empty_like(lc["k"])
-        dv = np.empty_like(lc["v"])
-        by_head(dv)[...] = nx.matmul_stacked(a.transpose(0, 2, 1), do)
-        by_head(dq)[...] = nx.matmul_stacked(ds, k_h) * scale
-        by_head(dk)[...] = nx.matmul_stacked(ds.transpose(0, 2, 1), q_h) * scale
-        h1 = lc["h1"]
-        grads[pre + "attn.wq"] = nx.matmul(h1.T, dq)
-        grads[pre + "attn.bq"] = dq.sum(axis=0)
-        grads[pre + "attn.wk"] = nx.matmul(h1.T, dk)
-        grads[pre + "attn.bk"] = dk.sum(axis=0)
-        grads[pre + "attn.wv"] = nx.matmul(h1.T, dv)
-        grads[pre + "attn.bv"] = dv.sum(axis=0)
-        dh1 = (
-            nx.matmul(dq, lp["attn.wq"].T)
-            + nx.matmul(dk, lp["attn.wk"].T)
-            + nx.matmul(dv, lp["attn.wv"].T)
-        )
-        dx_in, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nx.layer_norm_bwd(
-            lc["ln1"], dh1)
+        dq, dk, dv = (np.empty_like(sets(lc[t])) for t in ("q", "k", "v"))
+        _by_head(dv, bsz, cfg)[...] = nx.matmul_stacked(a.swapaxes(2, 3), do)
+        _by_head(dq, bsz, cfg)[...] = nx.matmul_stacked(ds, k_h) * scale
+        _by_head(dk, bsz, cfg)[...] = nx.matmul_stacked(ds.swapaxes(2, 3), q_h) * scale
+        for t, g in (("q", dq), ("k", dk), ("v", dv)):
+            yield pre + "attn.w" + t, weight_grad(lc["h1"], g)
+            yield pre + "attn.b" + t, g.sum(axis=1)
+        dh1 = (input_grad(dq, lp["attn.wq"]) + input_grad(dk, lp["attn.wk"])
+               + input_grad(dv, lp["attn.wv"]))
+        dx_in, dgamma, dbeta = nx.layer_norm_bwd(lc["ln1"], dh1, axis=1)
+        yield pre + "ln1.gamma", dgamma
+        yield pre + "ln1.beta", dbeta
         dx = dx + dx_in
 
     # token embeddings: cls row first (if present), then surviving grid rows
-    dtok = dx
-    row0 = 0
     if cfg.use_class_token:
-        grads["cls_token"] = dtok[0].copy()
-        grads["cls_pos"] = dtok[0].copy()
-        row0 = 1
-    dgrid = dtok[row0:]
-    grads["patch_embed.weight"] = nx.matmul(patches.T, dgrid)
-    grads["patch_embed.bias"] = dgrid.sum(axis=0)
-    grads["pos_embed"] = np.zeros_like(params["pos_embed"])
-    np.add.at(grads["pos_embed"], grid_idx, dgrid)
-    return loss, {k: grads[k] for k in params}  # in parameter order
+        yield "cls_token", dx[:, 0]
+        yield "cls_pos", dx[:, 0]
+    dgrid = dx[:, int(cfg.use_class_token):]
+    yield "patch_embed.weight", nx.matmul_stacked(patches.swapaxes(1, 2), dgrid)
+    yield "patch_embed.bias", dgrid.sum(axis=1)
+    pos = np.zeros((bsz, *params["pos_embed"].shape), dtype=dgrid.dtype)
+    np.add.at(pos, (np.arange(bsz)[:, None], grid_idx), dgrid)
+    yield "pos_embed", pos
 
 
 def save_checkpoint(model: Model, path) -> None:

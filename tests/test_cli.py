@@ -44,6 +44,7 @@ def files(tmp_path):
         "format_x.json": b'{"data_format": "x"}',
         "ckpt_fd.json": b'{"ckpt": 0}',
         "b4.json": b'{"b": 4, "patch_sizes": "2,3"}',
+        "split_typo.json": b'{"split_typo": "val"}',
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -105,6 +106,10 @@ CASES = [
     (["train", "--config", "format_x.json"], 3),
     (["certify", "--ckpt", "good.svit", "--config", "mode_x.json"], 3),
     (["certify", "--config", "ckpt_fd.json"], 3),
+    # a config key the command does not declare: 3
+    (["certify", "--ckpt", "good.svit", "--config", "split_typo.json"], 3),
+    (["train", "--config", "b4.json"], 3),
+    (["delta", "--config", "format_x.json"], 3),
     (["bench", "--batch", "0"], 3),
 ]
 
@@ -116,6 +121,17 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["exit_code"] == code
     assert not (files / "out").exists() or not any((files / "out").iterdir())
+
+
+def test_unknown_config_key_names_the_command_keys(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    argv = ["certify", "--ckpt", "good.svit", "--config", "split_typo.json", "--out", "out"]
+    assert cli.main(argv) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "ParameterError"
+    assert "split_typo" in record["error"]
+    assert all(key in record["error"] for key in cli.OPTIONS["certify"])
+    assert not (files / "out").exists()
 
 
 def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):

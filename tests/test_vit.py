@@ -1,13 +1,13 @@
 """The encoder: stacked smoothing engine vs per-ablation path vs masked oracle,
-exact MACs, analytic gradients (batched-head backward vs the per-head
-reference), training determinism and the checkpoint format."""
+exact MACs, analytic gradients (batched training step vs the per-sample
+and per-head references), training determinism and the checkpoint format."""
 
 import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patchcert import vit
@@ -117,11 +117,11 @@ def test_gradients_match_finite_differences(use_class_token):
         v += rng.normal(0.0, 0.3, size=v.shape)
     z = ablation_set(_image(cfg, 2), AblationSpec("column", 3))[4]  # two of four cells survive
     label = 1
-    _, grads = loss_and_gradients(z, label, params, cfg)
+    _, grads = loss_and_gradients([z], [label], params, cfg)
     for name, value in params.items():
 
         def loss_at(theta, name=name):
-            return loss_and_gradients(z, label, dict(params, **{name: theta}), cfg)[0]
+            return loss_and_gradients([z], [label], dict(params, **{name: theta}), cfg)[0]
 
         numeric = finite_difference_gradient(loss_at, value, h=1e-5)
         np.testing.assert_allclose(grads[name], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
@@ -183,7 +183,7 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
         dq, dk, dv = (np.empty_like(lc[t]) for t in ("q", "k", "v"))
         for hd in range(cfg.heads):
             sl = slice(hd * dh, (hd + 1) * dh)
-            a, doh = lc["attn"][hd], do[:, sl]
+            a, doh = lc["attn"][0, hd], do[:, sl]
             da = nx.matmul(doh, np.ascontiguousarray(lc["v"][:, sl].T))
             dv[:, sl] = nx.matmul(a.T, doh)
             ds = nx.softmax_backward(a, da)
@@ -230,7 +230,7 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
     ]
     for j, z in enumerate(ablations):
         with count_macs() as macs:
-            loss, grads = loss_and_gradients(z, j, params, cfg)
+            loss, grads = loss_and_gradients([z], [j], params, cfg)
         with count_macs() as ref_macs:
             ref_loss, ref = _reference_loss_and_gradients(z, j, params, cfg)
         assert macs.total == ref_macs.total
@@ -242,6 +242,173 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
             assert not np.shares_memory(g, params[name]), name
         if use_class_token:
             assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
+
+
+def _per_sample_loss_and_gradients(z_m, label, params, cfg):
+    """The per-ablation loss_and_gradients the batched step replaced: one
+    recorded set, all heads at once, 2-D products for every weight."""
+    patches, grid_idx = vit._reduced_cells(z_m, cfg)
+    x = vit._embed(patches[None], grid_idx[None], params, cfg)
+    logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+    logits = logits[0]
+    loss = nx.cross_entropy(logits, label)
+    grads = {}
+    dlogits = nx.cross_entropy_backward(logits, label)
+    grads["head.weight"] = nx.matmul(ctx["r"].T, dlogits[None, :])
+    grads["head.bias"] = dlogits
+    dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
+    n, heads, dh, scale = ctx["n"], cfg.heads, cfg.head_dim, ctx["scale"]
+    df = np.zeros_like(ctx["f"])
+    if cfg.use_class_token:
+        df[0] = dr[0]
+    else:
+        df += dr / n
+    dx, grads["final_ln.gamma"], grads["final_ln.beta"] = nx.layer_norm_bwd(ctx["final_ln"], df)
+
+    def by_head(t):
+        return t.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    layers = vit._layer_views(params, cfg)
+    for i in reversed(range(cfg.layers)):
+        lc, lp, pre = ctx["layers"][i], layers[i], f"layers.{i}."
+        grads[pre + "mlp.w2"] = nx.matmul(lc["act"].T, dx)
+        grads[pre + "mlp.b2"] = dx.sum(axis=0)
+        dm1 = nx.gelu_backward(lc["m1"], nx.matmul(dx, lp["mlp.w2"].T))
+        grads[pre + "mlp.w1"] = nx.matmul(lc["h2"].T, dm1)
+        grads[pre + "mlp.b1"] = dm1.sum(axis=0)
+        dx_mid, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nx.layer_norm_bwd(
+            lc["ln2"], nx.matmul(dm1, lp["mlp.w1"].T))
+        dx = dx + dx_mid
+        grads[pre + "attn.wo"] = nx.matmul(lc["o"].T, dx)
+        grads[pre + "attn.bo"] = dx.sum(axis=0)
+        do = by_head(nx.matmul(dx, lp["attn.wo"].T))
+        a = lc["attn"][0]
+        q_h, k_h, v_h = by_head(lc["q"]), by_head(lc["k"]), by_head(lc["v"])
+        da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.transpose(0, 2, 1)))
+        ds = nx.softmax_backward(a, da)
+        dq, dk, dv = (np.empty_like(lc[t]) for t in ("q", "k", "v"))
+        by_head(dv)[...] = nx.matmul_stacked(a.transpose(0, 2, 1), do)
+        by_head(dq)[...] = nx.matmul_stacked(ds, k_h) * scale
+        by_head(dk)[...] = nx.matmul_stacked(ds.transpose(0, 2, 1), q_h) * scale
+        for t, g in (("q", dq), ("k", dk), ("v", dv)):
+            grads[pre + "attn.w" + t] = nx.matmul(lc["h1"].T, g)
+            grads[pre + "attn.b" + t] = g.sum(axis=0)
+        dh1 = (nx.matmul(dq, lp["attn.wq"].T) + nx.matmul(dk, lp["attn.wk"].T)
+               + nx.matmul(dv, lp["attn.wv"].T))
+        dx_in, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nx.layer_norm_bwd(lc["ln1"], dh1)
+        dx = dx + dx_in
+    row0 = 0
+    if cfg.use_class_token:
+        grads["cls_token"] = dx[0].copy()
+        grads["cls_pos"] = dx[0].copy()
+        row0 = 1
+    dgrid = dx[row0:]
+    grads["patch_embed.weight"] = nx.matmul(patches.T, dgrid)
+    grads["patch_embed.bias"] = dgrid.sum(axis=0)
+    grads["pos_embed"] = np.zeros_like(params["pos_embed"])
+    np.add.at(grads["pos_embed"], grid_idx, dgrid)
+    return loss, grads
+
+
+def _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg):
+    """loss_and_gradients over a batch vs the per-sample path summed with acc += g."""
+    with count_macs() as macs:
+        loss, grads = loss_and_gradients(ablations, labels, params, cfg)
+    with count_macs() as ref_macs:
+        ref_loss = 0.0
+        ref = {k: np.zeros_like(v) for k, v in params.items()}
+        for z, label in zip(ablations, labels):
+            sample_loss, g = _per_sample_loss_and_gradients(z, label, params, cfg)
+            ref_loss += sample_loss
+            for k in ref:
+                ref[k] += g[k]
+    assert macs.total == ref_macs.total
+    assert loss == ref_loss
+    assert list(grads) == list(params)
+    for name, g in grads.items():
+        assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
+        assert g.tobytes() == ref[name].tobytes(), name
+        assert not np.shares_memory(g, params[name]), name
+    if cfg.use_class_token:
+        assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
+
+
+@pytest.mark.parametrize("use_class_token", [True, False])
+def test_batched_step_equals_the_per_sample_sum(use_class_token):
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=2, k=5,
+                    use_class_token=use_class_token)
+    params = Model.init(cfg, seed=11).params
+    x = _image(cfg, 11)
+    ablations = [  # survivors: cells of each ablation
+        column_ablation(x, 2, 4),  # 8: straddles two cell columns
+        block_ablation(x, 0, 0, 4),  # 1: one cell, aligned
+        column_ablation(x, 14, 4),  # 8: wrapped
+        block_ablation(x, 5, 6, 1),  # 1: one cell, one pixel
+        column_ablation(x, 4, 4),  # 4: one cell column
+        block_ablation(x, 14, 14, 4),  # 4: wrapped into all four corners
+        block_ablation(x, 2, 3, 8),  # 9
+        column_ablation(x, 0, 16),  # 16: nothing dropped
+        block_ablation(x, 1, 1, 5),  # 4
+    ]
+    labels = [j % cfg.k for j in range(len(ablations))]
+    _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg)
+    for z, label in zip(ablations, labels):  # batches of one
+        _assert_batch_equals_per_sample_sum([z], [label], params, cfg)
+    _assert_batch_equals_per_sample_sum(ablations[1::2], labels[1::2], params, cfg)
+
+
+@pytest.mark.parametrize("use_class_token", [True, False])
+def test_batched_step_equals_the_per_sample_sum_at_the_cifar_recipe(use_class_token):
+    # a full batch of the CIFAR-like config's training ablations: column b=4 at random offsets
+    cfg = ViTConfig(heads=4, use_class_token=use_class_token, **dict(_CIFAR, k=4))
+    params = Model.init(cfg, seed=12).params
+    data = make_stripe_dataset(32, cfg.h, cfg.w, cfg.k, 0.45, seed=12, channels=cfg.c)
+    tcfg = TrainConfig(batch_size=32, b_train=4, kind="column", seed=12)
+    rng = np.random.default_rng(12)
+    ablations = [train._random_ablation(x, tcfg, rng) for x in data.images]
+    _assert_batch_equals_per_sample_sum(ablations, data.labels.tolist(), params, cfg)
+
+
+def test_batched_step_sums_from_positive_zero(monkeypatch):
+    # per-sample gradients of -0 sum to +0 from a zero-filled accumulator, as acc += g does
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=8, heads=2, layers=1, k=3)
+    params = Model.init(cfg, seed=13).params
+    per_set = vit._set_gradients
+
+    def negative_zero_bias(*args):
+        for name, stack in per_set(*args):
+            yield name, np.full_like(stack, -0.0) if name == "head.bias" else stack
+
+    monkeypatch.setattr(vit, "_set_gradients", negative_zero_bias)
+    z = column_ablation(_image(cfg, 13), 0, 3)
+    _, grads = loss_and_gradients([z, z], [1, 1], params, cfg)
+    acc = np.zeros_like(params["head.bias"])
+    acc += np.full_like(acc, -0.0)
+    acc += np.full_like(acc, -0.0)
+    assert grads["head.bias"].tobytes() == acc.tobytes() == np.zeros_like(acc).tobytes()
+
+
+@settings(deadline=None, max_examples=25)
+@given(_case(), st.integers(1, 6))
+def test_batched_step_equals_the_per_sample_sum_on_random_batches(case, batch):
+    cfg, spec, seed = case
+    params = Model.init(cfg, seed=seed).params
+    family = ablation_set(_image(cfg, seed), spec)
+    assume(family)
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(family), size=batch)
+    labels = rng.integers(0, cfg.k, size=batch).tolist()
+    _assert_batch_equals_per_sample_sum([family[i] for i in picks], labels, params, cfg)
+
+
+def test_loss_and_gradients_rejects_mismatched_batches():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    params = Model.init(cfg, seed=0).params
+    z = column_ablation(_image(cfg), 0, 3)
+    with pytest.raises(ParameterError):
+        loss_and_gradients([z, z], [1], params, cfg)
+    with pytest.raises(ParameterError):
+        loss_and_gradients([], [], params, cfg)
 
 
 def test_train_epoch_equals_the_reference_update():
