@@ -18,7 +18,6 @@ from .certify import (
 from .train import LabeledDataset, TrainConfig, ablation_accuracy, fit, make_stripe_dataset
 from .vit import (
     Model,
-    TOY_CONFIG,
     ViTConfig,
     load_checkpoint,
     masked_attention_oracle_forward,
@@ -48,7 +47,6 @@ __all__ = [
     "fit",
     "make_stripe_dataset",
     "Model",
-    "TOY_CONFIG",
     "ViTConfig",
     "load_checkpoint",
     "masked_attention_oracle_forward",

@@ -36,7 +36,8 @@ def validate_image(x: np.ndarray) -> np.ndarray:
     h, w, c = x.shape
     if h < 1 or w < 1 or c not in (1, 3):
         raise ParameterError(f"bad image dimensions {x.shape}; channels must be 1 or 3")
-    if x.size and (float(x.min()) < 0.0 or float(x.max()) > 1.0):
+    # written so that NaN, which fails every comparison, is rejected too
+    if x.size and not (float(x.min()) >= 0.0 and float(x.max()) <= 1.0):
         raise ParameterError("pixel values must lie in [0, 1]")
     return x
 

@@ -5,8 +5,8 @@ Costs are multiply-accumulates (one MAC = 1); elementwise work
 closed-form model exactly equal to the instrumented matmul counter.
 Per layer with n tokens and width d: attention scores n^2*d, attention
 weighted sum n^2*d, QKV projections 3*n*d^2, output projection n*d^2,
-MLP 8*n*d^2. Tokenization projects only surviving grid patches and the
-head reads out a single token.
+MLP 8*n*d^2, where n counts the class token. Tokenization projects only
+the n-1 surviving grid patches and the head reads out the class token.
 
 Wall-clock numbers are machine-dependent; assertions against them
 should stay directional (ordering and ratio bounds only).
@@ -34,33 +34,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostModel:
-    """Exact MAC counts of the reduced-token forward pass as a function of n."""
+    """Exact MAC counts of the reduced-token forward pass as a function of n,
+    the token count with the class token."""
 
     d: int
     layers: int
     patch_dim: int  # p*p*c
     k: int
-    use_class_token: bool = True
 
     @classmethod
     def for_config(cls, cfg: ViTConfig) -> "CostModel":
-        return cls(
-            d=cfg.d,
-            layers=cfg.layers,
-            patch_dim=cfg.p * cfg.p * cfg.c,
-            k=cfg.k,
-            use_class_token=cfg.use_class_token,
-        )
+        return cls(d=cfg.d, layers=cfg.layers, patch_dim=cfg.p * cfg.p * cfg.c, k=cfg.k)
 
     def breakdown(self, n: int) -> dict:
         if n < 1:
             raise ParameterError(f"token count must be >= 1, got {n}")
         d, L = self.d, self.layers
-        grid = n - 1 if self.use_class_token else n
         attention = L * 2 * n * n * d
         projections = L * 4 * n * d * d
         mlp = L * 8 * n * d * d
-        tokenization = grid * self.patch_dim * d
+        tokenization = (n - 1) * self.patch_dim * d
         head = d * self.k
         return {
             "n": n,
@@ -85,19 +78,18 @@ def _axis_token_count(anchor: int, b: int, p: int, cells: int) -> int:
 def tokens_for_ablation(cfg: ViTConfig, spec: AblationSpec, anchor) -> int:
     """Exact surviving token count (class token included) for one ablation."""
     spec.validate_for(cfg.h, cfg.w)
-    cls = 1 if cfg.use_class_token else 0
     if spec.kind == "column":
         start = int(anchor)
         if not 0 <= start < cfg.w:
             raise ParameterError(f"column start {start} outside [0, {cfg.w})")
         cols = _axis_token_count(start, spec.b, cfg.p, cfg.grid_w)
-        return cfg.grid_h * cols + cls
+        return cfg.grid_h * cols + 1
     top, left = (int(anchor[0]), int(anchor[1]))
     if not (0 <= top < cfg.h and 0 <= left < cfg.w):
         raise ParameterError(f"block anchor {(top, left)} outside {cfg.h}x{cfg.w}")
     rows = _axis_token_count(top, spec.b, cfg.p, cfg.grid_h)
     cols = _axis_token_count(left, spec.b, cfg.p, cfg.grid_w)
-    return rows * cols + cls
+    return rows * cols + 1
 
 
 def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
@@ -110,9 +102,8 @@ def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
     anchors = ablation_anchors(cfg.h, cfg.w, spec)
     model = CostModel.for_config(cfg)
     tokens = [tokens_for_ablation(cfg, spec, a) for a in anchors]
-    full_n = cfg.grid_tokens + (1 if cfg.use_class_token else 0)
     macs_drop = sum(model.total(n) for n in tokens)
-    macs_full = len(anchors) * model.total(full_n)
+    macs_full = len(anchors) * model.total(cfg.grid_tokens + 1)
     return {
         "ablations": len(anchors),
         "tokens": tokens,

@@ -3,14 +3,14 @@
 A smoothed classifier predicts the most frequent class over an ablation
 set and is certifiably robust when the top class leads the runner-up by
 more than 2*Delta votes, where Delta is the maximum number of ablations
-a single m*m patch can intersect. Delta comes in three flavours here:
+a single m*m patch can intersect. Delta comes in three flavours here,
+each for a given image size:
 
 * closed form, ``paper`` mode: the published threshold formulas;
-* closed form, ``safe`` mode: exact integer interval arithmetic when
-  the image dimensions are supplied (the published strided formulas
-  under-count when the stride does not divide the width, because the
-  strided start grid has one short wrap gap), falling back to
-  ceil((m+b-1)/s) per dimension without them;
+* closed form, ``safe`` mode: exact integer interval arithmetic over
+  the image's strided start grid (the published strided formulas
+  under-count when the stride does not divide the width, because that
+  grid has one short wrap gap);
 * ``delta_oracle``: exhaustive count of the ablations every placement
   hits, exact by construction.
 
@@ -101,10 +101,6 @@ def _paper_delta_1d(b: int, s: int, m: int) -> int:
     return math.ceil((m + s - 1) / s)
 
 
-def _literal_safe_1d(b: int, s: int, m: int) -> int:
-    return math.ceil((m + b - 1) / s)
-
-
 def _exact_hits_1d(size: int, b: int, s: int, m: int, offset: int) -> int:
     """Exact max count of strided starts hit by one patch, along one axis.
 
@@ -129,30 +125,22 @@ def _exact_hits_1d(size: int, b: int, s: int, m: int, offset: int) -> int:
     return int(np.max(np.where(wraps, wrapped, plain)))
 
 
-def delta_closed_form(spec: AblationSpec, m: int, mode: str = "safe", dims=None) -> int:
-    """Certification threshold Delta from arithmetic alone.
+def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
+    """Certification threshold Delta of an m*m patch on a dims=(h, w) image.
 
-    ``paper`` reproduces the published formulas. ``safe`` is an exact
-    count when ``dims=(h, w)`` is given, else the per-dimension bound
-    ceil((m+b-1)/s); the bound matches the exact count whenever the
-    stride divides the image width and m+b-1 fits inside it.
+    ``paper`` reproduces the published formulas; ``safe`` counts exactly
+    over the image's strided start grid.
     """
-    if m < 1:
-        raise ParameterError(f"patch side must be >= 1, got {m}")
     if mode not in ("safe", "paper"):
         raise ParameterError(f"unknown delta mode {mode!r}; use safe or paper")
-    if dims is not None:
-        _require_anchor(*dims, spec)
+    h, w = dims
+    _require_anchor(h, w, spec)
+    if not 1 <= m <= min(h, w):
+        raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
     b, s, off = spec.b, spec.s, spec.offset
     if mode == "paper":
         d1 = _paper_delta_1d(b, s, m)
         return d1 if spec.kind == "column" else d1 * d1
-    if dims is None:
-        d1 = _literal_safe_1d(b, s, m)
-        return d1 if spec.kind == "column" else d1 * d1
-    h, w = dims
-    if m > min(h, w):
-        raise ParameterError(f"patch side {m} exceeds image {h}x{w}")
     if spec.kind == "column":
         return _exact_hits_1d(w, b, s, m, off)
     return _exact_hits_1d(h, b, s, m, off) * _exact_hits_1d(w, b, s, m, off)
@@ -234,7 +222,7 @@ def adversarial_flip_search(
     w: int,
     m: int,
     true_class: int,
-    k: int | None = None,
+    k: int,
 ) -> FlipSearchResult:
     """Exhaustive worst-case adversary over placements and reassignments.
 
@@ -243,13 +231,12 @@ def adversarial_flip_search(
     class is optimal, so each (placement, rival) pair is scored and the
     most damaging one returned. A change of the smoothed prediction,
     including one forced through the lowest-index tie-break, counts as
-    a successful attack.
+    a successful attack. The attack targets the smoothed prediction, so
+    true_class does not enter the search.
     """
     preds = np.asarray(list(per_ablation_predictions), dtype=np.int64)
     if preds.size == 0:
         raise InputError("need at least one per-ablation prediction")
-    if k is None:
-        k = int(max(preds.max(), true_class)) + 1
     if preds.min() < 0 or preds.max() >= k:
         raise InputError(f"prediction outside [0, {k})")
     if k < 2:

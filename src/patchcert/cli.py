@@ -183,13 +183,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # options: one table per command, key -> (kind, default)
 #
-# kind is int, float, a tuple of choices, _int_list (comma-separated
-# integers, or a JSON list) or _path (a file path, used as given). Each
-# key is both a config-file key and the flag --key-with-dashes.
+# kind is int, float, a tuple of choices, _int_list (one or more
+# comma-separated integers, or a nonempty JSON list) or _path (a file
+# path, used as given). Each key is both a config-file key and the flag
+# --key-with-dashes.
 
 
 def _int_list(value) -> list[int]:
     tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("empty integer list")
     return [int(tok) for tok in tokens]
 
 
@@ -199,7 +202,7 @@ def _path(value):
     return value
 
 
-_KIND_NAMES = {_int_list: "comma-separated integers", _path: "a path"}
+_KIND_NAMES = {_int_list: "one or more comma-separated integers", _path: "a path"}
 
 _DATA = {
     "data": (_path, None), "labels": (_path, None),  # labels: IDX file, idx format only
@@ -386,20 +389,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _certify_report(model, data, spec, patch_sizes, delta_mode):
-    _check_compat(model, data)
-    if max(patch_sizes) > min(model.cfg.h, model.cfg.w):
-        raise ParameterError(
-            f"patch size {max(patch_sizes)} exceeds image side {min(model.cfg.h, model.cfg.w)}"
-        )
-    return certified_accuracy(data, model, spec, patch_sizes, delta_mode)
-
-
 def cmd_certify(args) -> int:
     raw, o = _options(args)
     model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
     data = _dataset_split(_load_dataset(o, args.seed), o["split"])
-    report = _certify_report(model, data, _spec_from(o), o["patch_sizes"], o["delta_mode"])
+    _check_compat(model, data)
+    report = certified_accuracy(data, model, _spec_from(o), o["patch_sizes"], o["delta_mode"])
     stamp = config_hash({"command": "certify", "cfg": raw, "seed": args.seed})
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     rows = [
@@ -431,7 +426,7 @@ def cmd_delta(args) -> int:
     flagged = False
     for m in o["patch_sizes"]:
         safe = delta_closed_form(spec, m, "safe", dims=(h, w))
-        paper = delta_closed_form(spec, m, "paper")
+        paper = delta_closed_form(spec, m, "paper", dims=(h, w))
         try:
             oracle = str(delta_oracle(h, w, spec, m))
         except BudgetError:
@@ -455,6 +450,7 @@ def cmd_sweep(args) -> int:
     raw, o = _options(args)
     model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
     data = _dataset_split(_load_dataset(o, args.seed), o["split"])
+    _check_compat(model, data)
     points = []
     for b in o["b_grid"]:
         for s in o["stride_grid"]:
@@ -465,7 +461,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for b, s in points:
         spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
-        report = _certify_report(model, data, spec, o["patch_sizes"], o["delta_mode"])
+        report = certified_accuracy(data, model, spec, o["patch_sizes"], o["delta_mode"])
         for entry in report["certified"]:
             rows.append(
                 {

@@ -38,6 +38,8 @@ __all__ = [
 # tanh-approximation GELU constants; this exact form is the contract.
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# added to the variance inside layer norm's square root
+_LN_EPS = 1e-5
 
 
 class MacCounter:
@@ -49,9 +51,6 @@ class MacCounter:
     def add(self, n: int) -> None:
         self.total += n
 
-    def reset(self) -> None:
-        self.total = 0
-
 
 _active_counter: contextvars.ContextVar[MacCounter | None] = contextvars.ContextVar(
     "patchcert_mac_counter", default=None
@@ -59,12 +58,12 @@ _active_counter: contextvars.ContextVar[MacCounter | None] = contextvars.Context
 
 
 @contextlib.contextmanager
-def count_macs(counter: MacCounter | None = None):
-    """Install a MAC counter for the duration of the block; yields the counter."""
-    c = counter if counter is not None else MacCounter()
-    token = _active_counter.set(c)
+def count_macs():
+    """Install a fresh MAC counter for the duration of the block; yields the counter."""
+    counter = MacCounter()
+    token = _active_counter.set(counter)
     try:
-        yield c
+        yield counter
     finally:
         _active_counter.reset(token)
 
@@ -142,13 +141,11 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def layer_norm_fwd(x, gamma, beta, eps=1e-5):
+def layer_norm_fwd(x, gamma, beta):
     """Normalize each length-d slice to mean 0 / variance 1, then affine.
 
     Returns (y, ctx) where ctx feeds layer_norm_bwd.
     """
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.shape[-1] < 1:
         raise ParameterError("layer_norm needs a non-empty last dimension")
     d = x.shape[-1]
@@ -158,7 +155,7 @@ def layer_norm_fwd(x, gamma, beta, eps=1e-5):
     xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     var /= d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return xhat * gamma + beta, (xhat, inv, gamma)
 

@@ -105,7 +105,10 @@ def make_stripe_dataset(
     base = stripe_base_levels(k)[labels].astype(np.float32)
     images = np.broadcast_to(base[:, None, None, None], (n, h, w, channels)).copy()
     if noise > 0:
-        images += rng.uniform(-noise, noise, size=images.shape).astype(np.float32)
+        # one image at a time: the same draws as one full-shape call, but
+        # the float64 scratch is one image, not the whole dataset
+        for img in images:
+            img += rng.uniform(-noise, noise, size=img.shape).astype(np.float32)
         np.clip(images, 0.0, 1.0, out=images)
     n_train = int(n * 0.70)
     n_val = int(n * 0.15)

@@ -1,11 +1,12 @@
 """Toy-scale vision transformer with fully-masked-token dropping.
 
 The model is a pre-norm encoder over a *set* of positionally encoded
-patch tokens: attention sees exactly the tokens present, so grid cells
-whose entire p*p region is masked can be removed before the encoder
-without changing what the surviving tokens compute. The masked-attention
-path exists only as a verification oracle; the production path shrinks
-the token sequence physically.
+patch tokens plus a class token, whose final state is the readout:
+attention sees exactly the tokens present, so grid cells whose entire
+p*p region is masked can be removed before the encoder without changing
+what the surviving tokens compute. The masked-attention path exists only
+as a verification oracle; the production path shrinks the token
+sequence physically.
 
 Parameters live in a flat name->array dict (float32) whose insertion
 order doubles as the checkpoint manifest order.
@@ -36,7 +37,6 @@ from .errors import DimensionError, FormatError, InputError, ParameterError
 __all__ = [
     "ViTConfig",
     "Model",
-    "TOY_CONFIG",
     "init_params",
     "ablation_logits",
     "process_ablation",
@@ -73,7 +73,9 @@ class ViTConfig:
     heads: int
     layers: int
     k: int
-    use_class_token: bool = True
+    # not a field: the class token is the only readout. Checkpoint
+    # headers still carry the key, and from_dict accepts only true.
+    use_class_token = True
 
     def __post_init__(self):
         if min(self.h, self.w, self.c, self.p, self.d, self.heads, self.layers) < 1:
@@ -112,16 +114,14 @@ class ViTConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ViTConfig":
+        d = dict(d)
+        if d.pop("use_class_token", None) is not True:
+            raise ValueError("use_class_token must be true: the class token is the only readout")
         return cls(**d)
 
 
-TOY_CONFIG = ViTConfig(h=16, w=16, c=1, p=4, d=32, heads=4, layers=2, k=4)
-
-
 def _param_names(cfg: ViTConfig) -> list[str]:
-    names = ["patch_embed.weight", "patch_embed.bias", "pos_embed"]
-    if cfg.use_class_token:
-        names += ["cls_token", "cls_pos"]
+    names = ["patch_embed.weight", "patch_embed.bias", "pos_embed", "cls_token", "cls_pos"]
     for i in range(cfg.layers):
         names += [f"layers.{i}.{n}" for n in _LAYER_NAMES]
     names += ["final_ln.gamma", "final_ln.beta", "head.weight", "head.bias"]
@@ -146,10 +146,9 @@ def init_params(cfg: ViTConfig, seed: int = 0) -> dict:
         "patch_embed.weight": w(pdim, d),
         "patch_embed.bias": zeros(d),
         "pos_embed": w(cfg.grid_tokens, d),
+        "cls_token": w(d),
+        "cls_pos": w(d),
     }
-    if cfg.use_class_token:
-        params["cls_token"] = w(d)
-        params["cls_pos"] = w(d)
     for i in range(cfg.layers):
         pre = f"layers.{i}."
         params[pre + "ln1.gamma"] = ones(d)
@@ -224,10 +223,10 @@ def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
 
 
 def _embed(patches, grid_idx, params, cfg):
-    """Token stack (B, n, d) of B patch sets (B, n, p*p*c) at grid cells (B, n).
+    """Token stack (B, n+1, d) of B patch sets (B, n, p*p*c) at grid cells (B, n).
 
-    Projects the patches, adds their positional embeddings and, when the
-    config has one, puts the class token in row 0 of every set.
+    Projects the patches, adds their positional embeddings and puts the
+    class token in row 0 of every set, so the stack has n+1 rows per set.
     """
     bsz, n, pdim = patches.shape
     t = nx.bias_add(
@@ -235,14 +234,12 @@ def _embed(patches, grid_idx, params, cfg):
         params["patch_embed.bias"],
     )
     t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
-    if cfg.use_class_token:
-        cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
-        t = np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
-    return t
+    cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
+    return np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
 
 
 def _full_grid_tokens(pixels, params, cfg):
-    """Token stack (1, n, d) of every grid cell of an image, masked or not."""
+    """Token stack (1, grid_tokens+1, d): the class token, then every grid cell, masked or not."""
     return _embed(_patch_matrix(pixels, cfg)[None], np.arange(cfg.grid_tokens)[None], params, cfg)
 
 
@@ -250,17 +247,14 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
     """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
 
     Weight products run once over all B*n rows; attention runs per set
-    and head. The readout is the class token (row 0) when the config has
-    one, else the mean over the kept rows. key_keep (n,) bool, when
-    given, blanks attention scores toward dropped tokens (the oracle
-    path). record also returns the activations the backward pass needs,
-    and computes the head per set, as a one-set call computes it: a
-    one-row product is a matrix-vector call, which rounds differently
-    from the rows of a stacked product.
+    and head. The readout is the class token, row 0 of every set.
+    key_keep (n,) bool, when given, blanks attention scores toward
+    dropped tokens (the oracle path). record also returns the
+    activations the backward pass needs, and computes the head per set,
+    as a one-set call computes it: a one-row product is a matrix-vector
+    call, which rounds differently from the rows of a stacked product.
     """
     bsz, n, d = x.shape
-    if n == 0:
-        raise InputError("cannot classify an empty token set")
     if record and key_keep is not None:
         raise ParameterError("gradient recording needs the reduced path")
     heads, dh = cfg.heads, cfg.head_dim
@@ -307,13 +301,7 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         x = x_out
 
     f, lnf_ctx = nx.layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
-    f3 = f.reshape(bsz, n, d)
-    if cfg.use_class_token:
-        r = f3[:, 0]
-    elif key_keep is None:
-        r = f3.mean(axis=1)
-    else:
-        r = f3[:, key_keep].mean(axis=1)
+    r = f.reshape(bsz, n, d)[:, 0]
     if record:
         logits = nx.matmul_stacked(r[:, None], _per_set(params["head.weight"], bsz))[:, 0]
     else:
@@ -356,18 +344,16 @@ def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cf
 def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
     """Reference path: full token set with dropped tokens neutralized.
 
-    Dropped-eligible tokens are blocked as attention keys and excluded
-    from readout, which is mathematically the same computation as running
-    the encoder on the reduced set.
+    Dropped-eligible tokens are blocked as attention keys, which is
+    mathematically the same computation as running the encoder on the
+    reduced set.
     """
     _check_shape(z_m, cfg)
     keep = _surviving_cells(z_m.mask, cfg).ravel()
     if not keep.any():
         raise InputError("ablation masks every token; nothing to classify")
-    if cfg.use_class_token:
-        keep = np.concatenate([[True], keep])
     x = _full_grid_tokens(z_m.pixels, params, cfg)
-    return _encoder_core(x, params, cfg, key_keep=keep)[0]
+    return _encoder_core(x, params, cfg, key_keep=np.concatenate([[True], keep]))[0]
 
 
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
@@ -392,7 +378,7 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
     preds = np.empty(q, dtype=np.int64)
     for n in np.unique(counts).tolist():
         members = np.nonzero(counts == n)[0]
-        stack = max(1, ROW_BUDGET // (n + int(cfg.use_class_token)))
+        stack = max(1, ROW_BUDGET // (n + 1))  # n cells plus the class token
         for start in range(0, members.size, stack):
             ids = members[start : start + stack]
             grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
@@ -418,10 +404,11 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     per-ablation values that are bitwise those of a batch of one.
     Ablations with equal token counts share one recorded forward and
     one backward, whose every product runs per ablation; ablations with
-    a single surviving cell run alone, since their one-row products are
-    matrix-vector calls, which round differently from a stack's rows.
-    The groups' backwards step in lockstep, so only one parameter's
-    per-ablation gradients are alive at a time.
+    a single surviving cell run alone, since alone their patch embedding
+    is a one-row product, a matrix-vector call, which rounds differently
+    from the rows of a stacked product. The groups' backwards step in
+    lockstep, so only one parameter's per-ablation gradients are alive
+    at a time.
     """
     if len(ablations) != len(labels) or not ablations:
         raise ParameterError(
@@ -484,10 +471,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
     yield "head.bias", dlogits
     dr = input_grad(dlogits[:, None, :], params["head.weight"])
     df = np.zeros_like(sets(ctx["f"]))
-    if cfg.use_class_token:
-        df[:, 0] = dr[:, 0]
-    else:
-        df += dr / n
+    df[:, 0] = dr[:, 0]
     dx, dgamma, dbeta = nx.layer_norm_bwd(ctx["final_ln"], df, axis=1)
     yield "final_ln.gamma", dgamma
     yield "final_ln.beta", dbeta
@@ -529,11 +513,10 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         yield pre + "ln1.beta", dbeta
         dx = dx + dx_in
 
-    # token embeddings: cls row first (if present), then surviving grid rows
-    if cfg.use_class_token:
-        yield "cls_token", dx[:, 0]
-        yield "cls_pos", dx[:, 0]
-    dgrid = dx[:, int(cfg.use_class_token):]
+    # token embeddings: the class token's row first, then the surviving grid rows
+    yield "cls_token", dx[:, 0]
+    yield "cls_pos", dx[:, 0]
+    dgrid = dx[:, 1:]
     yield "patch_embed.weight", nx.matmul_stacked(patches.swapaxes(1, 2), dgrid)
     yield "patch_embed.bias", dgrid.sum(axis=1)
     pos = np.zeros((bsz, *params["pos_embed"].shape), dtype=dgrid.dtype)
@@ -584,9 +567,10 @@ def load_checkpoint(path) -> Model:
         end = off + 4 * count
         if end > len(blob):
             raise FormatError(f"checkpoint truncated in tensor {entry['name']!r}")
-        params[entry["name"]] = (
-            np.frombuffer(blob[off:end], dtype="<f4").reshape(shape).astype(np.float32)
-        )
+        tensor = np.frombuffer(blob[off:end], dtype="<f4").reshape(shape).astype(np.float32)
+        if not np.isfinite(tensor).all():
+            raise FormatError(f"checkpoint tensor {entry['name']!r} holds a non-finite value")
+        params[entry["name"]] = tensor
         off = end
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after last tensor")

@@ -12,6 +12,7 @@ from patchcert.ablation import (
     block_ablation,
     column_ablation,
     retained_axes,
+    validate_image,
 )
 from patchcert.errors import ParameterError
 
@@ -165,3 +166,17 @@ def test_pixel_range_validation():
     bad = np.full((4, 4, 1), 1.5, np.float32)
     with pytest.raises(ParameterError):
         column_ablation(bad, 0, 2)
+
+
+@pytest.mark.parametrize("fill", ["all", "one"])
+def test_nan_pixels_are_rejected(fill):
+    # NaN fails both x < 0 and x > 1, so the range check must be written to fail on it
+    x = np.full((4, 4, 3), np.nan, np.float32) if fill == "all" else _image(4, 4, c=3)
+    x[2, 1, 0] = np.nan
+    with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+        validate_image(x)
+    with pytest.raises(ParameterError):
+        column_ablation(x, 0, 2)
+    with pytest.raises(ParameterError):
+        ablation_set(x, AblationSpec("block", 2))
+    validate_image(np.nan_to_num(x))  # the same grid without NaN is valid

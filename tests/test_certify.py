@@ -20,7 +20,9 @@ from patchcert.certify import (
 )
 from patchcert.errors import BudgetError, EmptyVotesError, InputError, ParameterError
 from patchcert.train import LabeledDataset
-from patchcert.vit import TOY_CONFIG, Model
+from patchcert.vit import Model, ViTConfig
+
+TOY_CONFIG = ViTConfig(h=16, w=16, c=1, p=4, d=32, heads=4, layers=2, k=4)
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +76,20 @@ def test_smoothed_predict_is_permutation_invariant(preds, pyrng):
 
 def test_delta_column_unstrided_matches_paper_formula():
     spec = AblationSpec("column", b=19)
-    assert delta_closed_form(spec, 32, "safe") == 50
-    assert delta_closed_form(spec, 32, "paper") == 50
+    assert delta_closed_form(spec, 32, "paper", dims=(224, 224)) == 50
     assert delta_closed_form(spec, 32, "safe", dims=(224, 224)) == 50
 
 
 def test_delta_block_unstrided():
     spec = AblationSpec("block", b=75)
-    assert delta_closed_form(spec, 32, "paper") == 106 * 106 == 11236
-    assert delta_closed_form(spec, 32, "safe") == 11236
+    assert delta_closed_form(spec, 32, "paper", dims=(224, 224)) == 106 * 106 == 11236
     assert delta_closed_form(spec, 32, "safe", dims=(224, 224)) == 11236
 
 
 def test_delta_strided_literal_formulas():
-    # the published strided formula and the per-dimension bound, as written
-    assert delta_closed_form(AblationSpec("column", 19, 10), 32, "paper") == 5
-    assert delta_closed_form(AblationSpec("column", 19, 10), 32, "safe") == 5
-    assert delta_closed_form(AblationSpec("column", 19, 5), 32, "paper") == 8
-    assert delta_closed_form(AblationSpec("column", 19, 5), 32, "safe") == 10
+    # the published strided formula, as written
+    assert delta_closed_form(AblationSpec("column", 19, 10), 32, "paper", dims=(224, 224)) == 5
+    assert delta_closed_form(AblationSpec("column", 19, 5), 32, "paper", dims=(224, 224)) == 8
 
 
 def test_delta_strided_exact_counts_include_wrap_gap():
@@ -113,7 +111,6 @@ def test_delta_oracle_small_cases():
 def test_delta_oracle_wrap_gap_undercount_of_literal_formula():
     spec = AblationSpec("column", b=3, s=4)
     assert delta_oracle(10, 10, spec, 2) == 2
-    assert delta_closed_form(spec, 2, "safe") == 1  # literal bound is short here
     assert delta_closed_form(spec, 2, "safe", dims=(10, 10)) == 2
 
 
@@ -148,11 +145,23 @@ def test_delta_oracle_budget_guard():
 
 def test_delta_validation():
     with pytest.raises(ParameterError):
-        delta_closed_form(AblationSpec("column", 3), 0)
+        delta_closed_form(AblationSpec("column", 3), 0, "safe", dims=(8, 8))
     with pytest.raises(ParameterError):
-        delta_closed_form(AblationSpec("column", 3), 2, "exact")
+        delta_closed_form(AblationSpec("column", 3), 2, "exact", dims=(8, 8))
     with pytest.raises(ParameterError):
         delta_oracle(8, 8, AblationSpec("column", 3), 9)
+
+
+@pytest.mark.parametrize("mode", ["safe", "paper"])
+def test_delta_closed_form_rejects_a_patch_larger_than_the_image(mode):
+    for kind in ("column", "block"):
+        spec = AblationSpec(kind, 3)
+        assert delta_closed_form(spec, 8, mode, dims=(8, 12)) > 0
+        for m in (9, 13, 0):
+            with pytest.raises(ParameterError, match="admits no placement"):
+                delta_closed_form(spec, m, mode, dims=(8, 12))
+    with pytest.raises(TypeError):
+        delta_closed_form(AblationSpec("column", 3), 2, mode)  # no image, no threshold
 
 
 @pytest.mark.parametrize("mode", ["safe", "paper"])
@@ -163,7 +172,6 @@ def test_delta_closed_form_rejects_a_block_offset_without_anchor_rows(mode):
         delta_closed_form(spec, 4, mode, dims=(6, 13))
     with pytest.raises(ParameterError, match="no ablation anchor"):
         delta_oracle(6, 13, spec, 4)
-    assert delta_closed_form(spec, 4, mode) > 0  # without dims: the image-free bound
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +229,12 @@ def test_flip_search_finds_tie_break_flip():
 
 def test_flip_search_rejects_oversized_patch():
     with pytest.raises(ParameterError):
-        adversarial_flip_search([0, 1], AblationSpec("column", 1), 2, 2, m=3, true_class=0)
+        adversarial_flip_search([0, 1], AblationSpec("column", 1), 2, 2, m=3, true_class=0, k=2)
 
 
 def test_flip_search_prediction_count_mismatch():
     with pytest.raises(InputError):
-        adversarial_flip_search([0, 1], AblationSpec("column", 1), 4, 4, m=1, true_class=0)
+        adversarial_flip_search([0, 1], AblationSpec("column", 1), 4, 4, m=1, true_class=0, k=2)
 
 
 def test_flip_search_soundness_against_oracle_delta():

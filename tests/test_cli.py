@@ -2,6 +2,7 @@
 write nothing; report names stay pinned; bench builds only what it times."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
 WIDE = ViTConfig(h=8, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
+
+
+def _idx_float32(pixels):
+    head = b"\0\0\x0d" + bytes([pixels.ndim]) + struct.pack(f">{pixels.ndim}I", *pixels.shape)
+    return head + pixels.astype(">f4").tobytes()
 
 
 @pytest.fixture
@@ -45,6 +51,11 @@ def files(tmp_path):
         "ckpt_fd.json": b'{"ckpt": 0}',
         "b4.json": b'{"b": 4, "patch_sizes": "2,3"}',
         "split_typo.json": b'{"split_typo": "val"}',
+        "sizes_empty.json": b'{"patch_sizes": []}',
+        "nan_bias.svit": blob[:-4] + struct.pack("<f", float("nan")),  # head.bias is last
+        "nan.idx": _idx_float32(np.full((4, 16, 16), np.nan, np.float32)),
+        "half.idx": _idx_float32(np.full((4, 16, 16), 0.5, np.float32)),
+        "labels.idx": b"\0\0\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 2, 3]),
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -64,12 +75,29 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data", "cifar.bin"], 2),
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "idx.bin",
       "--labels", "idx.bin"], 2),
+    # a checkpoint that would vote from NaN logits: 2
+    (["certify", "--ckpt", "nan_bias.svit"], 2),
     # invalid parameter: 3
     (["certify", "--ckpt", "good.svit", "--config", "bad.json"], 3),
     (["certify", "--ckpt", "good.svit", "--config", "list.json"], 3),
     (["certify", "--ckpt", "good.svit", "--config", "binary.json"], 3),
     (["certify", "--ckpt", "good.svit", "--patch-sizes", "a,b"], 3),
     (["certify", "--ckpt", "good.svit", "--patch-sizes", "99"], 3),
+    (["certify", "--ckpt", "good.svit", "--patch-sizes", "2,99", "--delta-mode", "paper"], 3),
+    (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17"], 3),
+    (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17", "--delta-mode", "paper"], 3),
+    (["delta", "--h", "8", "--w", "8", "--patch-sizes", "9"], 3),
+    # NaN pixels are outside [0, 1]: 3
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "nan.idx",
+      "--labels", "labels.idx"], 3),
+    # an empty integer list: 3
+    (["certify", "--ckpt", "good.svit", "--patch-sizes", ","], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "sizes_empty.json"], 3),
+    (["sweep", "--ckpt", "good.svit", "--patch-sizes", ","], 3),
+    (["sweep", "--ckpt", "good.svit", "--b-grid", ","], 3),
+    (["sweep", "--ckpt", "good.svit", "--stride-grid", ","], 3),
+    (["delta", "--patch-sizes", ","], 3),
+    (["bench", "--b-grid", ","], 3),
     (["certify", "--ckpt", "good.svit", "--b", "0"], 3),
     (["certify", "--ckpt", "good.svit", "--b", "40"], 3),
     (["certify", "--ckpt", "good.svit", "--stride", "2", "--offset", "5"], 3),
@@ -121,6 +149,15 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["exit_code"] == code
     assert not (files / "out").exists() or not any((files / "out").iterdir())
+
+
+def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
+    # the control for the NaN case: the same files with finite pixels certify
+    monkeypatch.chdir(files)
+    argv = ["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+            "--labels", "labels.idx", "--out", "out"]
+    assert cli.main(argv) == 0
+    assert "standard accuracy" in capsys.readouterr().out
 
 
 def test_unknown_config_key_names_the_command_keys(files, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patchcert import vit
@@ -53,8 +53,7 @@ def _case(draw):
     p = draw(st.sampled_from([2, 4]))
     h = p * draw(st.integers(2, 4))
     w = p * draw(st.integers(2, 4))
-    cfg = ViTConfig(h=h, w=w, c=draw(st.sampled_from([1, 3])), p=p, d=8, heads=2, layers=1,
-                    k=3, use_class_token=draw(st.booleans()))
+    cfg = ViTConfig(h=h, w=w, c=draw(st.sampled_from([1, 3])), p=p, d=8, heads=2, layers=1, k=3)
     kind = draw(st.sampled_from(["column", "block"]))
     b = draw(st.integers(1, w if kind == "column" else min(h, w)))
     s = draw(st.integers(1, w))
@@ -96,7 +95,7 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
     "cfg,spec",
     [
         (ViTConfig(h=32, w=32, c=3, p=4, d=16, heads=2, layers=2, k=4), AblationSpec("block", 8)),
-        (ViTConfig(h=16, w=24, c=1, p=4, d=8, heads=2, layers=1, k=3, use_class_token=False),
+        (ViTConfig(h=16, w=24, c=1, p=4, d=8, heads=2, layers=1, k=3),
          AblationSpec("column", 5, 3, 1)),
         (ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=4, layers=2, k=2), AblationSpec("block", 6, 5, 2)),
     ],
@@ -108,9 +107,8 @@ def test_engine_macs_equal_the_cost_model(cfg, spec):
     assert counter.total == smoothing_cost(cfg, spec)["macs_drop"]
 
 
-@pytest.mark.parametrize("use_class_token", [True, False])
-def test_gradients_match_finite_differences(use_class_token):
-    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3, use_class_token=use_class_token)
+def test_gradients_match_finite_differences():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
     params = {k: v.astype(np.float64) for k, v in Model.init(cfg, seed=2).params.items()}
     rng = np.random.default_rng(2)
     for k, v in params.items():  # move off the initial zeros and ones
@@ -157,10 +155,7 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
     grads["head.bias"] += dlogits
     dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
     df = np.zeros_like(ctx["f"])
-    if cfg.use_class_token:
-        df[0] = dr[0]
-    else:
-        df += dr / ctx["n"]
+    df[0] = dr[0]
     dx, dgf, dbf = nx.layer_norm_bwd(ctx["final_ln"], df)
     grads["final_ln.gamma"] += dgf
     grads["final_ln.beta"] += dbf
@@ -198,12 +193,9 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
         grads[pre + "ln1.gamma"] += dg1
         grads[pre + "ln1.beta"] += db1
         dx = dx + dx_in
-    row0 = 0
-    if cfg.use_class_token:
-        grads["cls_token"] += dx[0]
-        grads["cls_pos"] += dx[0]
-        row0 = 1
-    dgrid = dx[row0:]
+    grads["cls_token"] += dx[0]
+    grads["cls_pos"] += dx[0]
+    dgrid = dx[1:]
     grads["patch_embed.weight"] += nx.matmul(patches.T, dgrid)
     grads["patch_embed.bias"] += dgrid.sum(axis=0)
     np.add.at(grads["pos_embed"], grid_idx, dgrid)
@@ -214,13 +206,11 @@ _CIFAR = dict(h=32, w=32, c=3, p=4, d=64, layers=4, k=10)
 _IMAGENET = dict(h=224, w=224, c=3, p=16, d=128, layers=3, k=10)
 
 
-@pytest.mark.parametrize("use_class_token", [True, False])
 @pytest.mark.parametrize("heads", [2, 4, 8])
 @pytest.mark.parametrize("dims,b_col,b_block", [(_CIFAR, 4, 8), (_IMAGENET, 19, 75)],
                          ids=["cifar", "imagenet"])
-def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_block, heads,
-                                                            use_class_token):
-    cfg = ViTConfig(heads=heads, use_class_token=use_class_token, **dims)
+def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_block, heads):
+    cfg = ViTConfig(heads=heads, **dims)
     params = Model.init(cfg, seed=heads).params
     x = _image(cfg, heads)
     h, w = cfg.h, cfg.w
@@ -240,8 +230,7 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
             assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
             assert np.array_equal(g, ref[name]), name
             assert not np.shares_memory(g, params[name]), name
-        if use_class_token:
-            assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
+        assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
 
 
 def _per_sample_loss_and_gradients(z_m, label, params, cfg):
@@ -259,10 +248,7 @@ def _per_sample_loss_and_gradients(z_m, label, params, cfg):
     dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
     n, heads, dh, scale = ctx["n"], cfg.heads, cfg.head_dim, ctx["scale"]
     df = np.zeros_like(ctx["f"])
-    if cfg.use_class_token:
-        df[0] = dr[0]
-    else:
-        df += dr / n
+    df[0] = dr[0]
     dx, grads["final_ln.gamma"], grads["final_ln.beta"] = nx.layer_norm_bwd(ctx["final_ln"], df)
 
     def by_head(t):
@@ -297,12 +283,9 @@ def _per_sample_loss_and_gradients(z_m, label, params, cfg):
                + nx.matmul(dv, lp["attn.wv"].T))
         dx_in, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nx.layer_norm_bwd(lc["ln1"], dh1)
         dx = dx + dx_in
-    row0 = 0
-    if cfg.use_class_token:
-        grads["cls_token"] = dx[0].copy()
-        grads["cls_pos"] = dx[0].copy()
-        row0 = 1
-    dgrid = dx[row0:]
+    grads["cls_token"] = dx[0].copy()
+    grads["cls_pos"] = dx[0].copy()
+    dgrid = dx[1:]
     grads["patch_embed.weight"] = nx.matmul(patches.T, dgrid)
     grads["patch_embed.bias"] = dgrid.sum(axis=0)
     grads["pos_embed"] = np.zeros_like(params["pos_embed"])
@@ -329,14 +312,11 @@ def _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg):
         assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
         assert g.tobytes() == ref[name].tobytes(), name
         assert not np.shares_memory(g, params[name]), name
-    if cfg.use_class_token:
-        assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
+    assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
 
 
-@pytest.mark.parametrize("use_class_token", [True, False])
-def test_batched_step_equals_the_per_sample_sum(use_class_token):
-    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=2, k=5,
-                    use_class_token=use_class_token)
+def test_batched_step_equals_the_per_sample_sum():
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=2, k=5)
     params = Model.init(cfg, seed=11).params
     x = _image(cfg, 11)
     ablations = [  # survivors: cells of each ablation
@@ -357,10 +337,9 @@ def test_batched_step_equals_the_per_sample_sum(use_class_token):
     _assert_batch_equals_per_sample_sum(ablations[1::2], labels[1::2], params, cfg)
 
 
-@pytest.mark.parametrize("use_class_token", [True, False])
-def test_batched_step_equals_the_per_sample_sum_at_the_cifar_recipe(use_class_token):
+def test_batched_step_equals_the_per_sample_sum_at_the_cifar_recipe():
     # a full batch of the CIFAR-like config's training ablations: column b=4 at random offsets
-    cfg = ViTConfig(heads=4, use_class_token=use_class_token, **dict(_CIFAR, k=4))
+    cfg = ViTConfig(heads=4, **dict(_CIFAR, k=4))
     params = Model.init(cfg, seed=12).params
     data = make_stripe_dataset(32, cfg.h, cfg.w, cfg.k, 0.45, seed=12, channels=cfg.c)
     tcfg = TrainConfig(batch_size=32, b_train=4, kind="column", seed=12)
@@ -390,6 +369,8 @@ def test_batched_step_sums_from_positive_zero(monkeypatch):
 
 @settings(deadline=None, max_examples=25)
 @given(_case(), st.integers(1, 6))
+# two single-cell ablations: stacked, their patch embedding would be a 2-row product, not a gemv
+@example((ViTConfig(h=4, w=4, c=1, p=2, d=8, heads=2, layers=1, k=3), AblationSpec("block", 2), 0), 3)
 def test_batched_step_equals_the_per_sample_sum_on_random_batches(case, batch):
     cfg, spec, seed = case
     params = Model.init(cfg, seed=seed).params
@@ -461,10 +442,8 @@ def test_seeded_fit_is_byte_identical(tmp_path):
     assert len(runs[0][2]) == 3
 
 
-@pytest.mark.parametrize("use_class_token", [True, False])
-def test_checkpoint_round_trips_every_parameter(tmp_path, use_class_token):
-    cfg = ViTConfig(h=8, w=12, c=3, p=4, d=8, heads=2, layers=2, k=5,
-                    use_class_token=use_class_token)
+def test_checkpoint_round_trips_every_parameter(tmp_path):
+    cfg = ViTConfig(h=8, w=12, c=3, p=4, d=8, heads=2, layers=2, k=5)
     model = Model.init(cfg, seed=8)
     rng = np.random.default_rng(8)
     for v in model.params.values():  # every float32 bit pattern class, not just the init values
@@ -479,6 +458,60 @@ def test_checkpoint_round_trips_every_parameter(tmp_path, use_class_token):
         assert loaded.params[name].dtype == np.float32
         assert loaded.params[name].shape == value.shape
         assert loaded.params[name].tobytes() == value.tobytes(), name
+
+
+def _write_raw_checkpoint(path, config, params):
+    """save_checkpoint's layout for any config dict and tensors."""
+    manifest = [{"name": n, "shape": list(v.shape)} for n, v in params.items()]
+    header = json.dumps({"config": config, "manifest": manifest}, sort_keys=True).encode("utf-8")
+    tensors = b"".join(np.ascontiguousarray(v, dtype="<f4").tobytes() for v in params.values())
+    path.write_bytes(vit.CHECKPOINT_MAGIC + struct.pack("<II", vit.CHECKPOINT_VERSION, len(header))
+                     + header + tensors)
+
+
+def test_config_has_no_readout_switch():
+    dims = dict(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            ViTConfig(**dims, use_class_token=value)
+    assert ViTConfig(**dims).to_dict()["use_class_token"] is True
+
+
+@pytest.mark.parametrize("value", [False, 1, "missing"])
+def test_a_checkpoint_without_the_class_token_is_a_format_error(tmp_path, capsys, value):
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    model = Model.init(cfg, seed=10)
+    good = tmp_path / "good.svit"
+    _write_raw_checkpoint(good, cfg.to_dict(), model.params)
+    save_checkpoint(model, tmp_path / "saved.svit")
+    assert good.read_bytes() == (tmp_path / "saved.svit").read_bytes()
+    # the layout a mean-pool model had: no class-token tensors, and the header says so
+    config = {k: v for k, v in cfg.to_dict().items() if k != "use_class_token"}
+    if value != "missing":
+        config["use_class_token"] = value
+    params = {k: v for k, v in model.params.items() if not k.startswith("cls_")}
+    path = tmp_path / "meanpool.svit"
+    _write_raw_checkpoint(path, config, params)
+    with pytest.raises(FormatError, match="use_class_token"):
+        load_checkpoint(path)
+    assert cli.main(["certify", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_tensor_is_a_format_error(tmp_path, capsys, bad):
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    for name in ("patch_embed.weight", "head.bias"):
+        model = Model.init(cfg, seed=11)
+        model.params[name].flat[1] = bad
+        path = tmp_path / "bad.svit"
+        save_checkpoint(model, path)
+        with pytest.raises(FormatError, match=name.replace(".", r"\.")):
+            load_checkpoint(path)
+        assert cli.main(["certify", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_truncation_at_every_tensor_boundary_is_a_format_error(tmp_path, capsys):
@@ -498,6 +531,35 @@ def test_truncation_at_every_tensor_boundary_is_a_format_error(tmp_path, capsys)
             load_checkpoint(cut_path)
         assert cli.main(["certify", "--ckpt", str(cut_path), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 2
+
+
+def _one_draw_stripe_images(n, h, w, k, noise, seed, channels):
+    """make_stripe_dataset's images as one full-shape noise draw made them, and the generator."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, size=n).astype(np.int64)
+    base = train.stripe_base_levels(k)[labels].astype(np.float32)
+    images = np.broadcast_to(base[:, None, None, None], (n, h, w, channels)).copy()
+    if noise > 0:
+        images += rng.uniform(-noise, noise, size=images.shape).astype(np.float32)
+        np.clip(images, 0.0, 1.0, out=images)
+    return labels, images, rng
+
+
+@pytest.mark.parametrize("n,h,w,k,noise,seed,channels", [
+    (24, 8, 8, 2, 0.2, 3, 1), (37, 5, 7, 4, 0.45, 9, 3), (6, 16, 16, 8, 0.1, 0, 3),
+    (5, 4, 4, 3, 0.0, 1, 1), (0, 4, 4, 2, 0.2, 2, 1),
+])
+def test_stripe_noise_drawn_per_image_equals_one_draw(monkeypatch, n, h, w, k, noise, seed, channels):
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+    data = make_stripe_dataset(n, h, w, k, noise, seed, channels=channels)
+    monkeypatch.undo()
+    labels, images, rng = _one_draw_stripe_images(n, h, w, k, noise, seed, channels)
+    assert data.labels.tobytes() == labels.tobytes()
+    assert data.images.dtype == images.dtype and data.images.shape == images.shape
+    assert data.images.tobytes() == images.tobytes()
+    assert made[0].bit_generator.state == rng.bit_generator.state
 
 
 def test_train_config_rejects_an_unknown_kind():
