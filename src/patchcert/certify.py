@@ -147,10 +147,21 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
 
 
 def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:
-    """(q, size-m+1) int64: does the window [t, t+m) meet row j's retained set."""
+    """(q, size-m+1) 0/1 float64: does the window [t, t+m) meet row j's retained set."""
     pref = np.zeros((axis.shape[0], axis.shape[1] + 1), dtype=np.int64)
     np.cumsum(axis, axis=1, out=pref[:, 1:])
-    return (pref[:, m:] > pref[:, :-m]).astype(np.int64)
+    return (pref[:, m:] > pref[:, :-m]).astype(np.float64)
+
+
+def _placement_hits(rowhit: np.ndarray, colhit: np.ndarray) -> np.ndarray:
+    """(h-m+1, w-m+1) int64: how many of the ablations each placement hits.
+
+    colhit's rows may carry small integer weights, which count each hit
+    ablation that many times. The product runs in float64, which numpy
+    sends to BLAS (int64 it does not); every partial sum is an integer
+    far below 2**53, so the float result is exact.
+    """
+    return (rowhit.T @ colhit).astype(np.int64)
 
 
 def _require_anchor(h: int, w: int, spec: AblationSpec) -> None:
@@ -167,7 +178,8 @@ def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
 
     Ablation j keeps the pixels rows[j] x cols[j] (``retained_axes``), so
     an m*m patch at (top, left) overlaps it iff rowhit[j, top] and
-    colhit[j, left]. Returns rowhit (q, h-m+1) and colhit (q, w-m+1).
+    colhit[j, left]. Returns 0/1 tables rowhit (q, h-m+1) and colhit
+    (q, w-m+1).
     """
     if not 1 <= m <= min(h, w):
         raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
@@ -186,7 +198,7 @@ def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
 def delta_oracle(h: int, w: int, spec: AblationSpec, m: int) -> int:
     """Exact Delta by counting, for every placement, the ablations it hits."""
     rowhit, colhit = _hit_tables(h, w, spec, m)
-    return int((rowhit.T @ colhit).max())
+    return int(_placement_hits(rowhit, colhit).max())
 
 
 def certify_votes(v: VoteCounts, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
@@ -248,39 +260,38 @@ def adversarial_flip_search(
         )
     base = np.bincount(preds, minlength=k).astype(np.int64)
     g0 = int(np.argmax(base))
-    # in_patch[j, c]: votes for class c among the ablations placement j hits
-    in_patch = np.stack(
-        [rowhit[preds == c].T @ colhit[preds == c] for c in range(k)], axis=-1
-    ).reshape(-1, k)
-    sizes = in_patch.sum(axis=1)
-
-    best = None  # (changed, advantage, -placement, -rival) lexicographic max
+    keys = []  # (changed, advantage, -placement, -rival), maximised lexicographically
     for r in range(k):
         if r == g0:
             continue
-        post = base[None, :] - in_patch
-        post[:, r] += sizes
-        pred_after = np.argmax(post, axis=1)
-        adv = post[:, r] - post[:, g0]
-        changed = pred_after != g0
-        top = changed == changed.max()
-        top &= adv == adv[top].max()
-        j = int(np.argmax(top))  # lowest placement index among the best
-        key = (bool(changed[j]), int(adv[j]), -j, -r)
-        if best is None or key > best[0]:
-            best = (
-                key,
-                FlipSearchResult(
-                    changed=key[0],
-                    worst_prediction=int(pred_after[j]),
-                    placement=divmod(j, w - m + 1),
-                    rival=r,
-                    original_prediction=g0,
-                    post_counts=tuple(int(c) for c in post[j]),
-                    advantage=key[1],
-                ),
-            )
-    return best[1]
+        # Moving a hit ablation's vote to r gains r one vote on g0: two if
+        # it voted g0, none if it voted r. After placement j, r leads g0 by
+        # base[r] - base[g0] + gain[j] and takes the prediction iff that
+        # lead is positive, or zero with r below g0 (ties go low).
+        weight = 1.0 + (preds == g0) - (preds == r)
+        gain = _placement_hits(rowhit, colhit * weight[:, None])
+        j = int(np.argmax(gain))  # the largest lead, at the lowest placement index
+        advantage = int(base[r] - base[g0] + gain.flat[j])
+        keys.append((advantage + (r < g0) > 0, advantage, -j, -r))
+    # Placement j may also hand the prediction to a class c other than r.
+    # Then c beats g0 at j without r's gain, so the pair (c, j) flips with
+    # a lead at least as large, and on an equal lead c < g0 < r: (c, j)
+    # ranks above (r, j), and each rival's own lead decides the best pair.
+    flips, advantage, j, r = max(keys)
+    j, r = -j, -r
+    top, left = divmod(j, w - m + 1)
+    hit = np.bincount(preds, weights=rowhit[:, top] * colhit[:, left], minlength=k)
+    post = base - hit.astype(np.int64)
+    post[r] += int(hit.sum())
+    return FlipSearchResult(
+        changed=flips,
+        worst_prediction=int(np.argmax(post)),
+        placement=(top, left),
+        rival=r,
+        original_prediction=g0,
+        post_counts=tuple(int(c) for c in post),
+        advantage=advantage,
+    )
 
 
 def _delta_for(spec: AblationSpec, m: int, mode: str, h: int, w: int) -> int:
@@ -314,6 +325,8 @@ def certified_accuracy(
         raise InputError("dataset is empty")
     h, w = model.cfg.h, model.cfg.w
     patch_sizes = list(dict.fromkeys(int(m) for m in patch_sizes))
+    if not patch_sizes:
+        raise ParameterError("need at least one patch size to certify against")
     deltas = {m: _delta_for(spec, m, delta_mode, h, w) for m in patch_sizes}
 
     per_image = []

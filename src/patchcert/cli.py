@@ -11,7 +11,8 @@ named by a content hash of the resolved run config, so re-runs
 regenerate the same file and sweeps never clobber unrelated results.
 
 Exit codes: 0 success, 1 internal error, 2 missing/corrupt input,
-3 invalid parameters. Set PATCHCERT_LOG={error,info,debug} for logging.
+3 invalid parameters. Set PATCHCERT_LOG={error,info,debug} for logging: one
+JSON object per line on standard error.
 """
 
 from __future__ import annotations
@@ -579,8 +580,22 @@ def _emit_error(exc: Exception, code: int) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
+class _JsonLines(logging.Formatter):
+    """One JSON object per log record, like fit's log and the error record."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps(
+            {"level": record.levelname.lower(), "logger": record.name,
+             "message": record.getMessage()},
+            sort_keys=True,
+        )
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=_log_level(), format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler()  # standard error, as of this call
+    handler.setFormatter(_JsonLines())
+    log.addHandler(handler)
+    log.setLevel(_log_level())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -594,6 +609,8 @@ def main(argv=None) -> int:
     except PatchcertError as exc:
         _emit_error(exc, EXIT_INTERNAL)
         return EXIT_INTERNAL
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -118,19 +118,24 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Add a length-d bias over the last dimension (the only broadcast)."""
+    """Add a length-d bias over the last dimension (the only broadcast), in place.
+
+    x is overwritten and returned, so pass a fresh product; the sum is
+    bitwise x + b, and a bias wider than x's dtype is refused.
+    """
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"bias shape {b.shape} does not match input {x.shape}")
-    return x + b
+    return np.add(x, b, out=x, casting="safe")
 
 
 def softmax_last_dim(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last dimension (max-subtracted)."""
     if x.shape[-1] < 1:
         raise ParameterError("softmax needs a non-empty last dimension")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -156,8 +161,11 @@ def layer_norm_fwd(x, gamma, beta):
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     var /= d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv, gamma)
+    xhat = xc
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv, gamma)
 
 
 def layer_norm_bwd(ctx, dy, axis=None):
@@ -237,7 +245,7 @@ def cross_entropy(logits: np.ndarray, target: int) -> float:
 
 def cross_entropy_backward(logits: np.ndarray, target: int) -> np.ndarray:
     """dlogits = softmax(logits) - onehot(target)."""
-    g = softmax_last_dim(logits).copy()
+    g = softmax_last_dim(logits)
     g[target] -= 1.0
     return g
 

@@ -55,12 +55,23 @@ CHECKPOINT_VERSION = 1
 # stacks raise peak memory; small ones pay more per-call overhead.
 ROW_BUDGET = 256
 
-_LAYER_NAMES = (
-    "ln1.gamma", "ln1.beta",
-    "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-    "ln2.gamma", "ln2.beta",
-    "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
-)
+
+def _layer_table(d: int) -> dict:
+    """One encoder layer's parameters: short name -> (shape, initial value).
+
+    An initial value of None draws N(0, 0.02); the order is the
+    checkpoint order, and the order init_params draws in.
+    """
+    return {
+        "ln1.gamma": ((d,), 1.0), "ln1.beta": ((d,), 0.0),
+        "attn.wq": ((d, d), None), "attn.bq": ((d,), 0.0),
+        "attn.wk": ((d, d), None), "attn.bk": ((d,), 0.0),
+        "attn.wv": ((d, d), None), "attn.bv": ((d,), 0.0),
+        "attn.wo": ((d, d), None), "attn.bo": ((d,), 0.0),
+        "ln2.gamma": ((d,), 1.0), "ln2.beta": ((d,), 0.0),
+        "mlp.w1": ((d, 4 * d), None), "mlp.b1": ((4 * d,), 0.0),
+        "mlp.w2": ((4 * d, d), None), "mlp.b2": ((d,), 0.0),
+    }
 
 
 @dataclass(frozen=True)
@@ -120,54 +131,33 @@ class ViTConfig:
         return cls(**d)
 
 
-def _param_names(cfg: ViTConfig) -> list[str]:
-    names = ["patch_embed.weight", "patch_embed.bias", "pos_embed", "cls_token", "cls_pos"]
+def _param_table(cfg: ViTConfig) -> dict:
+    """Every parameter: name -> (shape, initial value), as in _layer_table."""
+    d = cfg.d
+    table = {
+        "patch_embed.weight": ((cfg.p * cfg.p * cfg.c, d), None),
+        "patch_embed.bias": ((d,), 0.0),
+        "pos_embed": ((cfg.grid_tokens, d), None),
+        "cls_token": ((d,), None),
+        "cls_pos": ((d,), None),
+    }
     for i in range(cfg.layers):
-        names += [f"layers.{i}.{n}" for n in _LAYER_NAMES]
-    names += ["final_ln.gamma", "final_ln.beta", "head.weight", "head.bias"]
-    return names
+        table.update({f"layers.{i}.{n}": entry for n, entry in _layer_table(d).items()})
+    table["final_ln.gamma"] = ((d,), 1.0)
+    table["final_ln.beta"] = ((d,), 0.0)
+    table["head.weight"] = ((d, cfg.k), None)
+    table["head.bias"] = ((cfg.k,), 0.0)
+    return table
 
 
 def init_params(cfg: ViTConfig, seed: int = 0) -> dict:
     """Fresh float32 parameter dict: N(0, 0.02) weights, unit layer norms."""
     rng = np.random.default_rng(seed)
-    d, k, pdim = cfg.d, cfg.k, cfg.p * cfg.p * cfg.c
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.float32)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=np.float32)
-
-    params: dict[str, np.ndarray] = {
-        "patch_embed.weight": w(pdim, d),
-        "patch_embed.bias": zeros(d),
-        "pos_embed": w(cfg.grid_tokens, d),
-        "cls_token": w(d),
-        "cls_pos": w(d),
+    return {
+        name: (rng.normal(0.0, 0.02, size=shape).astype(np.float32) if fill is None
+               else np.full(shape, fill, dtype=np.float32))
+        for name, (shape, fill) in _param_table(cfg).items()
     }
-    for i in range(cfg.layers):
-        pre = f"layers.{i}."
-        params[pre + "ln1.gamma"] = ones(d)
-        params[pre + "ln1.beta"] = zeros(d)
-        for nm in ("q", "k", "v", "o"):
-            params[pre + "attn.w" + nm] = w(d, d)
-            params[pre + "attn.b" + nm] = zeros(d)
-        params[pre + "ln2.gamma"] = ones(d)
-        params[pre + "ln2.beta"] = zeros(d)
-        params[pre + "mlp.w1"] = w(d, 4 * d)
-        params[pre + "mlp.b1"] = zeros(4 * d)
-        params[pre + "mlp.w2"] = w(4 * d, d)
-        params[pre + "mlp.b2"] = zeros(d)
-    params["final_ln.gamma"] = ones(d)
-    params["final_ln.beta"] = zeros(d)
-    params["head.weight"] = w(d, k)
-    params["head.bias"] = zeros(k)
-    assert list(params) == _param_names(cfg)
-    return params
 
 
 @dataclass
@@ -219,7 +209,8 @@ def _reduced_cells(z_m: AblatedImage, cfg: ViTConfig):
 
 def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
     """Each layer's parameters keyed by short name; the values are the arrays themselves."""
-    return [{n: params[f"layers.{i}.{n}"] for n in _LAYER_NAMES} for i in range(cfg.layers)]
+    names = _layer_table(cfg.d)
+    return [{n: params[f"layers.{i}.{n}"] for n in names} for i in range(cfg.layers)]
 
 
 def _embed(patches, grid_idx, params, cfg):
@@ -233,9 +224,10 @@ def _embed(patches, grid_idx, params, cfg):
         nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]),
         params["patch_embed.bias"],
     )
-    t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
-    cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
-    return np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
+    x = np.empty((bsz, n + 1, cfg.d), dtype=t.dtype)
+    x[:, 0] = params["cls_token"] + params["cls_pos"]
+    np.add(t.reshape(bsz, n, cfg.d), params["pos_embed"][grid_idx], out=x[:, 1:])
+    return x
 
 
 def _full_grid_tokens(pixels, params, cfg):
@@ -283,13 +275,13 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         for b in range(bsz):
             for hd in range(heads):
                 o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
-        attn_out = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
-        x_mid = x + attn_out
+        x_mid = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
+        x_mid += x  # the residual, summed into the fresh branch output
         h2, ln2_ctx = nx.layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
         m1 = nx.bias_add(nx.matmul(h2, lp["mlp.w1"]), lp["mlp.b1"])
         act = nx.gelu(m1)
-        m2 = nx.bias_add(nx.matmul(act, lp["mlp.w2"]), lp["mlp.b2"])
-        x_out = x_mid + m2
+        x_out = nx.bias_add(nx.matmul(act, lp["mlp.w2"]), lp["mlp.b2"])
+        x_out += x_mid
         if record:
             ctx["layers"].append(
                 {
@@ -384,7 +376,9 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
             grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
             keep = (row_cells[ids[:, None], grid_idx // gw][..., :, None]
                     & col_cells[ids[:, None], grid_idx % gw][..., None, :])
-            cells = (patches[grid_idx] * keep[..., None]).reshape(ids.size, n, -1)
+            cells = patches[grid_idx]
+            cells *= keep[..., None]
+            cells = cells.reshape(ids.size, n, -1)
             preds[ids] = process_ablation(cells, grid_idx, params, cfg)
     return preds.tolist()
 
@@ -526,7 +520,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
 
 def save_checkpoint(model: Model, path) -> None:
     """Write magic, version, JSON header, then raw little-endian float32."""
-    names = _param_names(model.cfg)
+    names = list(_param_table(model.cfg))
     manifest = [{"name": n, "shape": list(model.params[n].shape)} for n in names]
     header = json.dumps(
         {"config": model.cfg.to_dict(), "manifest": manifest}, sort_keys=True
@@ -557,20 +551,28 @@ def load_checkpoint(path) -> Model:
         manifest = header["manifest"]
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"unreadable checkpoint header: {exc}") from exc
-    if [e["name"] for e in manifest] != _param_names(cfg):
+    shapes = {name: shape for name, (shape, _) in _param_table(cfg).items()}
+    try:
+        declared = [(e["name"], tuple(e["shape"])) for e in manifest]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"unreadable checkpoint manifest: {exc}") from exc
+    if [name for name, _ in declared] != list(shapes):
         raise FormatError("checkpoint manifest does not match its config")
+    for name, shape in declared:
+        if shape != shapes[name]:
+            raise FormatError(
+                f"checkpoint tensor {name!r} has shape {list(shape)}, its config "
+                f"needs {list(shapes[name])}")
     params = {}
     off = 12 + hlen
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = off + 4 * count
+    for name, shape in shapes.items():
+        end = off + 4 * math.prod(shape)
         if end > len(blob):
-            raise FormatError(f"checkpoint truncated in tensor {entry['name']!r}")
+            raise FormatError(f"checkpoint truncated in tensor {name!r}")
         tensor = np.frombuffer(blob[off:end], dtype="<f4").reshape(shape).astype(np.float32)
         if not np.isfinite(tensor).all():
-            raise FormatError(f"checkpoint tensor {entry['name']!r} holds a non-finite value")
-        params[entry["name"]] = tensor
+            raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
+        params[name] = tensor
         off = end
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after last tensor")

@@ -335,7 +335,7 @@ def _audit_case(draw):
     s = draw(st.integers(1, w))
     spec = AblationSpec(kind, b, s, draw(st.integers(0, s - 1)))
     m = draw(st.integers(1, min(h, w)))
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 8))
     q = len(ablation_anchors(h, w, spec))
     favored = draw(st.integers(0, k - 1))
     # skewed votes (one class dominates) or near-uniform ones, which tie often
@@ -363,6 +363,35 @@ def test_hit_tables_match_the_mask_reference(case):
     assert found == _reference_flip_search(preds, spec, h, w, m, k)
     assert type(found.changed) is bool
     assert all(type(v) is int for v in found.placement + found.post_counts)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_delta_oracle_matches_the_mask_reference_at_imagenet_scale(m):
+    spec = AblationSpec("column", 19, 10)
+    hits, _ = _reference_intersection_matrix(224, 224, spec, m)
+    assert delta_oracle(224, 224, spec, m) == int(hits.sum(axis=0).max())
+
+
+_IMAGENET_VOTES = {
+    "random-0": np.random.default_rng(0).integers(0, 4, 23).tolist(),
+    "random-1": np.random.default_rng(1).integers(0, 4, 23).tolist(),
+    # 17 to 5, and the six ablations around the short wrap gap (Delta = 6)
+    # vote for the leader: the best attack ties, which flips only toward a lower class
+    "tie-flips": [1] * 6 + [0] * 5 + [2] + [1] * 11,
+    "tie-holds": [0] * 6 + [1] * 5 + [2] + [0] * 11,
+}
+
+
+@pytest.mark.parametrize("votes", _IMAGENET_VOTES)
+def test_flip_search_matches_the_reference_at_imagenet_scale(votes):
+    # the paper's ImageNet column setting: 23 ablations, 193 x 193 placements
+    spec = AblationSpec("column", 19, 10)
+    preds = _IMAGENET_VOTES[votes]
+    assert len(preds) == len(ablation_anchors(224, 224, spec))
+    found = adversarial_flip_search(preds, spec, 224, 224, 32, preds[0], 4)
+    assert found == _reference_flip_search(preds, spec, 224, 224, 32, 4)
+    if votes.startswith("tie"):
+        assert found.advantage == 0 and found.changed == (votes == "tie-flips")
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +473,8 @@ def test_certified_accuracy_counts_a_repeated_patch_size_once():
     )
     assert [(e["m"], e["accuracy"]) for e in report["certified"]] == [(2, 1.0), (1, 1.0)]
     assert report["per_image"][0]["certified"] == {"2": True, "1": True}
+
+
+def test_certified_accuracy_needs_a_patch_size():
+    with pytest.raises(ParameterError):
+        certified_accuracy(_single_image_dataset(2), _constant_model(2), AblationSpec("column", 3), [])

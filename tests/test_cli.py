@@ -19,11 +19,21 @@ def _idx_float32(pixels):
     return head + pixels.astype(">f4").tobytes()
 
 
+def _save_reshaped(path, **tensors):
+    """A CFG checkpoint whose named tensors have other shapes than CFG declares."""
+    model = Model.init(CFG, seed=0)
+    model.params.update({name: np.zeros(shape, np.float32) for name, shape in tensors.items()})
+    save_checkpoint(model, path)
+
+
 @pytest.fixture
 def files(tmp_path):
     good = tmp_path / "good.svit"
     save_checkpoint(Model.init(CFG, seed=0), good)
     save_checkpoint(Model.init(WIDE, seed=0), tmp_path / "wide.svit")
+    _save_reshaped(tmp_path / "pos_row.svit", pos_embed=(1, 8))
+    _save_reshaped(tmp_path / "mlp_2d.svit", **{
+        "layers.0.mlp.w1": (8, 16), "layers.0.mlp.b1": (16,), "layers.0.mlp.w2": (16, 8)})
     blob = good.read_bytes()
     contents = {
         "trunc6.svit": blob[:6],
@@ -77,6 +87,9 @@ CASES = [
       "--labels", "idx.bin"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
+    # a checkpoint whose tensors are not the shapes its config declares: 2
+    (["certify", "--ckpt", "pos_row.svit"], 2),
+    (["certify", "--ckpt", "mlp_2d.svit"], 2),
     # invalid parameter: 3
     (["certify", "--ckpt", "good.svit", "--config", "bad.json"], 3),
     (["certify", "--ckpt", "good.svit", "--config", "list.json"], 3),
@@ -169,6 +182,21 @@ def test_unknown_config_key_names_the_command_keys(files, monkeypatch, capsys):
     assert "split_typo" in record["error"]
     assert all(key in record["error"] for key in cli.OPTIONS["certify"])
     assert not (files / "out").exists()
+
+
+def test_logs_are_one_json_object_per_line(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    monkeypatch.setenv("PATCHCERT_LOG", "info")
+    argv = ["certify", "--ckpt", "good.svit", "--stripe-n", "2", "--out", "out"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0  # the same report again: logged as unchanged
+    records = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert [sorted(r) for r in records] == [["level", "logger", "message"]] * 4
+    assert {(r["level"], r["logger"]) for r in records} == {("info", "patchcert")}
+    assert [r["message"].split()[0] for r in records] == ["wrote", "wrote", "report", "report"]
+    monkeypatch.setenv("PATCHCERT_LOG", "error")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):

@@ -137,6 +137,29 @@ def test_softmax_rows_sum_to_one(values):
     assert abs(out.sum() - 1.0) < 1e-6
 
 
+def _formula_softmax(x):
+    """The out-of-place formula the one-buffer softmax_last_dim replaced."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    shape=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    log_scale=st.floats(-40, 37), blanked=st.floats(0, 0.9), seed=st.integers(0, 2**16),
+)
+def test_softmax_equals_the_formula_bit_for_bit(shape, dtype, log_scale, blanked, seed):
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.normal(size=shape), -3, 3) * 10.0 ** log_scale
+    x = x.astype(dtype)
+    # blanked scores, as the masked-attention oracle writes them; column 0 stays finite
+    x[..., 1:][rng.uniform(size=x[..., 1:].shape) < blanked] = -np.inf
+    got, want = nx.softmax_last_dim(x), _formula_softmax(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_softmax_rejects_empty_last_dim():
     with pytest.raises(ParameterError):
         nx.softmax_last_dim(np.zeros((2, 0), np.float32))
@@ -184,7 +207,7 @@ def test_layer_norm_rejects_empty_last_dim():
 
 
 def _mean_layer_norm_fwd(x, gamma, beta, eps=1e-5):
-    """The ndarray.mean formulation layer_norm_fwd replaced."""
+    """The ndarray.mean formulation layer_norm_fwd replaced, with its out-of-place affine."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)

@@ -3,6 +3,7 @@ exact MACs, analytic gradients (batched training step vs the per-sample
 and per-head references), training determinism and the checkpoint format."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -123,6 +124,124 @@ def test_gradients_match_finite_differences():
 
         numeric = finite_difference_gradient(loss_at, value, h=1e-5)
         np.testing.assert_allclose(grads[name], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
+
+
+# The elementwise code _encoder_core and _embed ran before they summed
+# biases, residuals and the layer-norm affine into fresh buffers: each op
+# out of place, in the formula's order. Products and GELU are unchanged.
+def _out_of_place_layer_norm(x, gamma, beta):
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= x.shape[-1]
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat
+
+
+def _out_of_place_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=False):
+    """Logits and recorded activations of the out-of-place forward."""
+    bsz, n, pdim = patches.shape
+    t = nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]) \
+        + params["patch_embed.bias"]
+    t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
+    cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
+    x = np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
+    if key_keep is not None:
+        key_keep = np.concatenate([[True], key_keep])
+    n += 1
+    heads, dh = cfg.heads, cfg.head_dim
+    x = x.reshape(bsz * n, cfg.d)
+    acts = []
+    for lp in vit._layer_views(params, cfg):
+        h1, xhat1 = _out_of_place_layer_norm(x, lp["ln1.gamma"], lp["ln1.beta"])
+        q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
+        kk = nx.matmul(h1, lp["attn.wk"]) + lp["attn.bk"]
+        v = nx.matmul(h1, lp["attn.wv"]) + lp["attn.bv"]
+        q_h, v_h = (vit._by_head(a, bsz, cfg) for a in (q, v))
+        k_t = np.ascontiguousarray(vit._by_head(kk, bsz, cfg).swapaxes(2, 3))
+        scores = np.empty((bsz, heads, n, n), dtype=q.dtype)
+        for b in range(bsz):
+            for hd in range(heads):
+                scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
+        scores *= 1.0 / math.sqrt(dh)
+        if key_keep is not None:
+            scores[..., ~key_keep] = -np.inf
+        attn = _out_of_place_softmax(scores)
+        o = np.empty_like(q)
+        o_h = vit._by_head(o, bsz, cfg)
+        for b in range(bsz):
+            for hd in range(heads):
+                o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
+        x_mid = x + (nx.matmul(o, lp["attn.wo"]) + lp["attn.bo"])
+        h2, xhat2 = _out_of_place_layer_norm(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
+        m1 = nx.matmul(h2, lp["mlp.w1"]) + lp["mlp.b1"]
+        act = nx.gelu(m1)
+        x = x_mid + (nx.matmul(act, lp["mlp.w2"]) + lp["mlp.b2"])
+        acts += [xhat1, h1, q, kk, v, attn, o, xhat2, h2, m1, act]
+    f, xhatf = _out_of_place_layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
+    r = f.reshape(bsz, n, cfg.d)[:, 0]
+    if record:
+        logits = nx.matmul_stacked(r[:, None], vit._per_set(params["head.weight"], bsz))[:, 0]
+    else:
+        logits = nx.matmul(r, params["head.weight"])
+    return logits + params["head.bias"], acts + [xhatf, f, r]
+
+
+_BYTEWISE_CONFIGS = {
+    "cifar": ViTConfig(h=32, w=32, c=3, p=4, d=64, heads=4, layers=4, k=10),
+    "imagenet": ViTConfig(h=224, w=224, c=3, p=16, d=128, heads=4, layers=3, k=4),
+}
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("path", ["reduced", "oracle", "record"])
+@pytest.mark.parametrize("config", sorted(_BYTEWISE_CONFIGS))
+@settings(deadline=None, max_examples=6)
+@given(bsz=st.integers(1, 3), cells=st.integers(1, 64),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, cells, dtype, seed):
+    cfg = _BYTEWISE_CONFIGS[config]
+    rng = np.random.default_rng(seed)
+    # move every parameter off its initial value, so biases and affines act
+    params = {name: (v + rng.normal(0.0, 0.1, v.shape)).astype(dtype)
+              for name, v in Model.init(cfg, seed=seed).params.items()}
+    pdim = cfg.p * cfg.p * cfg.c
+    if path == "oracle":  # the full grid, with the dropped cells blanked as keys
+        bsz, n, keep = 1, cfg.grid_tokens, rng.uniform(size=cfg.grid_tokens) < 0.5
+        keep[rng.integers(cfg.grid_tokens)] = True
+        grid_idx = np.arange(n)[None]
+    else:
+        n, keep = min(cells, cfg.grid_tokens), None
+        grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
+                             for _ in range(bsz)])
+    patches = rng.uniform(0.0, 1.0, (bsz, n, pdim)).astype(np.float32)
+    x = vit._embed(patches, grid_idx, params, cfg)
+    want, acts = _out_of_place_forward(patches, grid_idx, params, cfg, keep, path == "record")
+    if path == "record":
+        logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+        got = []
+        for lc in ctx["layers"]:
+            got += [lc["ln1"][0], lc["h1"], lc["q"], lc["k"], lc["v"], lc["attn"], lc["o"],
+                    lc["ln2"][0], lc["h2"], lc["m1"], lc["act"]]
+        for g, w in zip(got + [ctx["final_ln"][0], ctx["f"], ctx["r"]], acts, strict=True):
+            _assert_same_bytes(g, w)
+    elif path == "oracle":
+        logits = vit._encoder_core(x, params, cfg, key_keep=np.concatenate([[True], keep]))
+    else:
+        logits = vit._encoder_core(x, params, cfg)
+    _assert_same_bytes(logits, want)
 
 
 def test_seeded_training_is_byte_identical():
@@ -512,6 +631,38 @@ def test_a_non_finite_tensor_is_a_format_error(tmp_path, capsys, bad):
         assert cli.main(["certify", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 2
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("pos_embed", (1, 4)),
+    ("layers.0.mlp.w1", (4, 8)),
+    ("layers.0.attn.bq", (5,)),
+    ("patch_embed.weight", (4, 16)),
+    ("head.bias", (1, 3)),
+    ("cls_token", ()),
+])
+def test_a_mis_shaped_tensor_is_a_format_error(tmp_path, name, shape):
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    params = dict(Model.init(cfg, seed=12).params, **{name: np.zeros(shape, np.float32)})
+    path = tmp_path / "bad.svit"
+    _write_raw_checkpoint(path, cfg.to_dict(), params)
+    with pytest.raises(FormatError, match=name.replace(".", r"\.")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", [{"name": "pos_embed"}, {"name": "pos_embed", "shape": 3}, "x"])
+def test_an_unreadable_manifest_entry_is_a_format_error(tmp_path, entry):
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
+    path = tmp_path / "m.svit"
+    save_checkpoint(Model.init(cfg, seed=12), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + hlen])
+    header["manifest"][2] = entry
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
 
 
 def test_truncation_at_every_tensor_boundary_is_a_format_error(tmp_path, capsys):
