@@ -5,8 +5,14 @@ Costs are multiply-accumulates (one MAC = 1); elementwise work
 closed-form model exactly equal to the instrumented matmul counter.
 Per layer with n tokens and width d: attention scores n^2*d, attention
 weighted sum n^2*d, QKV projections 3*n*d^2, output projection n*d^2,
-MLP 8*n*d^2, where n counts the class token. Tokenization projects only
-the n-1 surviving grid patches and the head reads out the class token.
+MLP 8*n*d^2, where n counts the class token. The last layer computes
+only the class row past its keys and values, since only that row is
+read out: K and V still cost 2*n*d^2, but Q and the output projection
+d^2 each, the scores and the weighted sum n*d each, and the MLP 8*d^2.
+Tokenization projects only the n-1 surviving grid patches and the head
+reads out the class token. The model counts the inference forward;
+training (recorded activations) and the masked-attention oracle keep
+every row of the last layer.
 
 Wall-clock numbers are machine-dependent; assertions against them
 should stay directional (ordering and ratio bounds only).
@@ -35,7 +41,13 @@ __all__ = [
 @dataclass(frozen=True)
 class CostModel:
     """Exact MAC counts of the reduced-token forward pass as a function of n,
-    the token count with the class token."""
+    the token count with the class token.
+
+    With L layers: attention (L-1)*2n^2*d + 2n*d, projections
+    (L-1)*4n*d^2 + (2n+2)*d^2, MLP (L-1)*8n*d^2 + 8d^2; the last layer
+    runs Q, attention, the output projection and the MLP on the class
+    row only.
+    """
 
     d: int
     layers: int
@@ -50,9 +62,9 @@ class CostModel:
         if n < 1:
             raise ParameterError(f"token count must be >= 1, got {n}")
         d, L = self.d, self.layers
-        attention = L * 2 * n * n * d
-        projections = L * 4 * n * d * d
-        mlp = L * 8 * n * d * d
+        attention = (L - 1) * 2 * n * n * d + 2 * n * d
+        projections = (L - 1) * 4 * n * d * d + (2 * n + 2) * d * d
+        mlp = (L - 1) * 8 * n * d * d + 8 * d * d
         tokenization = (n - 1) * self.patch_dim * d
         head = d * self.k
         return {

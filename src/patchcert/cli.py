@@ -305,6 +305,10 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
     if fmt == "idx":
         images = load_idx_tensor(_require_file(o["data"], "dataset"))
         labels = load_idx_tensor(_require_file(o["labels"], "labels"), scale_bytes=False)
+        if labels.dtype != np.uint8:  # a float label would be truncated to some class
+            raise FormatError(
+                f"labels file {o['labels']} has IDX type 0x{IDX_FLOAT32:02x} (float32); "
+                f"labels must be unsigned bytes, type 0x{IDX_UBYTE:02x}")
         if images.ndim == 3:
             images = images[..., None]
         labels = labels.astype(np.int64).ravel()

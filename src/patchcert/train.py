@@ -16,6 +16,7 @@ label and column ablations stay classifiable by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.b_train, self.patience) < 1:
             raise ParameterError("epochs, batch size, b_train and patience must be positive")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ParameterError("lr and weight decay must be nonnegative")
+        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ParameterError(
+                f"lr and weight decay must be finite and nonnegative, got {self.lr} and "
+                f"{self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.kind not in KINDS:
@@ -98,6 +101,10 @@ def make_stripe_dataset(
     """
     if k > 8 or k < 2:
         raise ParameterError(f"stripe dataset supports 2..8 classes, got {k}")
+    if n < 0:
+        raise ParameterError(f"stripe dataset needs a nonnegative image count, got {n}")
+    if min(h, w) < 1:
+        raise ParameterError(f"stripe images need a positive height and width, got {h}x{w}")
     if not 0.0 <= noise < 0.5:
         raise ParameterError(f"noise amplitude must be in [0, 0.5), got {noise}")
     rng = np.random.default_rng(seed)

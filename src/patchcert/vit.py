@@ -239,12 +239,18 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
     """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
 
     Weight products run once over all B*n rows; attention runs per set
-    and head. The readout is the class token, row 0 of every set.
+    and head. The readout is the class token, row 0 of every set, so the
+    last layer computes only that row past its keys and values: LN1 and
+    the K/V projections run over all n rows, because the class token
+    attends to every key, while Q, the scores (B, heads, 1, n), the
+    weighted sum, the out-projection, the residual, LN2, the MLP and the
+    final layer norm run on the B class rows. Two paths keep every row:
     key_keep (n,) bool, when given, blanks attention scores toward
-    dropped tokens (the oracle path). record also returns the
-    activations the backward pass needs, and computes the head per set,
-    as a one-set call computes it: a one-row product is a matrix-vector
-    call, which rounds differently from the rows of a stacked product.
+    dropped tokens (the oracle path, an independent reference); record
+    also returns the activations the backward pass needs, and computes
+    the head per set, as a one-set call computes it: a one-row product
+    is a matrix-vector call, which rounds differently from the rows of a
+    stacked product.
     """
     bsz, n, d = x.shape
     if record and key_keep is not None:
@@ -253,16 +259,20 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
     scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
     ctx = {"layers": [], "n": n} if record else None
     x = x.reshape(bsz * n, d)
+    class_only = not record and key_keep is None
 
-    for lp in _layer_views(params, cfg):
+    for i, lp in enumerate(_layer_views(params, cfg)):
         h1, ln1_ctx = nx.layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"])
-        q = nx.bias_add(nx.matmul(h1, lp["attn.wq"]), lp["attn.bq"])
         kk = nx.bias_add(nx.matmul(h1, lp["attn.wk"]), lp["attn.bk"])
         v = nx.bias_add(nx.matmul(h1, lp["attn.wv"]), lp["attn.bv"])
-        # (B, heads, n, dh) views: [b, hd] is head hd's column slice of set b
+        if class_only and i == cfg.layers - 1:  # only the class rows are read out
+            h1, x = (t.reshape(bsz, n, d)[:, 0] for t in (h1, x))
+        q = nx.bias_add(nx.matmul(h1, lp["attn.wq"]), lp["attn.bq"])
+        # (B, heads, rows, dh) views: [b, hd] is head hd's column slice of set b;
+        # q has n rows per set, or 1 in the class-only layer
         q_h, v_h = (_by_head(t, bsz, cfg) for t in (q, v))
         k_t = np.ascontiguousarray(_by_head(kk, bsz, cfg).swapaxes(2, 3))
-        scores = np.empty((bsz, heads, n, n), dtype=q.dtype)
+        scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
         for b in range(bsz):
             for hd in range(heads):
                 scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
@@ -293,7 +303,7 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
         x = x_out
 
     f, lnf_ctx = nx.layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
-    r = f.reshape(bsz, n, d)[:, 0]
+    r = f.reshape(bsz, -1, d)[:, 0]
     if record:
         logits = nx.matmul_stacked(r[:, None], _per_set(params["head.weight"], bsz))[:, 0]
     else:

@@ -66,6 +66,9 @@ def files(tmp_path):
         "nan.idx": _idx_float32(np.full((4, 16, 16), np.nan, np.float32)),
         "half.idx": _idx_float32(np.full((4, 16, 16), 0.5, np.float32)),
         "labels.idx": b"\0\0\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 2, 3]),
+        "float_labels.idx": _idx_float32(np.array([0.0, 1.7, 2.0, 3e9], np.float32)),
+        "lr_nan.json": b'{"lr": NaN}',
+        "wd_nan.json": b'{"weight_decay": NaN}',
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -85,6 +88,10 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data", "cifar.bin"], 2),
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "idx.bin",
       "--labels", "idx.bin"], 2),
+    # labels must be unsigned bytes: a float32 label would be cast to some class: 2
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+      "--labels", "float_labels.idx"], 2),
+    (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "float_labels.idx"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
     # a checkpoint whose tensors are not the shapes its config declares: 2
@@ -136,6 +143,23 @@ CASES = [
     (["bench", "--config", "k_word.json"], 3),
     (["sweep", "--ckpt", "good.svit", "--config", "offset_word.json"], 3),
     (["train", "--epochs", "0"], 3),
+    # a non-finite learning rate or weight decay would train a non-finite checkpoint: 3
+    (["train", "--lr", "nan"], 3),
+    (["train", "--lr", "inf"], 3),
+    (["train", "--weight-decay", "inf"], 3),
+    (["train", "--weight-decay", "nan"], 3),
+    (["train", "--config", "lr_nan.json"], 3),
+    (["train", "--config", "wd_nan.json"], 3),
+    # a negative stripe image count or a stripe side below 1: 3
+    (["train", "--stripe-n", "-1"], 3),
+    (["train", "--stripe-h", "-4"], 3),
+    (["train", "--stripe-w", "-8"], 3),
+    (["ablate", "--stripe-n", "-1"], 3),
+    (["ablate", "--stripe-h", "-4"], 3),
+    (["ablate", "--stripe-w", "-8"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-n", "-1"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-h", "-4"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-w", "-8"], 3),
     (["sweep", "--ckpt", "good.svit", "--b-grid", "x"], 3),
     # a flag the command does not read does not exist, and flags are not abbreviated: 3
     (["train", "--split", "test"], 3),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from patchcert import vit
 from patchcert.ablation import AblationSpec, ablation_set, block_ablation, column_ablation
-from patchcert.bench import smoothing_cost, wallclock_harness
+from patchcert.bench import CostModel, smoothing_cost, wallclock_harness
 from patchcert import cli, train
 from patchcert import numerics as nx
 from patchcert.errors import FormatError, ParameterError
@@ -92,6 +92,12 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
         assert per_ablation_predictions(x, spec, model.params, cfg) == preds
 
 
+_STAGE_OF = {"patch_embed.weight": "tokenization", "head.weight": "head",
+             "attn.wq": "projections_linear", "attn.wk": "projections_linear",
+             "attn.wv": "projections_linear", "attn.wo": "projections_linear",
+             "mlp.w1": "mlp_linear", "mlp.w2": "mlp_linear"}
+
+
 @pytest.mark.parametrize(
     "cfg,spec",
     [
@@ -101,11 +107,26 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
         (ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=4, layers=2, k=2), AblationSpec("block", 6, 5, 2)),
     ],
 )
-def test_engine_macs_equal_the_cost_model(cfg, spec):
+def test_engine_macs_equal_the_cost_model(monkeypatch, cfg, spec):
+    # stage every product by its right operand, as certbench does: a
+    # weight's identity gives its stage, anything else is attention
     model = Model.init(cfg, seed=1)
+    stage_of = {id(model.params[name]): stage for name in model.params
+                for suffix, stage in _STAGE_OF.items() if name.endswith(suffix)}
+    staged = dict.fromkeys(["attention_quadratic", *set(_STAGE_OF.values())], 0)
+    matmul = nx.matmul
+
+    def staged_matmul(a, b):
+        staged[stage_of.get(id(b), "attention_quadratic")] += a.shape[0] * a.shape[1] * b.shape[1]
+        return matmul(a, b)
+
+    monkeypatch.setattr(nx, "matmul", staged_matmul)
     with count_macs() as counter:
         per_ablation_predictions(_image(cfg), spec, model.params, cfg)
     assert counter.total == smoothing_cost(cfg, spec)["macs_drop"]
+    cost = CostModel.for_config(cfg)
+    tokens = smoothing_cost(cfg, spec)["tokens"]
+    assert staged == {stage: sum(cost.breakdown(n)[stage] for n in tokens) for stage in staged}
 
 
 def test_gradients_match_finite_differences():
@@ -146,8 +167,13 @@ def _out_of_place_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=False):
-    """Logits and recorded activations of the out-of-place forward."""
+def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=False,
+                          every_row=False):
+    """Logits and recorded activations of the out-of-place forward.
+
+    Like _encoder_core, the reduced path (no key_keep, no record) runs the
+    last layer past K and V on the class rows only, unless every_row.
+    """
     bsz, n, pdim = patches.shape
     t = nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]) \
         + params["patch_embed.bias"]
@@ -160,14 +186,17 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=
     heads, dh = cfg.heads, cfg.head_dim
     x = x.reshape(bsz * n, cfg.d)
     acts = []
-    for lp in vit._layer_views(params, cfg):
+    for i, lp in enumerate(vit._layer_views(params, cfg)):
         h1, xhat1 = _out_of_place_layer_norm(x, lp["ln1.gamma"], lp["ln1.beta"])
-        q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
         kk = nx.matmul(h1, lp["attn.wk"]) + lp["attn.bk"]
         v = nx.matmul(h1, lp["attn.wv"]) + lp["attn.bv"]
+        if key_keep is None and not (record or every_row) and i == cfg.layers - 1:
+            # the reduced path's last layer: queries and everything after them on the class rows
+            h1, x = (a.reshape(bsz, n, cfg.d)[:, 0] for a in (h1, x))
+        q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
         q_h, v_h = (vit._by_head(a, bsz, cfg) for a in (q, v))
         k_t = np.ascontiguousarray(vit._by_head(kk, bsz, cfg).swapaxes(2, 3))
-        scores = np.empty((bsz, heads, n, n), dtype=q.dtype)
+        scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
         for b in range(bsz):
             for hd in range(heads):
                 scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
@@ -187,7 +216,7 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=
         x = x_mid + (nx.matmul(act, lp["mlp.w2"]) + lp["mlp.b2"])
         acts += [xhat1, h1, q, kk, v, attn, o, xhat2, h2, m1, act]
     f, xhatf = _out_of_place_layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
-    r = f.reshape(bsz, n, cfg.d)[:, 0]
+    r = f.reshape(bsz, -1, cfg.d)[:, 0]
     if record:
         logits = nx.matmul_stacked(r[:, None], vit._per_set(params["head.weight"], bsz))[:, 0]
     else:
@@ -242,6 +271,29 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
     else:
         logits = vit._encoder_core(x, params, cfg)
     _assert_same_bytes(logits, want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.sampled_from([2, 4]), grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       c=st.sampled_from([1, 3]), d_heads=st.sampled_from([(8, 2), (16, 2), (16, 4)]),
+       layers=st.integers(1, 3), k=st.integers(2, 5), bsz=st.integers(1, 4),
+       cells=st.integers(1, 16), seed=st.integers(0, 2**16))
+def test_class_row_only_last_layer_equals_every_row(p, grid, c, d_heads, layers, k, bsz, cells,
+                                                    seed):
+    cfg = ViTConfig(h=p * grid[0], w=p * grid[1], c=c, p=p, d=d_heads[0], heads=d_heads[1],
+                    layers=layers, k=k)
+    rng = np.random.default_rng(seed)
+    params = {name: (v + rng.normal(0.0, 0.1, v.shape)).astype(np.float32)
+              for name, v in Model.init(cfg, seed=seed).params.items()}
+    n = min(cells, cfg.grid_tokens)
+    grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
+                         for _ in range(bsz)])
+    patches = rng.uniform(0.0, 1.0, (bsz, n, p * p * c)).astype(np.float32)
+    logits = vit._encoder_core(vit._embed(patches, grid_idx, params, cfg), params, cfg)
+    want, _ = _out_of_place_forward(patches, grid_idx, params, cfg, every_row=True)
+    assert logits.shape == want.shape == (bsz, k)
+    assert np.max(np.abs(logits - want)) <= ORACLE_TOLERANCE
+    _assert_argmax(np.argmax(logits, axis=1), want)
 
 
 def test_seeded_training_is_byte_identical():
