@@ -33,7 +33,13 @@ import numpy as np
 from . import __version__
 from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set
 from .bench import smoothing_cost, wallclock_harness
-from .certify import DELTA_MODES, certified_accuracy, delta_closed_form, delta_oracle
+from .certify import (
+    DELTA_MODES,
+    _require_anchor,
+    certified_accuracy,
+    delta_closed_form,
+    delta_oracle,
+)
 from .errors import (
     BudgetError,
     ConfigError,
@@ -360,6 +366,7 @@ def cmd_ablate(args) -> int:
     if not 0 <= index < len(data):
         raise ParameterError(f"image index {index} outside dataset of {len(data)}")
     spec = _spec_from(o)
+    _require_anchor(*data.images.shape[1:3], spec)
     os.makedirs(args.out, exist_ok=True)
     ablations = ablation_set(data.images[index], spec)
     for i, abl in enumerate(ablations):
@@ -425,9 +432,9 @@ def cmd_delta(args) -> int:
     _, o = _options(args)
     h, w = o["h"], o["w"]
     spec = _spec_from(o)
-    header = f"{'m':>5} {'safe':>10} {'paper':>10} {'oracle':>10}  note"
-    print(f"image {h}x{w}, {spec.kind} b={spec.b} s={spec.s} offset={spec.offset}")
-    print(header)
+    # every row is computed before any is printed, so a failed run prints nothing
+    lines = [f"image {h}x{w}, {spec.kind} b={spec.b} s={spec.s} offset={spec.offset}",
+             f"{'m':>5} {'safe':>10} {'paper':>10} {'oracle':>10}  note"]
     flagged = False
     for m in o["patch_sizes"]:
         safe = delta_closed_form(spec, m, "safe", dims=(h, w))
@@ -445,9 +452,10 @@ def cmd_delta(args) -> int:
         elif paper < safe:
             notes.append("paper<safe")
         flagged = flagged or bool(notes)
-        print(f"{m:>5} {safe:>10} {paper:>10} {oracle:>10}  {','.join(notes)}")
+        lines.append(f"{m:>5} {safe:>10} {paper:>10} {oracle:>10}  {','.join(notes)}")
     if flagged:
-        print("note: flagged rows mark thresholds below the exact intersection count")
+        lines.append("note: flagged rows mark thresholds below the exact intersection count")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -502,9 +510,9 @@ def cmd_bench(args) -> int:
     rows = []
     for b in sorted(set(o["b_grid"])):
         spec = AblationSpec(kind=o["ablation"], b=b, s=o["stride"], offset=o["offset"])
+        cost = smoothing_cost(vit_cfg, spec)
         anchors = ablation_anchors(vit_cfg.h, vit_cfg.w, spec)
         sample = ablation_set(image, spec, anchors[:: max(1, len(anchors) // batch)][:batch])
-        cost = smoothing_cost(vit_cfg, spec)
         timing = wallclock_harness(model, sample, trials=trials)
         rows.append(
             {

@@ -40,6 +40,8 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 # added to the variance inside layer norm's square root
 _LN_EPS = 1e-5
+# up to this many rows, numpy's per-row max beats a max over a moved-axis copy
+_SOFTMAX_FEW_ROWS = 64
 
 
 class MacCounter:
@@ -129,10 +131,23 @@ def bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax_last_dim(x: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last dimension (max-subtracted)."""
-    if x.shape[-1] < 1:
+    """Stable softmax along the last dimension (max-subtracted).
+
+    numpy's per-row max is slow over many short rows, so beyond
+    _SOFTMAX_FEW_ROWS rows the max reduces a contiguous copy whose
+    leading axis is the last one, every row at once. A max is exact in
+    any order up to the sign of a zero, which exp(x - max) cannot see.
+    The sum and the division keep the original layout: their rounding
+    depends on numpy's pairwise summation order.
+    """
+    n = x.shape[-1]
+    if n < 1:
         raise ParameterError("softmax needs a non-empty last dimension")
-    e = x - x.max(axis=-1, keepdims=True)
+    if x.size // n > _SOFTMAX_FEW_ROWS:
+        top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)[..., None]
+    else:
+        top = x.max(axis=-1, keepdims=True)
+    e = x - top
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -149,7 +164,8 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def layer_norm_fwd(x, gamma, beta):
     """Normalize each length-d slice to mean 0 / variance 1, then affine.
 
-    Returns (y, ctx) where ctx feeds layer_norm_bwd.
+    Returns (y, ctx) where ctx feeds layer_norm_bwd. A gamma wider than
+    x's dtype is refused.
     """
     if x.shape[-1] < 1:
         raise ParameterError("layer_norm needs a non-empty last dimension")
@@ -158,12 +174,13 @@ def layer_norm_fwd(x, gamma, beta):
     mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= d
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    sq = xc * xc
+    var = np.add.reduce(sq, axis=-1, keepdims=True)
     var /= d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc
     xhat *= inv
-    y = xhat * gamma
+    y = np.multiply(xhat, gamma, out=sq, casting="safe")  # the squares are spent
     y += beta
     return y, (xhat, inv, gamma)
 
@@ -195,11 +212,13 @@ def layer_norm_bwd(ctx, dy, axis=None):
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715*x^3))).
 
-    Evaluated in one scratch buffer, in the formula's operation order.
+    Evaluated in two buffers, in the formula's operation order.
     """
     t = _gelu_tanh(x)
     t += 1.0
-    return (x * 0.5) * t
+    y = x * 0.5
+    y *= t
+    return y
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:

@@ -107,6 +107,9 @@ CASES = [
     (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17"], 3),
     (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17", "--delta-mode", "paper"], 3),
     (["delta", "--h", "8", "--w", "8", "--patch-sizes", "9"], 3),
+    # a failing delta run prints no row, not even the rows before the bad one
+    (["delta", "--h", "0"], 3),
+    (["delta", "--patch-sizes", "2,0"], 3),
     # NaN pixels are outside [0, 1]: 3
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "nan.idx",
       "--labels", "labels.idx"], 3),
@@ -128,6 +131,11 @@ CASES = [
       "block", "--b", "4", "--stride", "12", "--offset", "9"], 3),
     (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
       "block", "--b", "4", "--stride", "12", "--offset", "9", "--delta-mode", "paper"], 3),
+    (["ablate", "--stripe-h", "8", "--stripe-w", "16", "--ablation", "block", "--b", "4",
+      "--stride", "12", "--offset", "9"], 3),
+    (["bench", "--h", "8", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
+      "--layers", "1", "--k", "3", "--ablation", "block", "--b-grid", "4", "--stride", "12",
+      "--offset", "9", "--trials", "3"], 3),
     (["certify", "--ckpt", "good.svit", "--workers", "2"], 3),
     (["certify", "--bogus"], 3),
     (["delta", "--b", "3", "--patch-sizes", "0"], 3),
@@ -183,8 +191,10 @@ CASES = [
 def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(files)
     assert cli.main(argv + ["--out", "out"]) == code
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["exit_code"] == code
+    assert captured.out == ""
     assert not (files / "out").exists() or not any((files / "out").iterdir())
 
 

@@ -144,20 +144,39 @@ def _formula_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@settings(deadline=None, max_examples=80)
+def _score_stack(n, heads, class_only):
+    """The (B, heads, rows, n) score shape of a stack of n-token sets: rows is n, or 1 in
+    the class-only last layer; B fills the forward's row budget of 256."""
+    return [max(1, 256 // (n + 1)), heads, 1 if class_only else n, n]
+
+
+@settings(deadline=None, max_examples=120)
 @given(
-    shape=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    shape=st.one_of(
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        st.builds(_score_stack, st.integers(2, 43), st.sampled_from([1, 2, 4]), st.booleans()),
+    ),
     dtype=st.sampled_from([np.float32, np.float64]),
-    log_scale=st.floats(-40, 37), blanked=st.floats(0, 0.9), seed=st.integers(0, 2**16),
+    log_scale=st.floats(-40, 37), blanked=st.floats(0, 0.9), nan_row=st.booleans(),
+    seed=st.integers(0, 2**16),
 )
-def test_softmax_equals_the_formula_bit_for_bit(shape, dtype, log_scale, blanked, seed):
+def test_softmax_equals_the_formula_bit_for_bit(shape, dtype, log_scale, blanked, nan_row, seed):
     rng = np.random.default_rng(seed)
     x = np.clip(rng.normal(size=shape), -3, 3) * 10.0 ** log_scale
     x = x.astype(dtype)
     # blanked scores, as the masked-attention oracle writes them; column 0 stays finite
     x[..., 1:][rng.uniform(size=x[..., 1:].shape) < blanked] = -np.inf
+    rows = x.reshape(-1, x.shape[-1])
+    row = int(rng.integers(rows.shape[0]))
+    if nan_row:
+        rows[row, rng.integers(rows.shape[1])] = np.nan
     got, want = nx.softmax_last_dim(x), _formula_softmax(x)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.dtype == want.dtype
+    nan = np.isnan(want)
+    # a row holding a NaN is NaN throughout, and every other row is bytewise the formula's
+    assert np.array_equal(np.isnan(got), nan)
+    assert nan.reshape(rows.shape)[row].all() == nan_row
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_softmax_rejects_empty_last_dim():

@@ -5,6 +5,7 @@ and per-head references), training determinism and the checkpoint format."""
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +76,34 @@ def test_stacked_engine_matches_per_ablation_path_and_oracle(case):
         assert np.max(np.abs(fast - slow)) <= ORACLE_TOLERANCE
         logits.append(fast)
     _assert_argmax(per_ablation_predictions(x, spec, model.params, cfg), logits)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_case(), st.sampled_from([1, 7, 256]), st.floats(0.0, 0.5))
+def test_engine_cells_equal_the_ablated_cells_bytewise(case, budget, zeros):
+    # the cells each stack hands the encoder are, ablation by ablation, the
+    # reduced cells of the ablated image, negative zeros included
+    cfg, spec, seed = case
+    x = _image(cfg, seed)
+    x[np.random.default_rng(seed).uniform(size=x.shape) < zeros] = -0.0
+    handed = []  # (cells, grid index) of every ablation, in the order the stacks run
+
+    def capture(cells, grid_idx, params, cfg):
+        first = len(handed)
+        handed.extend(zip(cells, grid_idx))
+        return np.arange(first, len(handed))  # each ablation "predicts" its position
+
+    params = Model.init(cfg, seed=seed).params
+    with mock.patch.object(vit, "process_ablation", capture), \
+            mock.patch.object(vit, "ROW_BUDGET", budget):
+        position = per_ablation_predictions(x, spec, params, cfg)
+    ablations = ablation_set(x, spec)
+    assert sorted(position) == list(range(len(ablations)))
+    for z, at in zip(ablations, position):
+        want, want_idx = vit._reduced_cells(z, cfg)
+        got, got_idx = handed[at]
+        assert got_idx.tolist() == want_idx.tolist()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
