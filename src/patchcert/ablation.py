@@ -67,6 +67,8 @@ class AblationSpec:
             raise ParameterError(f"retained size b={self.b} exceeds image limit {limit}")
         if self.s > w:
             raise ParameterError(f"stride {self.s} exceeds image width {w}")
+        if self.kind == "block" and self.offset >= h:
+            raise ParameterError(f"block offset {self.offset} leaves no ablation anchor in {h}x{w}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "b": self.b, "s": self.s, "offset": self.offset}

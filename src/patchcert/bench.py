@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablation import AblationSpec, ablation_anchors
-from .certify import _require_anchor
 from .errors import ParameterError
 from .vit import Model, ViTConfig, _encoder_core, _full_grid_tokens, ablation_logits
 
@@ -112,7 +111,6 @@ def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
     drop path sums per-ablation costs, which vary with how the retained
     strip aligns to the token grid.
     """
-    _require_anchor(cfg.h, cfg.w, spec)
     anchors = ablation_anchors(cfg.h, cfg.w, spec)
     model = CostModel.for_config(cfg)
     tokens = [tokens_for_ablation(cfg, spec, a) for a in anchors]

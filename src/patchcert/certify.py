@@ -134,7 +134,7 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
     if mode not in ("safe", "paper"):
         raise ParameterError(f"unknown delta mode {mode!r}; use safe or paper")
     h, w = dims
-    _require_anchor(h, w, spec)
+    spec.validate_for(h, w)
     if not 1 <= m <= min(h, w):
         raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
     b, s, off = spec.b, spec.s, spec.offset
@@ -164,15 +164,6 @@ def _placement_hits(rowhit: np.ndarray, colhit: np.ndarray) -> np.ndarray:
     return (rowhit.T @ colhit).astype(np.int64)
 
 
-def _require_anchor(h: int, w: int, spec: AblationSpec) -> None:
-    """Validate spec for h x w; a block offset of h or more leaves no anchor row."""
-    spec.validate_for(h, w)
-    if spec.kind == "block" and spec.offset >= h:
-        raise ParameterError(
-            f"{spec.kind} offset {spec.offset} leaves no ablation anchor in {h}x{w}"
-        )
-
-
 def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
     """Per-axis patch-hit tables of every ablation, in anchor order.
 
@@ -190,7 +181,6 @@ def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
             f"enumeration of {q} ablations x {n_place} placements exceeds the "
             f"budget of {ORACLE_BUDGET}; use the closed form instead"
         )
-    _require_anchor(h, w, spec)
     rows, cols = retained_axes(h, w, spec)
     return _window_hits(rows, m), _window_hits(cols, m)
 

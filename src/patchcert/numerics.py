@@ -40,8 +40,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 # added to the variance inside layer norm's square root
 _LN_EPS = 1e-5
-# up to this many rows, numpy's per-row max beats a max over a moved-axis copy
-_SOFTMAX_FEW_ROWS = 64
 
 
 class MacCounter:
@@ -133,21 +131,17 @@ def bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def softmax_last_dim(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last dimension (max-subtracted).
 
-    numpy's per-row max is slow over many short rows, so beyond
-    _SOFTMAX_FEW_ROWS rows the max reduces a contiguous copy whose
-    leading axis is the last one, every row at once. A max is exact in
-    any order up to the sign of a zero, which exp(x - max) cannot see.
-    The sum and the division keep the original layout: their rounding
-    depends on numpy's pairwise summation order.
+    numpy's per-row max is slow over many short rows, so the max
+    reduces a contiguous copy whose leading axis is the last one, every
+    row at once. A max is exact in any order up to the sign of a zero,
+    which exp(x - max) cannot see. The sum and the division keep the
+    original layout: their rounding depends on numpy's pairwise
+    summation order.
     """
-    n = x.shape[-1]
-    if n < 1:
+    if x.shape[-1] < 1:
         raise ParameterError("softmax needs a non-empty last dimension")
-    if x.size // n > _SOFTMAX_FEW_ROWS:
-        top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)[..., None]
-    else:
-        top = x.max(axis=-1, keepdims=True)
-    e = x - top
+    top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(x, -1, 0)), axis=0)
+    e = x - top[..., None]
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -164,8 +158,7 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def layer_norm_fwd(x, gamma, beta):
     """Normalize each length-d slice to mean 0 / variance 1, then affine.
 
-    Returns (y, ctx) where ctx feeds layer_norm_bwd. A gamma wider than
-    x's dtype is refused.
+    Returns (y, ctx) where ctx feeds layer_norm_bwd.
     """
     if x.shape[-1] < 1:
         raise ParameterError("layer_norm needs a non-empty last dimension")
@@ -174,13 +167,12 @@ def layer_norm_fwd(x, gamma, beta):
     mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= d
     xc = x - mu
-    sq = xc * xc
-    var = np.add.reduce(sq, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     var /= d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc
     xhat *= inv
-    y = np.multiply(xhat, gamma, out=sq, casting="safe")  # the squares are spent
+    y = xhat * gamma
     y += beta
     return y, (xhat, inv, gamma)
 
@@ -212,13 +204,11 @@ def layer_norm_bwd(ctx, dy, axis=None):
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715*x^3))).
 
-    Evaluated in two buffers, in the formula's operation order.
+    Evaluated in one scratch buffer, in the formula's operation order.
     """
     t = _gelu_tanh(x)
     t += 1.0
-    y = x * 0.5
-    y *= t
-    return y
+    return (x * 0.5) * t
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:

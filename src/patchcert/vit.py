@@ -376,11 +376,6 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
     row_alive, col_alive = row_cells.any(axis=2), col_cells.any(axis=2)
     alive = (row_alive[:, :, None] & col_alive[:, None, :]).reshape(q, cfg.grid_tokens)
     counts = alive.sum(axis=1)
-    # 0/1 masks in the pixels' dtype: a cell's pixel rows, and its pixel
-    # columns at pixel-row width (p*c). Pixels are finite and >= 0, so
-    # (x*r)*c is bitwise x*(r and c), negative zeros included.
-    row_mask = row_cells.astype(x.dtype)[..., None]
-    col_mask = np.repeat(col_cells, cfg.c, axis=2).astype(x.dtype)[:, :, None]
     patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, p, p * cfg.c)
     preds = np.empty(q, dtype=np.int64)
     for n in np.unique(counts).tolist():
@@ -389,9 +384,14 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
         for start in range(0, members.size, stack):
             ids = members[start : start + stack]
             grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
+            # 0/1 masks in the pixels' dtype: each cell's pixel rows, and its
+            # pixel columns at pixel-row width (p*c). Pixels are finite and
+            # >= 0, so (x*r)*c is bitwise x*(r and c), negative zeros included.
+            row_mask = row_cells[ids[:, None], grid_idx // gw].astype(x.dtype)
+            col_mask = np.repeat(col_cells[ids[:, None], grid_idx % gw], cfg.c, axis=2)
             cells = patches[grid_idx]
-            cells *= row_mask[ids[:, None], grid_idx // gw]
-            cells *= col_mask[ids[:, None], grid_idx % gw]
+            cells *= row_mask[..., None]
+            cells *= col_mask.astype(x.dtype)[:, :, None]
             preds[ids] = process_ablation(cells.reshape(ids.size, n, -1), grid_idx, params, cfg)
     return preds.tolist()
 

@@ -137,6 +137,13 @@ def test_retained_axes_match_ablation_set_masks(data):
     s = data.draw(st.integers(1, w))
     spec = AblationSpec(kind, data.draw(st.integers(1, w if kind == "column" else min(h, w))),
                         s, data.draw(st.integers(0, s - 1)))
+    if kind == "block" and spec.offset >= h:
+        # no anchor row: the spec is refused, not an empty set
+        with pytest.raises(ParameterError, match="no ablation anchor"):
+            retained_axes(h, w, spec)
+        with pytest.raises(ParameterError, match="no ablation anchor"):
+            ablation_set(np.zeros((h, w, 1), np.float32), spec)
+        return
     rows, cols = retained_axes(h, w, spec)
     masks = [a.mask for a in ablation_set(np.zeros((h, w, 1), np.float32), spec)]
     assert rows.shape == (len(masks), h) and cols.shape == (len(masks), w)

@@ -336,7 +336,8 @@ def _audit_case(draw):
     spec = AblationSpec(kind, b, s, draw(st.integers(0, s - 1)))
     m = draw(st.integers(1, min(h, w)))
     k = draw(st.integers(2, 8))
-    q = len(ablation_anchors(h, w, spec))
+    # a block offset of h or more leaves no anchor row: no ablation
+    q = 0 if kind == "block" and spec.offset >= h else len(ablation_anchors(h, w, spec))
     favored = draw(st.integers(0, k - 1))
     # skewed votes (one class dominates) or near-uniform ones, which tie often
     skew = draw(st.sampled_from([0.0, 0.5, 0.9]))

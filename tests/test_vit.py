@@ -59,8 +59,16 @@ def _case(draw):
     kind = draw(st.sampled_from(["column", "block"]))
     b = draw(st.integers(1, w if kind == "column" else min(h, w)))
     s = draw(st.integers(1, w))
-    spec = AblationSpec(kind, b, s, draw(st.integers(0, s - 1)))
-    return cfg, spec, draw(st.integers(0, 2**16))
+    # a block offset of h or more leaves no anchor row and is refused
+    offset = draw(st.integers(0, (s if kind == "column" else min(s, h)) - 1))
+    return cfg, AblationSpec(kind, b, s, offset), draw(st.integers(0, 2**16))
+
+
+def test_a_block_offset_without_anchor_rows_is_refused():
+    cfg = ViTConfig(h=4, w=8, c=1, p=2, d=8, heads=2, layers=1, k=3)
+    spec = AblationSpec("block", 2, 8, 5)
+    with pytest.raises(ParameterError, match="no ablation anchor"):
+        per_ablation_predictions(_image(cfg, 0), spec, Model.init(cfg, seed=0).params, cfg)
 
 
 @settings(deadline=None, max_examples=40)
