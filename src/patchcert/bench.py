@@ -11,8 +11,7 @@ read out: K and V still cost 2*n*d^2, but Q and the output projection
 d^2 each, the scores and the weighted sum n*d each, and the MLP 8*d^2.
 Tokenization projects only the n-1 surviving grid patches and the head
 reads out the class token. The model counts the inference forward;
-training (recorded activations) and the masked-attention oracle keep
-every row of the last layer.
+training, which records activations, keeps every row of the last layer.
 
 Wall-clock numbers are machine-dependent; assertions against them
 should stay directional (ordering and ratio bounds only).
@@ -26,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblationSpec, ablation_anchors
+from .ablation import AblatedImage, AblationSpec, ablation_anchors
 from .errors import ParameterError
-from .vit import Model, ViTConfig, _encoder_core, _full_grid_tokens, ablation_logits
+from .vit import Model, ViTConfig, ablation_logits
 
 __all__ = [
     "CostModel",
@@ -129,33 +128,32 @@ def wallclock_harness(model: Model, batch, trials: int = 5) -> dict:
     """Time the reduced-token path against the full-token path.
 
     ``batch`` is a sequence of AblatedImage inputs built beforehand, so
-    input construction is excluded from the timed region. Runs
-    single-threaded; returns mean and stddev seconds per batch plus the
-    multiplicative speedup of dropping tokens.
+    input construction is excluded from the timed region. The full-token
+    baseline runs the same forward on a copy of each ablation whose mask
+    keeps every pixel, also built before timing: every grid cell then
+    survives. Runs single-threaded; returns mean and stddev seconds per
+    batch plus the multiplicative speedup of dropping tokens.
     """
     if trials < 3:
         raise ParameterError(f"need at least 3 trials, got {trials}")
     if not batch:
         raise ParameterError("need a nonempty ablation batch")
     params, cfg = model.params, model.cfg
+    full_grid = [AblatedImage(z_m.pixels, np.ones_like(z_m.mask)) for z_m in batch]
 
-    def run_drop():
-        for z_m in batch:
+    def run(ablations):
+        for z_m in ablations:
             ablation_logits(z_m, params, cfg)
 
-    def run_full():
-        for z_m in batch:
-            _encoder_core(_full_grid_tokens(z_m.pixels, params, cfg), params, cfg)
-
-    run_drop()  # warm up caches and allocator before timing
-    run_full()
+    run(batch)  # warm up caches and allocator before timing
+    run(full_grid)
     drop_times = []
     full_times = []
     for _ in range(trials):
         t0 = time.perf_counter()
-        run_drop()
+        run(batch)
         t1 = time.perf_counter()
-        run_full()
+        run(full_grid)
         t2 = time.perf_counter()
         drop_times.append(t1 - t0)
         full_times.append(t2 - t1)

@@ -266,8 +266,7 @@ def _options(args) -> tuple[dict, dict]:
     """
     raw = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
+        _require_file(args.config, "config file")
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -291,11 +290,22 @@ def _options(args) -> tuple[dict, dict]:
 
 
 def _require_file(path, what: str) -> str:
+    """path, if it names a regular file; a directory or any other kind is missing input."""
     if path is None:
         raise ParameterError(f"{what} path is required")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        problem = "is not a regular file" if os.path.exists(path) else "not found"
+        raise FileNotFoundError(f"{what} {problem}: {path}")
     return path
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output directory that names, or lies under, an existing non-directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ParameterError(f"--out {out}: {path} exists and is not a directory")
 
 
 def _load_dataset(o: dict, seed: int) -> LabeledDataset:
@@ -604,6 +614,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except (FileNotFoundError, FormatError) as exc:
         _emit_error(exc, EXIT_MISSING)

@@ -38,10 +38,6 @@ class BudgetError(PatchcertError, RuntimeError):
     """An exhaustive enumeration would exceed its safety budget."""
 
 
-class UsageError(PatchcertError, RuntimeError):
-    """An API was called out of order (e.g. backward before forward)."""
-
-
 class DivergenceError(PatchcertError, RuntimeError):
     """Training produced a non-finite loss."""
 

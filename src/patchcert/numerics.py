@@ -1,10 +1,12 @@
-"""Dense numerical substrate for the encoder: forward ops, exact backward
-passes, and a finite-difference oracle.
+"""Dense numerical substrate for the encoder: forward ops and exact
+backward passes.
 
 Tensors are plain numpy arrays: row-major storage, float32 for model
 state and compute (reductions may accumulate wider). Every exported op
 is a pure function of its inputs; the only side channel is the
-multiply-accumulate counter installed by ``count_macs``.
+multiply-accumulate counter installed by ``count_macs``. The GELU and
+layer-norm constants are the numerics contract: vit's float64 reference
+forward reads them too, and shares nothing else with this module.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UsageError
+from .errors import DimensionError, ParameterError
 
 __all__ = [
     "MacCounter",
     "count_macs",
     "matmul",
     "matmul_stacked",
-    "matmul_reference",
     "bias_add",
     "softmax_last_dim",
     "softmax_backward",
@@ -32,7 +33,6 @@ __all__ = [
     "gelu_backward",
     "cross_entropy",
     "cross_entropy_backward",
-    "finite_difference_gradient",
 ]
 
 # tanh-approximation GELU constants; this exact form is the contract.
@@ -97,26 +97,6 @@ def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Naive triple loop with fixed row-major summation order.
-
-    Independent oracle for matmul; float32 accumulation so the summation
-    order is observable.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=a.dtype)
-    for i in range(m):
-        for j in range(n):
-            acc = a.dtype.type(0)
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Add a length-d bias over the last dimension (the only broadcast), in place.
 
@@ -149,8 +129,6 @@ def softmax_last_dim(x: np.ndarray) -> np.ndarray:
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dx for y = softmax(x): y * (dy - sum(dy * y))."""
-    if y is None:
-        raise UsageError("softmax_backward called without the forward output")
     inner = (dy * y).sum(axis=-1, keepdims=True)
     return y * (dy - inner)
 
@@ -184,8 +162,6 @@ def layer_norm_bwd(ctx, dy, axis=None):
     (B*n, d). dgamma and dbeta sum over ``axis``, by default every axis
     but the last; axis=1 gives one sum per set of a (B, n, d) stack.
     """
-    if ctx is None:
-        raise UsageError("layer_norm_bwd called before layer_norm_fwd")
     xhat, inv, gamma = ctx
     xhat, inv = xhat.reshape(dy.shape), inv.reshape(*dy.shape[:-1], 1)
     lead = tuple(range(dy.ndim - 1)) if axis is None else axis
@@ -223,8 +199,6 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
 
 def gelu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dx for the tanh-approximation GELU evaluated at x."""
-    if x is None:
-        raise UsageError("gelu_backward called without the forward input")
     # dy * (0.5*(1+t) + 0.5*x*(1-t*t)*du) with du = C*(1+3A*x*x), in place
     t = _gelu_tanh(x)
     du = x * (3.0 * _GELU_A)
@@ -257,26 +231,3 @@ def cross_entropy_backward(logits: np.ndarray, target: int) -> np.ndarray:
     g = softmax_last_dim(logits)
     g[target] -= 1.0
     return g
-
-
-def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central differences (f(x+h*e_i) - f(x-h*e_i)) / (2h), coordinatewise.
-
-    Perturbations happen in float64 so the oracle is not limited by the
-    storage precision of x; f decides its own evaluation precision.
-    """
-    if h <= 0:
-        raise ParameterError(f"finite difference step must be positive, got {h}")
-    base = np.array(x, dtype=np.float64)
-    grad = np.zeros(base.shape, dtype=np.float64)
-    flat = base.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(base)
-        flat[i] = orig - h
-        fm = f(base)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

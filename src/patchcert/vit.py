@@ -4,9 +4,11 @@ The model is a pre-norm encoder over a *set* of positionally encoded
 patch tokens plus a class token, whose final state is the readout:
 attention sees exactly the tokens present, so grid cells whose entire
 p*p region is masked can be removed before the encoder without changing
-what the surviving tokens compute. The masked-attention path exists only
-as a verification oracle; the production path shrinks the token
-sequence physically.
+what the surviving tokens compute. The one production forward shrinks
+the token sequence physically. masked_attention_oracle_forward is a
+separate float64 reference: it runs the full grid with the masked
+cells blocked as attention keys, and shares no arithmetic with the
+production forward.
 
 Parameters live in a flat name->array dict (float32) whose insertion
 order doubles as the checkpoint manifest order.
@@ -230,12 +232,7 @@ def _embed(patches, grid_idx, params, cfg):
     return x
 
 
-def _full_grid_tokens(pixels, params, cfg):
-    """Token stack (1, grid_tokens+1, d): the class token, then every grid cell, masked or not."""
-    return _embed(_patch_matrix(pixels, cfg)[None], np.arange(cfg.grid_tokens)[None], params, cfg)
-
-
-def _encoder_core(x, params, cfg, key_keep=None, record=False):
+def _encoder_core(x, params, cfg, record=False):
     """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
 
     Weight products run once over all B*n rows; attention runs per set
@@ -244,28 +241,23 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
     the K/V projections run over all n rows, because the class token
     attends to every key, while Q, the scores (B, heads, 1, n), the
     weighted sum, the out-projection, the residual, LN2, the MLP and the
-    final layer norm run on the B class rows. Two paths keep every row:
-    key_keep (n,) bool, when given, blanks attention scores toward
-    dropped tokens (the oracle path, an independent reference); record
-    also returns the activations the backward pass needs, and computes
-    the head per set, as a one-set call computes it: a one-row product
-    is a matrix-vector call, which rounds differently from the rows of a
-    stacked product.
+    final layer norm run on the B class rows. record keeps every row
+    and also returns the activations the backward pass needs, and
+    computes the head per set, as a one-set call computes it: a one-row
+    product is a matrix-vector call, which rounds differently from the
+    rows of a stacked product.
     """
     bsz, n, d = x.shape
-    if record and key_keep is not None:
-        raise ParameterError("gradient recording needs the reduced path")
     heads, dh = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
     ctx = {"layers": [], "n": n} if record else None
     x = x.reshape(bsz * n, d)
-    class_only = not record and key_keep is None
 
     for i, lp in enumerate(_layer_views(params, cfg)):
         h1, ln1_ctx = nx.layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"])
         kk = nx.bias_add(nx.matmul(h1, lp["attn.wk"]), lp["attn.bk"])
         v = nx.bias_add(nx.matmul(h1, lp["attn.wv"]), lp["attn.bv"])
-        if class_only and i == cfg.layers - 1:  # only the class rows are read out
+        if not record and i == cfg.layers - 1:  # only the class rows are read out
             h1, x = (t.reshape(bsz, n, d)[:, 0] for t in (h1, x))
         q = nx.bias_add(nx.matmul(h1, lp["attn.wq"]), lp["attn.bq"])
         # (B, heads, rows, dh) views: [b, hd] is head hd's column slice of set b;
@@ -277,8 +269,6 @@ def _encoder_core(x, params, cfg, key_keep=None, record=False):
             for hd in range(heads):
                 scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
         scores *= scale
-        if key_keep is not None:
-            scores[..., ~key_keep] = -np.inf
         attn = nx.softmax_last_dim(scores)
         o = np.empty_like(q)
         o_h = _by_head(o, bsz, cfg)
@@ -344,18 +334,43 @@ def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cf
 
 
 def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
-    """Reference path: full token set with dropped tokens neutralized.
+    """Float64 reference logits (k,) of one ablation: the full grid, dropped cells blocked as keys.
 
-    Dropped-eligible tokens are blocked as attention keys, which is
-    mathematically the same computation as running the encoder on the
-    reduced set.
+    Every grid cell is a token, and no token attends to a cell whose p*p
+    block keeps no pixel, which is mathematically the reduced-token
+    forward. Every row is computed, one head at a time, with out-of-place
+    numpy ops and the layer norm and tanh GELU written out: nothing but
+    the parameter layout is shared with _encoder_core.
     """
     _check_shape(z_m, cfg)
-    keep = _surviving_cells(z_m.mask, cfg).ravel()
-    if not keep.any():
+    # the class token, then the grid cells
+    keys = np.concatenate([[True], _surviving_cells(z_m.mask, cfg).ravel()])
+    if not keys[1:].any():
         raise InputError("ablation masks every token; nothing to classify")
-    x = _full_grid_tokens(z_m.pixels, params, cfg)
-    return _encoder_core(x, params, cfg, key_keep=np.concatenate([[True], keep]))[0]
+    p64 = {name: np.asarray(params[name], dtype=np.float64) for name in _param_table(cfg)}
+
+    def norm(x, gamma, beta):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + nx._LN_EPS) * gamma + beta
+
+    tokens = (_patch_matrix(z_m.pixels.astype(np.float64), cfg) @ p64["patch_embed.weight"]
+              + p64["patch_embed.bias"] + p64["pos_embed"])
+    x = np.vstack([p64["cls_token"] + p64["cls_pos"], tokens])
+    dh = cfg.head_dim
+    for lp in _layer_views(p64, cfg):
+        h = norm(x, lp["ln1.gamma"], lp["ln1.beta"])
+        q, k, v = (h @ lp[f"attn.w{t}"] + lp[f"attn.b{t}"] for t in "qkv")
+        heads = []
+        for cols in (slice(i * dh, (i + 1) * dh) for i in range(cfg.heads)):
+            scores = np.where(keys, q[:, cols] @ k[:, cols].T / math.sqrt(dh), -np.inf)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            heads.append(e / e.sum(axis=-1, keepdims=True) @ v[:, cols])
+        x = x + (np.hstack(heads) @ lp["attn.wo"] + lp["attn.bo"])
+        u = norm(x, lp["ln2.gamma"], lp["ln2.beta"]) @ lp["mlp.w1"] + lp["mlp.b1"]
+        act = 0.5 * u * (1.0 + np.tanh(nx._GELU_C * (u + nx._GELU_A * u ** 3)))
+        x = x + (act @ lp["mlp.w2"] + lp["mlp.b2"])
+    r = norm(x[0], p64["final_ln.gamma"], p64["final_ln.beta"])
+    return r @ p64["head.weight"] + p64["head.bias"]
 
 
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):

@@ -72,6 +72,7 @@ def files(tmp_path):
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
+    (tmp_path / "adir").mkdir()
     return tmp_path
 
 
@@ -84,6 +85,10 @@ CASES = [
     (["certify", "--ckpt", "trailing.svit"], 2),
     (["certify", "--ckpt", "magic.svit"], 2),
     (["certify", "--ckpt", "empty.svit"], 2),
+    # a directory where a file is read: 2
+    (["certify", "--ckpt", "adir"], 2),
+    (["delta", "--config", "adir"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data", "adir"], 2),
     (["certify", "--ckpt", "good.svit", "--config", "missing.json"], 2),
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data", "cifar.bin"], 2),
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "idx.bin",
@@ -198,6 +203,35 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     assert not (files / "out").exists() or not any((files / "out").iterdir())
 
 
+BENCH = ["bench", "--h", "16", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
+         "--layers", "1", "--k", "3", "--b-grid", "3,5", "--batch", "2", "--trials", "3"]
+
+WRITING_COMMANDS = [
+    ["ablate"],
+    ["train", "--stripe-n", "8", "--epochs", "1"],
+    ["certify", "--ckpt", "good.svit"],
+    ["sweep", "--ckpt", "good.svit"],
+    BENCH,
+]
+
+
+@pytest.mark.parametrize("out", ["good.svit", "good.svit/sub"])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
+def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypatch, capsys, argv, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("ablation_set", "fit", "certified_accuracy", "wallclock_harness"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(files)
+    before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
+    assert cli.main(argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip().splitlines()[-1])["exit_code"] == 3
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()} == before
+
+
 def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
     # the control for the NaN case: the same files with finite pixels certify
     monkeypatch.chdir(files)
@@ -241,10 +275,6 @@ def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["type"] == "ParameterError"
     assert "'val'" in record["error"] and "splits present: test" in record["error"]
-
-
-BENCH = ["bench", "--h", "16", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
-         "--layers", "1", "--k", "3", "--b-grid", "3,5", "--batch", "2", "--trials", "3"]
 
 
 def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):

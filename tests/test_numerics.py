@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchcert import numerics as nx
-from patchcert.errors import DimensionError, ParameterError, UsageError
+from patchcert.errors import DimensionError, ParameterError
+from references import finite_difference_gradient, matmul_reference
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ def test_matmul_matches_triple_loop_reference():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 4)).astype(np.float32)
     b = rng.normal(size=(4, 2)).astype(np.float32)
-    ref = nx.matmul_reference(a, b)
+    ref = matmul_reference(a, b)
     np.testing.assert_allclose(nx.matmul(a, b), ref, rtol=1e-5, atol=1e-6)
 
 
@@ -354,7 +355,7 @@ def test_cross_entropy_gradient_closed_form():
 def test_cross_entropy_matches_finite_differences():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=6).astype(np.float32)
-    fd = nx.finite_difference_gradient(lambda t: nx.cross_entropy(t, 3), logits, h=1e-4)
+    fd = finite_difference_gradient(lambda t: nx.cross_entropy(t, 3), logits, h=1e-4)
     assert _rel_err(nx.cross_entropy_backward(logits, 3).astype(np.float64), fd) < 1e-3
 
 
@@ -377,9 +378,9 @@ def test_layer_norm_backward_matches_fd(seed):
     def loss_b(t):
         return float((nx.layer_norm_fwd(x.astype(np.float64), gamma.astype(np.float64), t)[0] * dy).sum())
 
-    assert _rel_err(dx.astype(np.float64), nx.finite_difference_gradient(loss_x, x)) < 1e-3
-    assert _rel_err(dgamma.astype(np.float64), nx.finite_difference_gradient(loss_g, gamma)) < 1e-3
-    assert _rel_err(dbeta.astype(np.float64), nx.finite_difference_gradient(loss_b, beta)) < 1e-3
+    assert _rel_err(dx.astype(np.float64), finite_difference_gradient(loss_x, x)) < 1e-3
+    assert _rel_err(dgamma.astype(np.float64), finite_difference_gradient(loss_g, gamma)) < 1e-3
+    assert _rel_err(dbeta.astype(np.float64), finite_difference_gradient(loss_b, beta)) < 1e-3
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -391,7 +392,7 @@ def test_gelu_backward_matches_fd(seed):
     def loss(t):
         return float((nx.gelu(t) * dy).sum())
 
-    fd = nx.finite_difference_gradient(loss, x)
+    fd = finite_difference_gradient(loss, x)
     assert _rel_err(nx.gelu_backward(x, dy).astype(np.float64), fd) < 1e-3
 
 
@@ -405,7 +406,7 @@ def test_softmax_backward_matches_fd(seed):
     def loss(t):
         return float((nx.softmax_last_dim(t) * dy).sum())
 
-    fd = nx.finite_difference_gradient(loss, x)
+    fd = finite_difference_gradient(loss, x)
     assert _rel_err(nx.softmax_backward(y, dy).astype(np.float64), fd) < 1e-3
 
 
@@ -417,20 +418,10 @@ def test_matmul_backward_matches_fd():
     da = nx.matmul(dy, b.T)
     db = nx.matmul(a.T, dy)
 
-    fd_a = nx.finite_difference_gradient(lambda t: float((t @ b * dy).sum()), a)
-    fd_b = nx.finite_difference_gradient(lambda t: float((a @ t * dy).sum()), b)
+    fd_a = finite_difference_gradient(lambda t: float((t @ b * dy).sum()), a)
+    fd_b = finite_difference_gradient(lambda t: float((a @ t * dy).sum()), b)
     assert _rel_err(da.astype(np.float64), fd_a) < 1e-3
     assert _rel_err(db.astype(np.float64), fd_b) < 1e-3
-
-
-def test_backward_without_context_is_a_usage_error():
-    dy = np.ones(3, np.float32)
-    with pytest.raises(UsageError):
-        nx.layer_norm_bwd(None, dy)
-    with pytest.raises(UsageError):
-        nx.softmax_backward(None, dy)
-    with pytest.raises(UsageError):
-        nx.gelu_backward(None, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +429,20 @@ def test_backward_without_context_is_a_usage_error():
 
 
 def test_fd_on_sum_of_squares():
-    grad = nx.finite_difference_gradient(
+    grad = finite_difference_gradient(
         lambda t: float((t * t).sum()), np.array([1.0, 2.0], np.float32), h=1e-4
     )
     np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-6)
 
 
 def test_fd_constant_function_is_zero():
-    grad = nx.finite_difference_gradient(lambda t: 3.5, np.ones((2, 2), np.float32))
+    grad = finite_difference_gradient(lambda t: 3.5, np.ones((2, 2), np.float32))
     assert np.array_equal(grad, np.zeros((2, 2)))
 
 
 def test_fd_rejects_nonpositive_step():
     with pytest.raises(ParameterError):
-        nx.finite_difference_gradient(lambda t: 0.0, np.ones(2), h=0.0)
+        finite_difference_gradient(lambda t: 0.0, np.ones(2), h=0.0)
 
 
 def test_exported_ops_stay_float32_and_finite(rng):

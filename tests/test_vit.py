@@ -1,7 +1,9 @@
-"""The encoder: stacked smoothing engine vs per-ablation path vs masked oracle,
-exact MACs, analytic gradients (batched training step vs the per-sample
-and per-head references), training determinism and the checkpoint format."""
+"""The encoder: stacked smoothing engine vs per-ablation path vs the
+independent float64 masked-attention oracle, exact MACs, analytic
+gradients (batched training step vs the per-sample and per-head
+references), training determinism and the checkpoint format."""
 
+import inspect
 import json
 import math
 import struct
@@ -18,7 +20,7 @@ from patchcert.bench import CostModel, smoothing_cost, wallclock_harness
 from patchcert import cli, train
 from patchcert import numerics as nx
 from patchcert.errors import FormatError, ParameterError
-from patchcert.numerics import count_macs, finite_difference_gradient
+from patchcert.numerics import count_macs
 from patchcert.train import OptState, TrainConfig, fit, make_stripe_dataset, train_epoch
 from patchcert.vit import (
     Model,
@@ -30,8 +32,10 @@ from patchcert.vit import (
     per_ablation_predictions,
     save_checkpoint,
 )
+from references import finite_difference_gradient
 
 ORACLE_TOLERANCE = 1e-5
+FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
 TIE_TOLERANCE = 1e-5  # stacked and single-set products may round differently
 
 
@@ -204,12 +208,11 @@ def _out_of_place_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=False,
-                          every_row=False):
+def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_row=False):
     """Logits and recorded activations of the out-of-place forward.
 
-    Like _encoder_core, the reduced path (no key_keep, no record) runs the
-    last layer past K and V on the class rows only, unless every_row.
+    Like _encoder_core, the inference path (no record) runs the last
+    layer past K and V on the class rows only, unless every_row.
     """
     bsz, n, pdim = patches.shape
     t = nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]) \
@@ -217,8 +220,6 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=
     t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
     cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
     x = np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
-    if key_keep is not None:
-        key_keep = np.concatenate([[True], key_keep])
     n += 1
     heads, dh = cfg.heads, cfg.head_dim
     x = x.reshape(bsz * n, cfg.d)
@@ -227,8 +228,8 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=
         h1, xhat1 = _out_of_place_layer_norm(x, lp["ln1.gamma"], lp["ln1.beta"])
         kk = nx.matmul(h1, lp["attn.wk"]) + lp["attn.bk"]
         v = nx.matmul(h1, lp["attn.wv"]) + lp["attn.bv"]
-        if key_keep is None and not (record or every_row) and i == cfg.layers - 1:
-            # the reduced path's last layer: queries and everything after them on the class rows
+        if not (record or every_row) and i == cfg.layers - 1:
+            # the inference path's last layer: queries and everything after them on the class rows
             h1, x = (a.reshape(bsz, n, cfg.d)[:, 0] for a in (h1, x))
         q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
         q_h, v_h = (vit._by_head(a, bsz, cfg) for a in (q, v))
@@ -238,8 +239,6 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, key_keep=None, record=
             for hd in range(heads):
                 scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
         scores *= 1.0 / math.sqrt(dh)
-        if key_keep is not None:
-            scores[..., ~key_keep] = -np.inf
         attn = _out_of_place_softmax(scores)
         o = np.empty_like(q)
         o_h = vit._by_head(o, bsz, cfg)
@@ -272,7 +271,7 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("path", ["reduced", "oracle", "record"])
+@pytest.mark.parametrize("path", ["reduced", "record"])
 @pytest.mark.parametrize("config", sorted(_BYTEWISE_CONFIGS))
 @settings(deadline=None, max_examples=6)
 @given(bsz=st.integers(1, 3), cells=st.integers(1, 64),
@@ -283,18 +282,12 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
     # move every parameter off its initial value, so biases and affines act
     params = {name: (v + rng.normal(0.0, 0.1, v.shape)).astype(dtype)
               for name, v in Model.init(cfg, seed=seed).params.items()}
-    pdim = cfg.p * cfg.p * cfg.c
-    if path == "oracle":  # the full grid, with the dropped cells blanked as keys
-        bsz, n, keep = 1, cfg.grid_tokens, rng.uniform(size=cfg.grid_tokens) < 0.5
-        keep[rng.integers(cfg.grid_tokens)] = True
-        grid_idx = np.arange(n)[None]
-    else:
-        n, keep = min(cells, cfg.grid_tokens), None
-        grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
-                             for _ in range(bsz)])
-    patches = rng.uniform(0.0, 1.0, (bsz, n, pdim)).astype(np.float32)
+    n = min(cells, cfg.grid_tokens)
+    grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
+                         for _ in range(bsz)])
+    patches = rng.uniform(0.0, 1.0, (bsz, n, cfg.p * cfg.p * cfg.c)).astype(np.float32)
     x = vit._embed(patches, grid_idx, params, cfg)
-    want, acts = _out_of_place_forward(patches, grid_idx, params, cfg, keep, path == "record")
+    want, acts = _out_of_place_forward(patches, grid_idx, params, cfg, path == "record")
     if path == "record":
         logits, ctx = vit._encoder_core(x, params, cfg, record=True)
         got = []
@@ -303,11 +296,68 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
                     lc["ln2"][0], lc["h2"], lc["m1"], lc["act"]]
         for g, w in zip(got + [ctx["final_ln"][0], ctx["f"], ctx["r"]], acts, strict=True):
             _assert_same_bytes(g, w)
-    elif path == "oracle":
-        logits = vit._encoder_core(x, params, cfg, key_keep=np.concatenate([[True], keep]))
     else:
         logits = vit._encoder_core(x, params, cfg)
     _assert_same_bytes(logits, want)
+
+
+def _float64(params):
+    return {name: v.astype(np.float64) for name, v in params.items()}
+
+
+def _assert_float64_forward_equals_the_oracle(ablations, params, cfg):
+    for z in ablations:
+        oracle = masked_attention_oracle_forward(z, params, cfg)
+        assert oracle.dtype == np.float64 and oracle.shape == (cfg.k,)
+        assert np.max(np.abs(ablation_logits(z, params, cfg) - oracle)) <= FLOAT64_TOLERANCE
+
+
+@settings(deadline=None, max_examples=40)
+@given(_case())
+def test_float64_forward_equals_the_oracle(case):
+    # with float64 parameters and pixels, rounding cannot hide a modelling
+    # difference between the reduced-token forward and the masked full grid
+    cfg, spec, seed = case
+    params = _float64(Model.init(cfg, seed=seed).params)
+    ablations = ablation_set(_image(cfg, seed).astype(np.float64), spec)
+    _assert_float64_forward_equals_the_oracle(ablations, params, cfg)
+
+
+@pytest.mark.parametrize("config", sorted(_BYTEWISE_CONFIGS))
+@settings(deadline=None, max_examples=4)
+@given(kind=st.sampled_from(["column", "block"]), top=st.integers(0, 223),
+       left=st.integers(0, 223), b=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_float64_forward_equals_the_oracle_at_the_north_star_configs(config, kind, top, left, b,
+                                                                     seed):
+    cfg = _BYTEWISE_CONFIGS[config]
+    rng = np.random.default_rng(seed)
+    params = {name: v + rng.normal(0.0, 0.1, v.shape)
+              for name, v in _float64(Model.init(cfg, seed=seed).params).items()}
+    x = _image(cfg, seed).astype(np.float64)
+    b = min(b, cfg.h)
+    z = (column_ablation(x, left % cfg.w, b) if kind == "column"
+         else block_ablation(x, top % cfg.h, left % cfg.w, b))
+    _assert_float64_forward_equals_the_oracle([z], params, cfg)
+
+
+def test_the_oracle_shares_no_code_with_the_production_forward(monkeypatch):
+    cfg = ViTConfig(h=8, w=8, c=3, p=2, d=8, heads=2, layers=2, k=3)
+    params = Model.init(cfg, seed=3).params
+    z = column_ablation(_image(cfg, 3), 5, 3)
+    want = masked_attention_oracle_forward(z, params, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("production code was called")
+
+    monkeypatch.setattr(vit, "_encoder_core", refuse)
+    monkeypatch.setattr(vit, "_embed", refuse)
+    for name, value in vars(nx).copy().items():
+        if inspect.isfunction(value) and value.__module__ == nx.__name__:
+            monkeypatch.setattr(nx, name, refuse)
+    with pytest.raises(AssertionError, match="production code"):
+        ablation_logits(z, params, cfg)
+    got = masked_attention_oracle_forward(z, params, cfg)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=40)
