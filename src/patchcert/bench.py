@@ -31,7 +31,6 @@ from .vit import Model, ViTConfig, ablation_logits
 
 __all__ = [
     "CostModel",
-    "tokens_for_ablation",
     "smoothing_cost",
     "wallclock_harness",
 ]
@@ -86,21 +85,14 @@ def _axis_token_count(anchor: int, b: int, p: int, cells: int) -> int:
     return min(math.ceil(((anchor % p) + b) / p), cells)
 
 
-def tokens_for_ablation(cfg: ViTConfig, spec: AblationSpec, anchor) -> int:
-    """Exact surviving token count (class token included) for one ablation."""
-    spec.validate_for(cfg.h, cfg.w)
+def _tokens_for_ablation(cfg: ViTConfig, spec: AblationSpec, anchor) -> int:
+    """Exact surviving token count (class token included) of the ablation at an
+    anchor of ablation_anchors."""
     if spec.kind == "column":
-        start = int(anchor)
-        if not 0 <= start < cfg.w:
-            raise ParameterError(f"column start {start} outside [0, {cfg.w})")
-        cols = _axis_token_count(start, spec.b, cfg.p, cfg.grid_w)
-        return cfg.grid_h * cols + 1
-    top, left = (int(anchor[0]), int(anchor[1]))
-    if not (0 <= top < cfg.h and 0 <= left < cfg.w):
-        raise ParameterError(f"block anchor {(top, left)} outside {cfg.h}x{cfg.w}")
+        return cfg.grid_h * _axis_token_count(anchor, spec.b, cfg.p, cfg.grid_w) + 1
+    top, left = anchor
     rows = _axis_token_count(top, spec.b, cfg.p, cfg.grid_h)
-    cols = _axis_token_count(left, spec.b, cfg.p, cfg.grid_w)
-    return rows * cols + 1
+    return rows * _axis_token_count(left, spec.b, cfg.p, cfg.grid_w) + 1
 
 
 def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
@@ -112,7 +104,7 @@ def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
     """
     anchors = ablation_anchors(cfg.h, cfg.w, spec)
     model = CostModel.for_config(cfg)
-    tokens = [tokens_for_ablation(cfg, spec, a) for a in anchors]
+    tokens = [_tokens_for_ablation(cfg, spec, a) for a in anchors]
     macs_drop = sum(model.total(n) for n in tokens)
     macs_full = len(anchors) * model.total(cfg.grid_tokens + 1)
     return {

@@ -319,9 +319,13 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
             raise FormatError(
                 f"labels file {o['labels']} has IDX type 0x{IDX_FLOAT32:02x} (float32); "
                 f"labels must be unsigned bytes, type 0x{IDX_UBYTE:02x}")
+        if images.ndim not in (3, 4) or labels.ndim != 1:
+            raise FormatError(
+                f"IDX images must be (n, h, w) or (n, h, w, c) and labels (n,); "
+                f"got {images.shape} and {labels.shape}")
         if images.ndim == 3:
             images = images[..., None]
-        labels = labels.astype(np.int64).ravel()
+        labels = labels.astype(np.int64)
         k = int(labels.max()) + 1 if labels.size else 2
         return LabeledDataset(
             images=images.astype(np.float32),
@@ -571,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".", help="output directory (default: current)")
+        if name != "delta":  # the one command that only prints
+            p.add_argument("--out", default=".", help="output directory (default: current)")
         for key, (kind, default) in OPTIONS[name].items():
             p.add_argument(
                 "--" + key.replace("_", "-"), dest=key,
@@ -614,7 +619,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_out(args.out)
+        if "out" in args:
+            _check_out(args.out)
         return args.func(args)
     except (FileNotFoundError, FormatError) as exc:
         _emit_error(exc, EXIT_MISSING)

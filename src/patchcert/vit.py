@@ -215,20 +215,20 @@ def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
     return [{n: params[f"layers.{i}.{n}"] for n in names} for i in range(cfg.layers)]
 
 
-def _embed(patches, grid_idx, params, cfg):
+def _embed(patches, grid_idx, params, cfg, record=False):
     """Token stack (B, n+1, d) of B patch sets (B, n, p*p*c) at grid cells (B, n).
 
     Projects the patches, adds their positional embeddings and puts the
     class token in row 0 of every set, so the stack has n+1 rows per set.
+    record (training) projects each set alone (_weight_product), so its
+    tokens are bitwise those of a batch of one for every n, n = 1 included.
     """
-    bsz, n, pdim = patches.shape
+    bsz, n, _ = patches.shape
     t = nx.bias_add(
-        nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]),
-        params["patch_embed.bias"],
-    )
+        _weight_product(patches, params["patch_embed.weight"], record), params["patch_embed.bias"])
     x = np.empty((bsz, n + 1, cfg.d), dtype=t.dtype)
     x[:, 0] = params["cls_token"] + params["cls_pos"]
-    np.add(t.reshape(bsz, n, cfg.d), params["pos_embed"][grid_idx], out=x[:, 1:])
+    np.add(t, params["pos_embed"][grid_idx], out=x[:, 1:])
     return x
 
 
@@ -241,11 +241,9 @@ def _encoder_core(x, params, cfg, record=False):
     the K/V projections run over all n rows, because the class token
     attends to every key, while Q, the scores (B, heads, 1, n), the
     weighted sum, the out-projection, the residual, LN2, the MLP and the
-    final layer norm run on the B class rows. record keeps every row
-    and also returns the activations the backward pass needs, and
-    computes the head per set, as a one-set call computes it: a one-row
-    product is a matrix-vector call, which rounds differently from the
-    rows of a stacked product.
+    final layer norm run on the B class rows. record keeps every row,
+    computes the head per set (_weight_product) and also returns the
+    activations the backward pass needs.
     """
     bsz, n, d = x.shape
     heads, dh = cfg.heads, cfg.head_dim
@@ -294,11 +292,8 @@ def _encoder_core(x, params, cfg, record=False):
 
     f, lnf_ctx = nx.layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
     r = f.reshape(bsz, -1, d)[:, 0]
-    if record:
-        logits = nx.matmul_stacked(r[:, None], _per_set(params["head.weight"], bsz))[:, 0]
-    else:
-        logits = nx.matmul(r, params["head.weight"])
-    logits = nx.bias_add(logits, params["head.bias"])
+    logits = nx.bias_add(
+        _weight_product(r[:, None], params["head.weight"], record)[:, 0], params["head.bias"])
     if record:
         ctx["final_ln"] = lnf_ctx
         ctx["f"] = f
@@ -316,6 +311,15 @@ def _by_head(t, bsz, cfg):
 def _per_set(w, bsz):
     """w repeated for each of bsz sets, as a read-only (bsz, *w.shape) view."""
     return np.broadcast_to(w, (bsz, *w.shape))
+
+
+def _weight_product(x, w, per_set):
+    """x (B, rows, k) @ w: one 2-D product over all B*rows rows, or per set as a
+    batch of one computes it (a one-row product is a matrix-vector call, which
+    rounds differently from the rows of a stacked product)."""
+    if per_set:
+        return nx.matmul_stacked(x, _per_set(w, len(x)))
+    return nx.matmul(x.reshape(-1, x.shape[-1]), w).reshape(len(x), -1, w.shape[1])
 
 
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
@@ -425,12 +429,9 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     receive zero gradient. Both sums run in batch order from +0, over
     per-ablation values that are bitwise those of a batch of one.
     Ablations with equal token counts share one recorded forward and
-    one backward, whose every product runs per ablation; ablations with
-    a single surviving cell run alone, since alone their patch embedding
-    is a one-row product, a matrix-vector call, which rounds differently
-    from the rows of a stacked product. The groups' backwards step in
-    lockstep, so only one parameter's per-ablation gradients are alive
-    at a time.
+    one backward, whose every product runs per ablation. The groups'
+    backwards step in lockstep, so only one parameter's per-ablation
+    gradients are alive at a time.
     """
     if len(ablations) != len(labels) or not ablations:
         raise ParameterError(
@@ -439,13 +440,13 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     by_count: dict[int, list[int]] = {}
     for i, (_, grid_idx) in enumerate(cells):
         by_count.setdefault(grid_idx.size, []).append(i)
-    groups = [ids for n, ids in by_count.items() if n > 1] + [[i] for i in by_count.get(1, ())]
+    groups = list(by_count.values())
     losses = [0.0] * len(ablations)
     streams = []
     for ids in groups:
         patches = np.stack([cells[i][0] for i in ids])
         grid_idx = np.stack([cells[i][1] for i in ids])
-        x = _embed(patches, grid_idx, params, cfg)
+        x = _embed(patches, grid_idx, params, cfg, record=True)
         logits, ctx = _encoder_core(x, params, cfg, record=True)
         dlogits = np.empty_like(logits)
         for row, i in enumerate(ids):

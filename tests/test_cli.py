@@ -66,6 +66,10 @@ def files(tmp_path):
         "nan.idx": _idx_float32(np.full((4, 16, 16), np.nan, np.float32)),
         "half.idx": _idx_float32(np.full((4, 16, 16), 0.5, np.float32)),
         "labels.idx": b"\0\0\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 2, 3]),
+        "labels_2d.idx": b"\0\0\x08\x02" + struct.pack(">II", 4, 1) + bytes([0, 1, 2, 3]),
+        "rank0.idx": _idx_float32(np.array(0.5, np.float32)),
+        "rank2.idx": _idx_float32(np.full((6, 8), 0.5, np.float32)),
+        "rank5.idx": _idx_float32(np.full((6, 8, 8, 1, 1), 0.5, np.float32)),
         "float_labels.idx": _idx_float32(np.array([0.0, 1.7, 2.0, 3e9], np.float32)),
         "lr_nan.json": b'{"lr": NaN}',
         "wd_nan.json": b'{"weight_decay": NaN}',
@@ -97,6 +101,16 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
       "--labels", "float_labels.idx"], 2),
     (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "float_labels.idx"], 2),
+    # IDX images that are not (n, h, w) or (n, h, w, c), or labels that are not (n,): 2
+    (["train", "--data-format", "idx", "--data", "rank0.idx", "--labels", "labels.idx"], 2),
+    (["train", "--data-format", "idx", "--data", "rank2.idx", "--labels", "labels.idx"], 2),
+    (["train", "--data-format", "idx", "--data", "rank5.idx", "--labels", "labels.idx"], 2),
+    (["ablate", "--data-format", "idx", "--data", "rank2.idx", "--labels", "labels.idx"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "rank5.idx",
+      "--labels", "labels.idx"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+      "--labels", "labels_2d.idx"], 2),
+    (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels_2d.idx"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
     # a checkpoint whose tensors are not the shapes its config declares: 2
@@ -179,6 +193,7 @@ CASES = [
     (["ablate", "--split", "val"], 3),
     (["bench", "--b", "7"], 3),
     (["sweep", "--ckpt", "good.svit", "--b", "3"], 3),
+    (["delta", "--out", "out"], 3),
     # a config value outside its choices fails before any work: 3
     (["train", "--config", "kind_diag.json"], 3),
     (["train", "--config", "format_x.json"], 3),
@@ -195,7 +210,7 @@ CASES = [
 @pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a) for a, _ in CASES])
 def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(files)
-    assert cli.main(argv + ["--out", "out"]) == code
+    assert cli.main(argv + ([] if argv[0] == "delta" else ["--out", "out"])) == code
     captured = capsys.readouterr()
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["exit_code"] == code

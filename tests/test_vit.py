@@ -627,7 +627,7 @@ def test_batched_step_sums_from_positive_zero(monkeypatch):
 
 @settings(deadline=None, max_examples=25)
 @given(_case(), st.integers(1, 6))
-# two single-cell ablations: stacked, their patch embedding would be a 2-row product, not a gemv
+# two single-cell ablations share a stack, but each set's patch embedding stays a one-row product
 @example((ViTConfig(h=4, w=4, c=1, p=2, d=8, heads=2, layers=1, k=3), AblationSpec("block", 2), 0), 3)
 def test_batched_step_equals_the_per_sample_sum_on_random_batches(case, batch):
     cfg, spec, seed = case
@@ -638,6 +638,34 @@ def test_batched_step_equals_the_per_sample_sum_on_random_batches(case, batch):
     picks = rng.integers(0, len(family), size=batch)
     labels = rng.integers(0, cfg.k, size=batch).tolist()
     _assert_batch_equals_per_sample_sum([family[i] for i in picks], labels, params, cfg)
+
+
+def test_one_recorded_forward_per_token_count(monkeypatch):
+    # single-cell ablations share one stack like any other token count
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=1, k=5)
+    params = Model.init(cfg, seed=14).params
+    x = _image(cfg, 14)
+    ablations = [  # survivors: cells of each ablation
+        block_ablation(x, 0, 0, 4),  # 1
+        column_ablation(x, 2, 4),  # 8
+        block_ablation(x, 5, 6, 1),  # 1
+        column_ablation(x, 4, 4),  # 4
+        block_ablation(x, 9, 1, 2),  # 1
+        block_ablation(x, 14, 14, 4),  # 4
+        block_ablation(x, 12, 8, 3),  # 1
+    ]
+    core = vit._encoder_core
+    stacks = []
+
+    def counting_core(x, params, cfg, record=False):
+        stacks.append((x.shape[1] - 1, x.shape[0], record))  # (cells, sets, record)
+        return core(x, params, cfg, record)
+
+    monkeypatch.setattr(vit, "_encoder_core", counting_core)
+    labels = [j % cfg.k for j in range(len(ablations))]
+    loss_and_gradients(ablations, labels, params, cfg)
+    assert sorted(stacks) == [(1, 4, True), (4, 2, True), (8, 1, True)]
+    _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg)
 
 
 def test_loss_and_gradients_rejects_mismatched_batches():
