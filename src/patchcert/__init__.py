@@ -15,7 +15,7 @@ from .certify import (
     delta_oracle,
     smoothed_predict,
 )
-from .train import LabeledDataset, TrainConfig, ablation_accuracy, fit, make_stripe_dataset
+from .train import LabeledDataset, TrainConfig, fit, make_stripe_dataset
 from .vit import (
     Model,
     ViTConfig,
@@ -43,7 +43,6 @@ __all__ = [
     "smoothed_predict",
     "LabeledDataset",
     "TrainConfig",
-    "ablation_accuracy",
     "fit",
     "make_stripe_dataset",
     "Model",

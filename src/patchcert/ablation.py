@@ -22,6 +22,7 @@ __all__ = [
     "block_ablation",
     "ablation_set",
     "ablation_anchors",
+    "axis_intervals",
     "retained_axes",
 ]
 
@@ -150,15 +151,27 @@ def ablation_set(x: np.ndarray, spec: AblationSpec, anchors=None) -> list[Ablate
     return [block_ablation(x, t, l, spec.b) for t, l in anchors]
 
 
+def axis_intervals(size: int, spec: AblationSpec) -> np.ndarray:
+    """Retained interval (q1, size) of each strided start offset, offset+s, ... < size.
+
+    One row per start along one image axis, in ascending start order;
+    the spec must be valid for the image (``validate_for``).
+    """
+    return _wrapped_interval(np.arange(spec.offset, size, spec.s), spec.b, size)
+
+
 def retained_axes(h: int, w: int, spec: AblationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Retained rows (q, h) and columns (q, w) of every ablation, in anchor order.
 
-    Each axis of an ablation keeps one wrapped interval, so ablation j
-    keeps pixel (r, c) iff rows[j, r] and cols[j, c]: the same mask
-    ablation_set builds, without building the ablated images.
+    Each axis of an ablation keeps one wrapped interval from
+    ``axis_intervals``, so ablation j keeps pixel (r, c) iff rows[j, r]
+    and cols[j, c]: the same mask ablation_set builds, without building
+    the ablated images. A column keeps every row; blocks pair each row
+    interval with each column interval, row-major.
     """
-    anchors = np.asarray(ablation_anchors(h, w, spec), dtype=np.int64)
+    spec.validate_for(h, w)
+    cols = axis_intervals(w, spec)
     if spec.kind == "column":
-        return np.ones((anchors.size, h), dtype=bool), _wrapped_interval(anchors, spec.b, w)
-    anchors = anchors.reshape(-1, 2)  # keeps two columns when the set is empty
-    return _wrapped_interval(anchors[:, 0], spec.b, h), _wrapped_interval(anchors[:, 1], spec.b, w)
+        return np.ones((len(cols), h), dtype=bool), cols
+    rows = axis_intervals(h, spec)
+    return np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))

@@ -7,10 +7,12 @@ a single m*m patch can intersect. Delta comes in three flavours here,
 each for a given image size:
 
 * closed form, ``paper`` mode: the published threshold formulas;
-* closed form, ``safe`` mode: exact integer interval arithmetic over
-  the image's strided start grid (the published strided formulas
-  under-count when the stride does not divide the width, because that
-  grid has one short wrap gap);
+* closed form, ``safe`` mode: the oracle's window-hit count, taken per
+  axis. An ablation keeps one interval per axis, so the ablations a
+  placement hits are its row hits times its column hits, and Delta is
+  the product of each axis's largest count (the published strided
+  formulas under-count when the stride does not divide the width,
+  because the strided start grid has one short wrap gap);
 * ``delta_oracle``: exhaustive count of the ablations every placement
   hits, exact by construction.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblationSpec, ablation_anchors, retained_axes
+from .ablation import AblationSpec, ablation_anchors, axis_intervals, retained_axes
 from .errors import BudgetError, EmptyVotesError, InputError, ParameterError
 
 __all__ = [
@@ -101,35 +103,12 @@ def _paper_delta_1d(b: int, s: int, m: int) -> int:
     return math.ceil((m + s - 1) / s)
 
 
-def _exact_hits_1d(size: int, b: int, s: int, m: int, offset: int) -> int:
-    """Exact max count of strided starts hit by one patch, along one axis.
-
-    Starts are {offset, offset+s, ...} within [0, size); a patch edge at
-    position ``left`` intersects every start in the circular window
-    [left-b+1, left+m-1]. Counting uses a prefix table over start
-    positions, so wrap gaps in the strided grid are handled exactly.
-    """
-    length = m + b - 1
-    q = math.ceil((size - offset) / s)
-    if length >= size:
-        return q
-    ys = np.arange(size)
-    cum = np.zeros(size + 1, dtype=np.int64)
-    cum[1:] = np.where(ys >= offset, (ys - offset) // s + 1, 0)
-    lefts = np.arange(size - m + 1)
-    lo = (lefts - (b - 1)) % size
-    hi = lefts + m - 1  # patch does not wrap, so hi < size always
-    wraps = lo > hi
-    plain = cum[hi + 1] - cum[lo]
-    wrapped = q - (cum[lo] - cum[hi + 1])
-    return int(np.max(np.where(wraps, wrapped, plain)))
-
-
 def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
     """Certification threshold Delta of an m*m patch on a dims=(h, w) image.
 
-    ``paper`` reproduces the published formulas; ``safe`` counts exactly
-    over the image's strided start grid.
+    ``paper`` reproduces the published formulas; ``safe`` is the product,
+    over the kind's axes, of the most retained intervals
+    (``axis_intervals``) that one window of m pixels meets.
     """
     if mode not in ("safe", "paper"):
         raise ParameterError(f"unknown delta mode {mode!r}; use safe or paper")
@@ -137,13 +116,12 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
     spec.validate_for(h, w)
     if not 1 <= m <= min(h, w):
         raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
-    b, s, off = spec.b, spec.s, spec.offset
     if mode == "paper":
-        d1 = _paper_delta_1d(b, s, m)
+        d1 = _paper_delta_1d(spec.b, spec.s, m)
         return d1 if spec.kind == "column" else d1 * d1
-    if spec.kind == "column":
-        return _exact_hits_1d(w, b, s, m, off)
-    return _exact_hits_1d(h, b, s, m, off) * _exact_hits_1d(w, b, s, m, off)
+    sizes = (w,) if spec.kind == "column" else (h, w)
+    return math.prod(int(_window_hits(axis_intervals(n, spec), m).sum(axis=0).max())
+                     for n in sizes)
 
 
 def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:

@@ -323,6 +323,10 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
             raise FormatError(
                 f"IDX images must be (n, h, w) or (n, h, w, c) and labels (n,); "
                 f"got {images.shape} and {labels.shape}")
+        if len(images) != len(labels):
+            raise FormatError(
+                f"IDX images file {o['data']} holds {len(images)} images but labels file "
+                f"{o['labels']} holds {len(labels)} labels")
         if images.ndim == 3:
             images = images[..., None]
         labels = labels.astype(np.int64)
@@ -340,13 +344,11 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
 
 
 def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
-    if split == "all":
-        return data
-    sub = data.subset(split)
+    sub = data if split == "all" else data.subset(split)
     if not len(sub):
         present = ", ".join(sorted(set(data.splits.tolist()))) or "none"
-        raise ParameterError(f"dataset has no {split!r} split (splits present: {present}); "
-                             "choose one of those or --split all")
+        raise ParameterError(f"dataset has no images in split {split!r} "
+                             f"(splits present: {present})")
     return sub
 
 
@@ -625,7 +627,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, FormatError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING
-    except (ParameterError, ConfigError) as exc:
+    except (ParameterError, BudgetError) as exc:
         _emit_error(exc, EXIT_INVALID)
         return EXIT_INVALID
     except PatchcertError as exc:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its exit-code contract: missing inputs and
-malformed files exit 2, invalid parameters and configs exit 3, anything
-else exits 1.
+malformed files exit 2, invalid parameters and configs exit 3, as does
+an enumeration past its budget (the caller chose the exhaustive mode),
+and anything else exits 1.
 """
 
 

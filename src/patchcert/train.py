@@ -31,7 +31,6 @@ __all__ = [
     "OptState",
     "make_stripe_dataset",
     "train_epoch",
-    "ablation_accuracy",
     "fit",
 ]
 
@@ -183,7 +182,8 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
     return model, total_loss / len(data), state
 
 
-def ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int, kind: str = "column") -> float:
+def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int,
+                       kind: str = "column") -> float:
     """Fraction of correct single-ablation predictions over the stride-1 set."""
     if len(data) == 0:
         raise ParameterError("cannot evaluate an empty dataset")
@@ -216,7 +216,7 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path=None) -> 
     best_epoch = -1
     for epoch in range(cfg.epochs):
         model, loss, state = train_epoch(model, train_split, cfg, state)
-        val_acc = ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
+        val_acc = _ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
         losses.append(loss)
         history.append(val_acc)
         line = json.dumps(

@@ -39,7 +39,6 @@ from .errors import DimensionError, FormatError, InputError, ParameterError
 __all__ = [
     "ViTConfig",
     "Model",
-    "init_params",
     "ablation_logits",
     "process_ablation",
     "masked_attention_oracle_forward",
@@ -62,7 +61,7 @@ def _layer_table(d: int) -> dict:
     """One encoder layer's parameters: short name -> (shape, initial value).
 
     An initial value of None draws N(0, 0.02); the order is the
-    checkpoint order, and the order init_params draws in.
+    checkpoint order, and the order Model.init draws in.
     """
     return {
         "ln1.gamma": ((d,), 1.0), "ln1.beta": ((d,), 0.0),
@@ -152,16 +151,6 @@ def _param_table(cfg: ViTConfig) -> dict:
     return table
 
 
-def init_params(cfg: ViTConfig, seed: int = 0) -> dict:
-    """Fresh float32 parameter dict: N(0, 0.02) weights, unit layer norms."""
-    rng = np.random.default_rng(seed)
-    return {
-        name: (rng.normal(0.0, 0.02, size=shape).astype(np.float32) if fill is None
-               else np.full(shape, fill, dtype=np.float32))
-        for name, (shape, fill) in _param_table(cfg).items()
-    }
-
-
 @dataclass
 class Model:
     """A config plus its parameter dict; immutable during inference."""
@@ -171,7 +160,14 @@ class Model:
 
     @classmethod
     def init(cls, cfg: ViTConfig, seed: int = 0) -> "Model":
-        return cls(cfg=cfg, params=init_params(cfg, seed))
+        """Fresh float32 parameters: N(0, 0.02) weights, unit layer norms."""
+        rng = np.random.default_rng(seed)
+        params = {
+            name: (rng.normal(0.0, 0.02, size=shape).astype(np.float32) if fill is None
+                   else np.full(shape, fill, dtype=np.float32))
+            for name, (shape, fill) in _param_table(cfg).items()
+        }
+        return cls(cfg=cfg, params=params)
 
     def copy(self) -> "Model":
         return Model(cfg=self.cfg, params={k: v.copy() for k, v in self.params.items()})

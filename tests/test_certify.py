@@ -356,10 +356,13 @@ def test_hit_tables_match_the_mask_reference(case):
         with pytest.raises(ParameterError):
             delta_oracle(h, w, spec, m)
         with pytest.raises(ParameterError):
+            delta_closed_form(spec, m, "safe", dims=(h, w))
+        with pytest.raises(ParameterError):
             adversarial_flip_search([0], spec, h, w, m, 0, k)
         return
     hits, _ = _reference_intersection_matrix(h, w, spec, m)
     assert delta_oracle(h, w, spec, m) == int(hits.sum(axis=0).max())
+    assert delta_closed_form(spec, m, "safe", dims=(h, w)) == int(hits.sum(axis=0).max())
     found = adversarial_flip_search(preds, spec, h, w, m, preds[0], k)
     assert found == _reference_flip_search(preds, spec, h, w, m, k)
     assert type(found.changed) is bool

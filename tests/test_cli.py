@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from patchcert import ablation, cli
+from patchcert import ablation, certify, cli
 from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
@@ -67,6 +67,9 @@ def files(tmp_path):
         "half.idx": _idx_float32(np.full((4, 16, 16), 0.5, np.float32)),
         "labels.idx": b"\0\0\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 2, 3]),
         "labels_2d.idx": b"\0\0\x08\x02" + struct.pack(">II", 4, 1) + bytes([0, 1, 2, 3]),
+        "labels3.idx": b"\0\0\x08\x01" + struct.pack(">I", 3) + bytes([0, 1, 2]),
+        "labels0.idx": b"\0\0\x08\x01" + struct.pack(">I", 0),
+        "empty.idx": _idx_float32(np.zeros((0, 16, 16), np.float32)),
         "rank0.idx": _idx_float32(np.array(0.5, np.float32)),
         "rank2.idx": _idx_float32(np.full((6, 8), 0.5, np.float32)),
         "rank5.idx": _idx_float32(np.full((6, 8, 8, 1, 1), 0.5, np.float32)),
@@ -111,6 +114,10 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
       "--labels", "labels_2d.idx"], 2),
     (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels_2d.idx"], 2),
+    # IDX images and labels whose counts disagree: 2
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+      "--labels", "labels3.idx"], 2),
+    (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels3.idx"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
     # a checkpoint whose tensors are not the shapes its config declares: 2
@@ -145,6 +152,11 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--stride", "2", "--offset", "5"], 3),
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10"], 3),
     (["certify", "--ckpt", "good.svit", "--stripe-n", "3", "--split", "val"], 3),
+    # an empty dataset is an empty split, --split all included: 3
+    (["certify", "--ckpt", "good.svit", "--stripe-n", "0", "--split", "all"], 3),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "empty.idx",
+      "--labels", "labels0.idx", "--split", "all"], 3),
+    (["sweep", "--ckpt", "good.svit", "--stripe-n", "0", "--split", "all"], 3),
     # a block offset at or past the image height leaves no ablation: 3
     (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
       "block", "--b", "4", "--stride", "12", "--offset", "9"], 3),
@@ -290,6 +302,19 @@ def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["type"] == "ParameterError"
     assert "'val'" in record["error"] and "splits present: test" in record["error"]
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_an_oracle_past_its_budget_exits_3(files, monkeypatch, capsys, command):
+    # the error names a parameter choice, the closed form, not a fault of the program
+    monkeypatch.chdir(files)
+    monkeypatch.setattr(certify, "ORACLE_BUDGET", 1)
+    argv = [command, "--ckpt", "good.svit", "--delta-mode", "oracle", "--out", "out"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["type"] == "BudgetError" and record["exit_code"] == 3
+    assert captured.out == ""
 
 
 def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):
