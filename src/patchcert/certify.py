@@ -13,8 +13,8 @@ each for a given image size:
   the product of each axis's largest count (the published strided
   formulas under-count when the stride does not divide the width,
   because the strided start grid has one short wrap gap);
-* ``delta_oracle``: exhaustive count of the ablations every placement
-  hits, exact by construction.
+* ``delta_oracle``: counts the ablations every placement hits from
+  the per-axis window-hit tables, exact by construction.
 
 Certification uses integer arithmetic only and breaks argmax ties by
 lowest class index everywhere.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblationSpec, ablation_anchors, axis_intervals, retained_axes
+from .ablation import AblationSpec, axis_intervals
 from .errors import BudgetError, EmptyVotesError, InputError, ParameterError
 
 __all__ = [
@@ -125,48 +125,47 @@ def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
 
 
 def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:
-    """(q, size-m+1) 0/1 float64: does the window [t, t+m) meet row j's retained set."""
+    """(q, size-m+1) 0/1 float64: does the window [t, t+m) meet row j of ``axis_intervals``."""
     pref = np.zeros((axis.shape[0], axis.shape[1] + 1), dtype=np.int64)
     np.cumsum(axis, axis=1, out=pref[:, 1:])
     return (pref[:, m:] > pref[:, :-m]).astype(np.float64)
 
 
-def _placement_hits(rowhit: np.ndarray, colhit: np.ndarray) -> np.ndarray:
-    """(h-m+1, w-m+1) int64: how many of the ablations each placement hits.
+def _axis_hits(h: int, w: int, spec: AblationSpec, m: int):
+    """Window hits R (row intervals, tops) and C (column intervals, w-m+1).
 
-    colhit's rows may carry small integer weights, which count each hit
-    ablation that many times. The product runs in float64, which numpy
-    sends to BLAS (int64 it does not); every partial sum is an integer
-    far below 2**53, so the float result is exact.
-    """
-    return (rowhit.T @ colhit).astype(np.int64)
-
-
-def _hit_tables(h: int, w: int, spec: AblationSpec, m: int):
-    """Per-axis patch-hit tables of every ablation, in anchor order.
-
-    Ablation j keeps the pixels rows[j] x cols[j] (``retained_axes``), so
-    an m*m patch at (top, left) overlaps it iff rowhit[j, top] and
-    colhit[j, left]. Returns 0/1 tables rowhit (q, h-m+1) and colhit
-    (q, w-m+1).
+    Ablation (i, l), row-major in anchor order, keeps row interval i x
+    column interval l, so a patch at (top, left) hits it iff R[i, top]
+    and C[l, left]. A column keeps every row, so every top hits alike:
+    R is [[1]], and top 0 stands for all of them.
     """
     if not 1 <= m <= min(h, w):
         raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
-    q = len(ablation_anchors(h, w, spec))
-    n_place = (h - m + 1) * (w - m + 1)
-    if q * n_place > ORACLE_BUDGET:
-        raise BudgetError(
-            f"enumeration of {q} ablations x {n_place} placements exceeds the "
-            f"budget of {ORACLE_BUDGET}; use the closed form instead"
-        )
-    rows, cols = retained_axes(h, w, spec)
-    return _window_hits(rows, m), _window_hits(cols, m)
+    spec.validate_for(h, w)
+    rows, tops = (len(range(spec.offset, h, spec.s)), h - m + 1) if spec.kind == "block" else (1, 1)
+    cost = rows * (len(range(spec.offset, w, spec.s)) + tops) * (w - m + 1)
+    if cost > ORACLE_BUDGET:  # the products of one _placement_hits, charged before any table
+        raise BudgetError(f"counting placement hits costs {cost} products, past the "
+                          f"budget of {ORACLE_BUDGET}; use the closed form instead")
+    rowhit = _window_hits(axis_intervals(h, spec), m) if spec.kind == "block" else np.ones((1, 1))
+    return rowhit, _window_hits(axis_intervals(w, spec), m)
+
+
+def _placement_hits(rowhit: np.ndarray, colhit: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(tops, w-m+1) int64: each placement's ablation hits, weighted, as R^T (W C).
+
+    W is the per-ablation weight (small integers, anchor order) reshaped
+    to (row intervals, column intervals). The products run in float64,
+    which numpy sends to BLAS (int64 it does not); every partial sum is an
+    integer far below 2**53, so the float result is exact.
+    """
+    return (rowhit.T @ (weight.reshape(len(rowhit), -1) @ colhit)).astype(np.int64)
 
 
 def delta_oracle(h: int, w: int, spec: AblationSpec, m: int) -> int:
     """Exact Delta by counting, for every placement, the ablations it hits."""
-    rowhit, colhit = _hit_tables(h, w, spec, m)
-    return int(_placement_hits(rowhit, colhit).max())
+    rowhit, colhit = _axis_hits(h, w, spec, m)
+    return int(_placement_hits(rowhit, colhit, np.ones(len(rowhit) * len(colhit))).max())
 
 
 def certify_votes(v: VoteCounts, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
@@ -221,11 +220,10 @@ def adversarial_flip_search(
         raise InputError(f"prediction outside [0, {k})")
     if k < 2:
         raise ParameterError("flip search needs at least two classes")
-    rowhit, colhit = _hit_tables(h, w, spec, m)
-    if rowhit.shape[0] != preds.size:
-        raise InputError(
-            f"{preds.size} predictions but the ablation set has {rowhit.shape[0]} members"
-        )
+    rowhit, colhit = _axis_hits(h, w, spec, m)
+    if preds.size != len(rowhit) * len(colhit):
+        raise InputError(f"{preds.size} predictions but the ablation set has "
+                         f"{len(rowhit) * len(colhit)} members")
     base = np.bincount(preds, minlength=k).astype(np.int64)
     g0 = int(np.argmax(base))
     keys = []  # (changed, advantage, -placement, -rival), maximised lexicographically
@@ -237,7 +235,7 @@ def adversarial_flip_search(
         # base[r] - base[g0] + gain[j] and takes the prediction iff that
         # lead is positive, or zero with r below g0 (ties go low).
         weight = 1.0 + (preds == g0) - (preds == r)
-        gain = _placement_hits(rowhit, colhit * weight[:, None])
+        gain = _placement_hits(rowhit, colhit, weight)
         j = int(np.argmax(gain))  # the largest lead, at the lowest placement index
         advantage = int(base[r] - base[g0] + gain.flat[j])
         keys.append((advantage + (r < g0) > 0, advantage, -j, -r))
@@ -248,7 +246,7 @@ def adversarial_flip_search(
     flips, advantage, j, r = max(keys)
     j, r = -j, -r
     top, left = divmod(j, w - m + 1)
-    hit = np.bincount(preds, weights=rowhit[:, top] * colhit[:, left], minlength=k)
+    hit = np.bincount(preds, np.outer(rowhit[:, top], colhit[:, left]).ravel(), minlength=k)
     post = base - hit.astype(np.int64)
     post[r] += int(hit.sum())
     return FlipSearchResult(

@@ -52,6 +52,7 @@ EXIT_MISSING = 2
 EXIT_INVALID = 3
 
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+VAL_PERCENT = 15  # train's validation share of a file without splits, the stripe data's share
 
 IDX_UBYTE = 0x08
 IDX_FLOAT32 = 0x0D
@@ -388,6 +389,13 @@ def cmd_ablate(args) -> int:
 def cmd_train(args) -> int:
     raw, o = _options(args)
     data = _load_dataset(o, args.seed)
+    if not (data.splits == "train").any():  # CIFAR-10 and IDX files carry no split
+        n = len(data)
+        if n < 2:
+            raise ParameterError(f"training needs at least 2 records for train and val, got {n}")
+        val = np.random.default_rng(args.seed).permutation(n)[:max(1, VAL_PERCENT * n // 100)]
+        data.splits[:] = "train"
+        data.splits[val] = "val"
     h, w, c = data.images.shape[1:]
     vit_cfg = ViTConfig(
         h=int(h), w=int(w), c=int(c), p=o["p"], d=o["d"], heads=o["heads"],

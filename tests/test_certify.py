@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from patchcert import certify
 from patchcert.ablation import AblationSpec, ablation_anchors, ablation_set
 from patchcert.certify import (
     Certificate,
@@ -138,9 +139,17 @@ def test_exact_safe_equals_oracle_blocks_mini_grid():
                     assert exact == delta_oracle(h, w, spec, m), (h, w, s, b, m)
 
 
-def test_delta_oracle_budget_guard():
+def test_delta_oracle_budget_guard(monkeypatch):
+    # 4000 x 4000 blocks of side 1 cost 2 * 4000**3 products per count;
+    # the guard refuses them before it builds any table
+    def no_table(*args):
+        raise AssertionError("a hit table was built")
+
+    monkeypatch.setattr(certify, "axis_intervals", no_table)
+    with pytest.raises(BudgetError, match="128000000000 products"):
+        delta_oracle(4000, 4000, AblationSpec("block", b=1), 1)
     with pytest.raises(BudgetError):
-        delta_oracle(4000, 4000, AblationSpec("column", b=1), 1)
+        adversarial_flip_search([0], AblationSpec("block", b=1), 4000, 4000, 1, 0, 2)
 
 
 def test_delta_validation():
@@ -396,6 +405,18 @@ def test_flip_search_matches_the_reference_at_imagenet_scale(votes):
     assert found == _reference_flip_search(preds, spec, 224, 224, 32, 4)
     if votes.startswith("tie"):
         assert found.advantage == 0 and found.changed == (votes == "tie-flips")
+
+
+def test_oracle_and_flip_search_run_at_the_imagenet_block_setting():
+    # 224 x 224 blocks of side 19: 50,176 ablations, 193 x 193 placements
+    spec = AblationSpec("block", 19)
+    assert delta_oracle(224, 224, spec, 32) == 2500  # (b + m - 1)**2
+    assert delta_closed_form(spec, 32, "safe", dims=(224, 224)) == 2500
+    found = adversarial_flip_search([0] * 224 * 224, spec, 224, 224, 32, 0, 2)
+    assert found == FlipSearchResult(
+        changed=False, worst_prediction=0, placement=(0, 0), rival=1,
+        original_prediction=0, post_counts=(47676, 2500), advantage=-45176,
+    )
 
 
 # ---------------------------------------------------------------------------

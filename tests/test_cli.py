@@ -151,6 +151,8 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--b", "40"], 3),
     (["certify", "--ckpt", "good.svit", "--stride", "2", "--offset", "5"], 3),
     (["certify", "--ckpt", "good.svit", "--data-format", "cifar10"], 3),
+    # one record cannot be split into train and val: 3
+    (["train", "--data-format", "cifar10", "--data", "cifar1.bin"], 3),
     (["certify", "--ckpt", "good.svit", "--stripe-n", "3", "--split", "val"], 3),
     # an empty dataset is an empty split, --split all included: 3
     (["certify", "--ckpt", "good.svit", "--stripe-n", "0", "--split", "all"], 3),
@@ -268,6 +270,26 @@ def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
     assert "standard accuracy" in capsys.readouterr().out
 
 
+def test_train_splits_a_file_without_splits_deterministically(files, monkeypatch, capsys):
+    # IDX and CIFAR-10 records carry no split: train holds out a seeded share as val
+    monkeypatch.chdir(files)
+    argv = ["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels.idx",
+            "--epochs", "1", "--d", "8", "--heads", "2", "--layers", "1"]
+    assert cli.main(argv + ["--out", "a"]) == 0
+    assert cli.main(argv + ["--out", "b"]) == 0
+    assert "checkpoint:" in capsys.readouterr().out
+    (ckpt_a,), (ckpt_b,) = (sorted((files / d).glob("ckpt-*.svit")) for d in "ab")
+    assert ckpt_a.name == ckpt_b.name and ckpt_a.read_bytes() == ckpt_b.read_bytes()
+
+
+def test_one_record_names_the_count(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    argv = ["train", "--data-format", "cifar10", "--data", "cifar1.bin", "--out", "out"]
+    assert cli.main(argv) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "ParameterError" and "got 1" in record["error"]
+
+
 def test_unknown_config_key_names_the_command_keys(files, monkeypatch, capsys):
     monkeypatch.chdir(files)
     argv = ["certify", "--ckpt", "good.svit", "--config", "split_typo.json", "--out", "out"]
@@ -315,6 +337,30 @@ def test_an_oracle_past_its_budget_exits_3(files, monkeypatch, capsys, command):
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["type"] == "BudgetError" and record["exit_code"] == 3
     assert captured.out == ""
+
+
+DELTA_TABLES = [
+    (["--b", "19", "--stride", "10", "--patch-sizes", "16,32,64"], [
+        "image 224x224, column b=19 s=10 offset=0",
+        "    m       safe      paper     oracle  note",
+        "   16          4          3          4  PAPER-UNDERCOUNTS",
+        "   32          6          5          6  PAPER-UNDERCOUNTS",
+        "   64          9          8          9  PAPER-UNDERCOUNTS",
+        "note: flagged rows mark thresholds below the exact intersection count",
+    ]),
+    # 50,176 blocks by 193 x 193 placements: the oracle counts them per axis
+    (["--ablation", "block", "--b", "19", "--patch-sizes", "32"], [
+        "image 224x224, block b=19 s=1 offset=0",
+        "    m       safe      paper     oracle  note",
+        "   32       2500       2500       2500  ",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,lines", DELTA_TABLES, ids=["column-s10", "block-s1"])
+def test_delta_prints_the_paper_imagenet_settings(capsys, argv, lines):
+    assert cli.main(["delta", "--h", "224", "--w", "224"] + argv) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):
