@@ -55,6 +55,8 @@ class AblationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ablation kind {self.kind!r}")
+        if not all(type(v) is int for v in (self.b, self.s, self.offset)):  # not a bool or a float
+            raise ParameterError(f"b, stride and offset must be integers, got {self}")
         if self.b < 1:
             raise ParameterError(f"retained size b must be >= 1, got {self.b}")
         if self.s < 1:
@@ -161,17 +163,16 @@ def axis_intervals(size: int, spec: AblationSpec) -> np.ndarray:
 
 
 def retained_axes(h: int, w: int, spec: AblationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Retained rows (q, h) and columns (q, w) of every ablation, in anchor order.
+    """Retained row intervals (q_rows, h) and column intervals (q_cols, w) of the set.
 
     Each axis of an ablation keeps one wrapped interval from
-    ``axis_intervals``, so ablation j keeps pixel (r, c) iff rows[j, r]
-    and cols[j, c]: the same mask ablation_set builds, without building
-    the ablated images. A column keeps every row; blocks pair each row
-    interval with each column interval, row-major.
+    ``axis_intervals``, and ablations pair them row-major: ablation j,
+    in anchor order, keeps pixel (r, c) iff rows[j // q_cols, r] and
+    cols[j % q_cols, c], the mask ablation_set builds. A column set has
+    one row interval, which keeps every row.
     """
     spec.validate_for(h, w)
     cols = axis_intervals(w, spec)
     if spec.kind == "column":
-        return np.ones((len(cols), h), dtype=bool), cols
-    rows = axis_intervals(h, spec)
-    return np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))
+        return np.ones((1, h), dtype=bool), cols
+    return axis_intervals(h, spec), cols

@@ -9,8 +9,9 @@ MLP 8*n*d^2, where n counts the class token. The last layer computes
 only the class row past its keys and values, since only that row is
 read out: K and V still cost 2*n*d^2, but Q and the output projection
 d^2 each, the scores and the weighted sum n*d each, and the MLP 8*d^2.
-Tokenization projects only the n-1 surviving grid patches and the head
-reads out the class token. The model counts the inference forward;
+Tokenization projects only the n-1 surviving grid patches, which
+smoothing_cost reads from retained_axes as the forward does, and the
+head reads out the class token. The model counts the inference forward;
 training, which records activations, keeps every row of the last layer.
 
 Wall-clock numbers are machine-dependent; assertions against them
@@ -19,13 +20,12 @@ should stay directional (ordering and ratio bounds only).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblatedImage, AblationSpec, ablation_anchors
+from .ablation import AblatedImage, AblationSpec, retained_axes
 from .errors import ParameterError
 from .vit import Model, ViTConfig, ablation_logits
 
@@ -80,35 +80,22 @@ class CostModel:
         return self.breakdown(n)["total"]
 
 
-def _axis_token_count(anchor: int, b: int, p: int, cells: int) -> int:
-    """Grid cells along one axis touched by a wrapped strip of width b."""
-    return min(math.ceil(((anchor % p) + b) / p), cells)
-
-
-def _tokens_for_ablation(cfg: ViTConfig, spec: AblationSpec, anchor) -> int:
-    """Exact surviving token count (class token included) of the ablation at an
-    anchor of ablation_anchors."""
-    if spec.kind == "column":
-        return cfg.grid_h * _axis_token_count(anchor, spec.b, cfg.p, cfg.grid_w) + 1
-    top, left = anchor
-    rows = _axis_token_count(top, spec.b, cfg.p, cfg.grid_h)
-    return rows * _axis_token_count(left, spec.b, cfg.p, cfg.grid_w) + 1
-
-
 def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
     """Total MACs of one smoothed forward pass, with and without dropping.
 
-    The no-drop path runs the full token grid for every ablation; the
-    drop path sums per-ablation costs, which vary with how the retained
-    strip aligns to the token grid.
+    The no-drop path runs the full token grid for every ablation; the drop
+    path sums per-ablation costs. Ablation j keeps the cells that both its
+    row interval j // q_cols and its column interval j % q_cols of
+    ``retained_axes`` touch, plus the class token.
     """
-    anchors = ablation_anchors(cfg.h, cfg.w, spec)
+    touched = [a.reshape(len(a), -1, cfg.p).any(axis=2).sum(axis=1)  # grid cells per interval
+               for a in retained_axes(cfg.h, cfg.w, spec)]
+    tokens = (np.outer(*touched) + 1).ravel().tolist()
     model = CostModel.for_config(cfg)
-    tokens = [_tokens_for_ablation(cfg, spec, a) for a in anchors]
     macs_drop = sum(model.total(n) for n in tokens)
-    macs_full = len(anchors) * model.total(cfg.grid_tokens + 1)
+    macs_full = len(tokens) * model.total(cfg.grid_tokens + 1)
     return {
-        "ablations": len(anchors),
+        "ablations": len(tokens),
         "tokens": tokens,
         "macs_drop": macs_drop,
         "macs_full": macs_full,

@@ -195,7 +195,7 @@ def _int_list(value) -> list[int]:
     tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty integer list")
-    return [int(tok) for tok in tokens]
+    return [int(str(tok)) for tok in tokens]  # via str, as in _convert
 
 
 def _path(value):
@@ -252,7 +252,8 @@ def _convert(key: str, kind, value):
         want = "one of " + ", ".join(kind)
     else:
         try:
-            return kind(value)
+            # via str: JSON true is then no number and 3.7 no int, where int() gives 1 and 3
+            return kind(str(value) if kind in (int, float) else value)
         except (TypeError, ValueError):
             want = _KIND_NAMES.get(kind, kind.__name__)
     raise ParameterError(f"option {key}={value!r} is not {want}")
@@ -406,6 +407,7 @@ def cmd_train(args) -> int:
         weight_decay=o["weight_decay"], b_train=o["b_train"], kind=o["kind"], seed=args.seed,
         patience=o["patience"],
     )
+    AblationSpec(train_cfg.kind, train_cfg.b_train).validate_for(vit_cfg.h, vit_cfg.w)
     os.makedirs(args.out, exist_ok=True)
     stamp = config_hash({"cfg": raw, "seed": args.seed, "vit": vit_cfg.to_dict()})
     model = Model.init(vit_cfg, seed=args.seed)
@@ -481,22 +483,23 @@ def cmd_sweep(args) -> int:
     model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
     data = _dataset_split(_load_dataset(o, args.seed), o["split"])
     _check_compat(model, data)
-    points = []
+    specs = []
     for b in o["b_grid"]:
         for s in o["stride_grid"]:
-            if (b, s) in points:
+            spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
+            if spec in specs:
                 log.warning("duplicate sweep point b=%d s=%d skipped", b, s)
                 continue
-            points.append((b, s))
+            spec.validate_for(model.cfg.h, model.cfg.w)  # every point, before any is certified
+            specs.append(spec)
     rows = []
-    for b, s in points:
-        spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
+    for spec in specs:
         report = certified_accuracy(data, model, spec, o["patch_sizes"], o["delta_mode"])
         for entry in report["certified"]:
             rows.append(
                 {
-                    "b": b,
-                    "s": s,
+                    "b": spec.b,
+                    "s": spec.s,
                     "m": entry["m"],
                     "delta": entry["delta"],
                     "standard_accuracy": report["standard_accuracy"],
@@ -508,7 +511,7 @@ def cmd_sweep(args) -> int:
         rows, ["b", "s", "m", "delta", "standard_accuracy", "certified_accuracy"]
     )
     path = write_report(args.out, f"sweep-{stamp}.csv", csv_text)
-    print(f"swept {len(points)} grid points; report: {path}")
+    print(f"swept {len(specs)} grid points; report: {path}")
     return EXIT_OK
 
 
@@ -521,19 +524,20 @@ def cmd_bench(args) -> int:
     batch, trials = o["batch"], o["trials"]
     if batch < 1:
         raise ParameterError(f"need a batch of at least 1 ablation, got {batch}")
+    specs = [AblationSpec(kind=o["ablation"], b=b, s=o["stride"], offset=o["offset"])
+             for b in sorted(set(o["b_grid"]))]
+    costs = [smoothing_cost(vit_cfg, spec) for spec in specs]  # every spec checked before timing
     model = Model.init(vit_cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     image = rng.uniform(0.0, 1.0, size=(vit_cfg.h, vit_cfg.w, vit_cfg.c)).astype(np.float32)
     rows = []
-    for b in sorted(set(o["b_grid"])):
-        spec = AblationSpec(kind=o["ablation"], b=b, s=o["stride"], offset=o["offset"])
+    for spec, cost in zip(specs, costs):
         anchors = ablation_anchors(vit_cfg.h, vit_cfg.w, spec)
         sample = ablation_set(image, spec, anchors[:: max(1, len(anchors) // batch)][:batch])
-        cost = smoothing_cost(vit_cfg, spec)
         timing = wallclock_harness(model, sample, trials=trials)
         rows.append(
             {
-                "b": b,
+                "b": spec.b,
                 "stride": spec.s,
                 "n_tokens_mean": float(np.mean(cost["tokens"])),
                 "macs_drop": cost["macs_drop"],
@@ -544,7 +548,7 @@ def cmd_bench(args) -> int:
                 "speedup": timing["speedup"],
             }
         )
-        log.info("bench b=%d speedup %.2fx", b, timing["speedup"])
+        log.info("bench b=%d speedup %.2fx", spec.b, timing["speedup"])
     # the MAC model is deterministic and named by config hash; measured
     # times differ per run, so they go to a run-stamped file beside it
     stamp = config_hash({"command": "bench", "cfg": raw, "seed": args.seed})

@@ -90,6 +90,8 @@ class ViTConfig:
     use_class_token = True
 
     def __post_init__(self):
+        if not all(type(v) is int for v in vars(self).values()):  # not a bool, not a float
+            raise ParameterError(f"config dimensions must be integers, got {vars(self)}")
         if min(self.h, self.w, self.c, self.p, self.d, self.heads, self.layers) < 1:
             raise ParameterError("all config dimensions must be positive")
         if self.c not in (1, 3):
@@ -376,23 +378,23 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
     """Base-classifier prediction for every ablation in the set, in anchor order.
 
-    The image is patchified once. An ablation's surviving cells and their
-    pixel masks follow from its retained rows and columns; ablations with
-    equal token counts are classified together, in stacks of at most
-    ROW_BUDGET token rows.
+    The image is patchified once. Ablation j keeps row interval j // q_cols
+    and column interval j % q_cols of ``retained_axes``, which give its
+    surviving cells and their pixel masks. Ablations with equal token
+    counts are classified together, in stacks of at most ROW_BUDGET rows.
     """
     x = validate_image(x)
     if x.shape != (cfg.h, cfg.w, cfg.c):
         raise DimensionError(f"image shape {x.shape} does not match config ({cfg.h}, {cfg.w}, {cfg.c})")
     rows, cols = retained_axes(cfg.h, cfg.w, spec)
-    q, p, gw = rows.shape[0], cfg.p, cfg.grid_w
-    row_cells = rows.reshape(q, cfg.grid_h, p)  # retained pixel rows of each cell row
-    col_cells = cols.reshape(q, gw, p)
+    p, gw, q_cols = cfg.p, cfg.grid_w, cols.shape[0]
+    row_cells = rows.reshape(-1, cfg.grid_h, p)  # retained pixel rows of each cell row
+    col_cells = cols.reshape(q_cols, gw, p)
     row_alive, col_alive = row_cells.any(axis=2), col_cells.any(axis=2)
-    alive = (row_alive[:, :, None] & col_alive[:, None, :]).reshape(q, cfg.grid_tokens)
+    alive = (row_alive[:, None, :, None] & col_alive[None, :, None, :]).reshape(-1, cfg.grid_tokens)
     counts = alive.sum(axis=1)
     patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, p, p * cfg.c)
-    preds = np.empty(q, dtype=np.int64)
+    preds = np.empty(len(alive), dtype=np.int64)
     for n in np.unique(counts).tolist():
         members = np.nonzero(counts == n)[0]
         stack = max(1, ROW_BUDGET // (n + 1))  # n cells plus the class token
@@ -402,8 +404,8 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
             # 0/1 masks in the pixels' dtype: each cell's pixel rows, and its
             # pixel columns at pixel-row width (p*c). Pixels are finite and
             # >= 0, so (x*r)*c is bitwise x*(r and c), negative zeros included.
-            row_mask = row_cells[ids[:, None], grid_idx // gw].astype(x.dtype)
-            col_mask = np.repeat(col_cells[ids[:, None], grid_idx % gw], cfg.c, axis=2)
+            row_mask = row_cells[ids[:, None] // q_cols, grid_idx // gw].astype(x.dtype)
+            col_mask = np.repeat(col_cells[ids[:, None] % q_cols, grid_idx % gw], cfg.c, axis=2)
             cells = patches[grid_idx]
             cells *= row_mask[..., None]
             cells *= col_mask.astype(x.dtype)[:, :, None]

@@ -146,9 +146,13 @@ def test_retained_axes_match_ablation_set_masks(data):
         return
     rows, cols = retained_axes(h, w, spec)
     masks = [a.mask for a in ablation_set(np.zeros((h, w, 1), np.float32), spec)]
-    assert rows.shape == (len(masks), h) and cols.shape == (len(masks), w)
-    for mask, r, c in zip(masks, rows, cols):
-        np.testing.assert_array_equal(mask.astype(bool), r[:, None] & c[None, :])
+    assert rows.shape[1] == h and cols.shape[1] == w
+    assert len(rows) * len(cols) == len(masks)
+    if kind == "column":  # one row interval, which keeps every row
+        assert len(rows) == 1 and rows.all()
+    for j, mask in enumerate(masks):  # row intervals pair with column intervals row-major
+        r, c = divmod(j, len(cols))
+        np.testing.assert_array_equal(mask.astype(bool), rows[r][:, None] & cols[c][None, :])
 
 
 def test_parameter_validation():
@@ -165,6 +169,10 @@ def test_parameter_validation():
         AblationSpec("column", b=2, s=2, offset=2)
     with pytest.raises(ParameterError):
         AblationSpec("column", b=0)
+    # a fractional strip would keep ceil(b) columns while the paper's Delta counts b
+    for b, s, offset in [(2.5, 1, 0), (True, 1, 0), (2, 2.0, 0), (2, 2, False)]:
+        with pytest.raises(ParameterError, match="integers"):
+            AblationSpec("block", b, s, offset)
     with pytest.raises(ParameterError):
         ablation_set(x, AblationSpec("column", b=20))
 

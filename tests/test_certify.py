@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from patchcert import certify
 from patchcert.ablation import AblationSpec, ablation_anchors, ablation_set
 from patchcert.certify import (
-    Certificate,
     FlipSearchResult,
     VoteCounts,
     adversarial_flip_search,

@@ -26,6 +26,15 @@ def _save_reshaped(path, **tensors):
     save_checkpoint(model, path)
 
 
+def _with_config(blob, **values):
+    """A saved checkpoint's bytes with values replaced in its header config."""
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12 : 12 + hlen])
+    header["config"].update(values)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen :]
+
+
 @pytest.fixture
 def files(tmp_path):
     good = tmp_path / "good.svit"
@@ -63,6 +72,13 @@ def files(tmp_path):
         "split_typo.json": b'{"split_typo": "val"}',
         "sizes_empty.json": b'{"patch_sizes": []}',
         "nan_bias.svit": blob[:-4] + struct.pack("<f", float("nan")),  # head.bias is last
+        "h_float.svit": _with_config(blob, h=16.0),
+        "heads_true.svit": _with_config(blob, heads=True),
+        "b_float.json": b'{"b": 3.7}',
+        "b_true.json": b'{"b": true}',
+        "sizes_float.json": b'{"patch_sizes": [2.9]}',
+        "grid_true.json": b'{"b_grid": [3, true]}',
+        "lr_true.json": b'{"lr": true}',
         "nan.idx": _idx_float32(np.full((4, 16, 16), np.nan, np.float32)),
         "half.idx": _idx_float32(np.full((4, 16, 16), 0.5, np.float32)),
         "labels.idx": b"\0\0\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 2, 3]),
@@ -120,6 +136,9 @@ CASES = [
     (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels3.idx"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
+    # a checkpoint whose config dimensions are not integers: 2
+    (["certify", "--ckpt", "h_float.svit"], 2),
+    (["certify", "--ckpt", "heads_true.svit"], 2),
     # a checkpoint whose tensors are not the shapes its config declares: 2
     (["certify", "--ckpt", "pos_row.svit"], 2),
     (["certify", "--ckpt", "mlp_2d.svit"], 2),
@@ -183,6 +202,12 @@ CASES = [
     (["train", "--config", "lr_word.json"], 3),
     (["bench", "--config", "k_word.json"], 3),
     (["sweep", "--ckpt", "good.svit", "--config", "offset_word.json"], 3),
+    # a boolean, or a float for an integer, is refused rather than converted: 3
+    (["certify", "--ckpt", "good.svit", "--config", "b_float.json"], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "b_true.json"], 3),
+    (["certify", "--ckpt", "good.svit", "--config", "sizes_float.json"], 3),
+    (["sweep", "--ckpt", "good.svit", "--config", "grid_true.json"], 3),
+    (["train", "--config", "lr_true.json"], 3),
     (["train", "--epochs", "0"], 3),
     # a non-finite learning rate or weight decay would train a non-finite checkpoint: 3
     (["train", "--lr", "nan"], 3),
@@ -259,6 +284,29 @@ def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypat
     assert json.loads(captured.err.strip().splitlines()[-1])["exit_code"] == 3
     assert captured.out == ""
     assert {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()} == before
+
+
+SPECS_BEFORE_WORK = [
+    ["sweep", "--ckpt", "good.svit", "--b-grid", "3,40"],
+    ["sweep", "--ckpt", "good.svit", "--stride-grid", "3,1", "--offset", "2"],
+    ["train", "--b-train", "40"],
+    BENCH + ["--b-grid", "3,40"],
+]
+
+
+@pytest.mark.parametrize("argv", SPECS_BEFORE_WORK, ids=" ".join)
+def test_every_spec_is_checked_before_any_work(files, monkeypatch, capsys, argv):
+    # a bad grid point or training strip exits 3 before the first point is certified or timed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("fit", "certified_accuracy", "wallclock_harness"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(files)
+    assert cli.main(argv + ["--out", "out"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip().splitlines()[-1])["exit_code"] == 3
+    assert captured.out == "" and not (files / "out").exists()
 
 
 def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
@@ -400,6 +448,32 @@ def test_report_names_are_pinned(files, monkeypatch, argv, names):
     assert cli.main(argv + ["--out", "out"]) == 0
     stamped = sorted(p.name for p in (files / "out").iterdir() if p.name.count("-") == 1)
     assert stamped == names
+
+
+SMALL_BENCH = ["bench", "--h", "16", "--w", "24", "--c", "1", "--p", "4", "--d", "8",
+               "--heads", "2", "--layers", "1", "--k", "3", "--batch", "2", "--trials", "3"]
+
+# MAC reports of strided sets whose last strip wraps past the image edge
+MAC_REPORTS = [
+    (["--b-grid", "3,5", "--stride", "3", "--offset", "1"], [
+        "b,stride,n_tokens_mean,macs_drop,macs_full,mac_ratio",
+        "3,3,7.0,19520,58688,0.3326063249727372",
+        "5,3,9.0,23872,58688,0.40676117775354415",
+    ]),
+    (["--ablation", "block", "--b-grid", "3,6", "--stride", "5", "--offset", "2"], [
+        "b,stride,n_tokens_mean,macs_drop,macs_full,mac_ratio",
+        "3,5,3.6666666666666665,23000,110040,0.20901490367139222",
+        "6,5,6.133333333333334,33064,110040,0.3004725554343875",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,lines", MAC_REPORTS, ids=["column", "block"])
+def test_bench_mac_report_is_pinned(tmp_path, monkeypatch, argv, lines):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SMALL_BENCH + argv + ["--out", "out"]) == 0
+    (mac,) = [p for p in (tmp_path / "out").iterdir() if p.name.count("-") == 1]
+    assert mac.read_text() == "\n".join(["# MAC columns cover one full smoothed pass", *lines, ""])
 
 
 def test_bench_builds_only_the_timed_sample(tmp_path, monkeypatch):

@@ -170,6 +170,33 @@ def test_engine_macs_equal_the_cost_model(monkeypatch, cfg, spec):
     assert staged == {stage: sum(cost.breakdown(n)[stage] for n in tokens) for stage in staged}
 
 
+@st.composite
+def _cost_case(draw):
+    p = draw(st.integers(1, 4))
+    h, w = p * draw(st.integers(1, 5)), p * draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["column", "block"]))
+    s = draw(st.integers(1, w))
+    offset = draw(st.integers(0, (s if kind == "column" else min(s, h)) - 1))
+    b = draw(st.integers(1, w if kind == "column" else min(h, w)))
+    return ViTConfig(h=h, w=w, c=1, p=p, d=4, heads=1, layers=1, k=2), AblationSpec(kind, b, s, offset)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_cost_case())
+# strips that wrap past both edges, with a stride that does not divide either side
+@example((ViTConfig(h=9, w=12, c=1, p=3, d=4, heads=1, layers=1, k=2), AblationSpec("block", 5, 5, 3)))
+@example((ViTConfig(h=4, w=16, c=1, p=4, d=4, heads=1, layers=1, k=2), AblationSpec("column", 7, 6, 4)))
+def test_cost_tokens_are_the_surviving_cells_of_every_ablation(case):
+    # the reference: each ablation_set mask's cells that keep a pixel, plus the class token
+    cfg, spec = case
+    masks = [z.mask for z in ablation_set(np.zeros((cfg.h, cfg.w, 1), np.float32), spec)]
+    want = [int(vit._surviving_cells(mask, cfg).sum()) + 1 for mask in masks]
+    cost = smoothing_cost(cfg, spec)
+    assert cost["tokens"] == want and cost["ablations"] == len(masks)
+    model = CostModel.for_config(cfg)
+    assert cost["macs_drop"] == sum(model.total(n) for n in want)
+
+
 def test_gradients_match_finite_differences():
     cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
     params = {k: v.astype(np.float64) for k, v in Model.init(cfg, seed=2).params.items()}
