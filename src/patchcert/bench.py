@@ -66,11 +66,9 @@ class CostModel:
         tokenization = (n - 1) * self.patch_dim * d
         head = d * self.k
         return {
-            "n": n,
             "attention_quadratic": attention,
             "projections_linear": projections,
             "mlp_linear": mlp,
-            "encoder": attention + projections + mlp,
             "tokenization": tokenization,
             "head": head,
             "total": attention + projections + mlp + tokenization + head,
@@ -95,7 +93,6 @@ def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
     macs_drop = sum(model.total(n) for n in tokens)
     macs_full = len(tokens) * model.total(cfg.grid_tokens + 1)
     return {
-        "ablations": len(tokens),
         "tokens": tokens,
         "macs_drop": macs_drop,
         "macs_full": macs_full,
@@ -110,8 +107,8 @@ def wallclock_harness(model: Model, batch, trials: int = 5) -> dict:
     input construction is excluded from the timed region. The full-token
     baseline runs the same forward on a copy of each ablation whose mask
     keeps every pixel, also built before timing: every grid cell then
-    survives. Runs single-threaded; returns mean and stddev seconds per
-    batch plus the multiplicative speedup of dropping tokens.
+    survives. Runs single-threaded; returns the mean seconds per batch of
+    each path plus the multiplicative speedup of dropping tokens.
     """
     if trials < 3:
         raise ParameterError(f"need at least 3 trials, got {trials}")
@@ -136,14 +133,6 @@ def wallclock_harness(model: Model, batch, trials: int = 5) -> dict:
         t2 = time.perf_counter()
         drop_times.append(t1 - t0)
         full_times.append(t2 - t1)
-    drop = np.asarray(drop_times)
-    full = np.asarray(full_times)
-    return {
-        "trials": trials,
-        "batch_size": len(batch),
-        "time_drop_mean_s": float(drop.mean()),
-        "time_drop_std_s": float(drop.std()),
-        "time_full_mean_s": float(full.mean()),
-        "time_full_std_s": float(full.std()),
-        "speedup": float(full.mean() / drop.mean()),
-    }
+    drop = float(np.mean(drop_times))
+    full = float(np.mean(full_times))
+    return {"time_drop_mean_s": drop, "time_full_mean_s": full, "speedup": full / drop}

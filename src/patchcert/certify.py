@@ -3,18 +3,19 @@
 A smoothed classifier predicts the most frequent class over an ablation
 set and is certifiably robust when the top class leads the runner-up by
 more than 2*Delta votes, where Delta is the maximum number of ablations
-a single m*m patch can intersect. Delta comes in three flavours here,
-each for a given image size:
+a single m*m patch can intersect. Only an exact Delta certifies, and
+each is computed for a given image size:
 
-* closed form, ``paper`` mode: the published threshold formulas;
-* closed form, ``safe`` mode: the oracle's window-hit count, taken per
-  axis. An ablation keeps one interval per axis, so the ablations a
-  placement hits are its row hits times its column hits, and Delta is
-  the product of each axis's largest count (the published strided
-  formulas under-count when the stride does not divide the width,
-  because the strided start grid has one short wrap gap);
+* closed form, ``safe`` mode: per axis, the most retained intervals one
+  window of m pixels meets, from prefix sums of the strided starts. An
+  ablation keeps one interval per axis, so the ablations a placement
+  hits are its row hits times its column hits, and Delta is the product
+  of each axis's largest count;
 * ``delta_oracle``: counts the ablations every placement hits from
-  the per-axis window-hit tables, exact by construction.
+  the per-axis window-hit tables, exact by construction;
+* closed form, ``paper`` mode: the published formulas, for comparison
+  only. They under-count when the stride does not divide the width (the
+  strided start grid has one short wrap gap), so nothing certifies by them.
 
 Certification uses integer arithmetic only and breaks argmax ties by
 lowest class index everywhere.
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 ORACLE_BUDGET = 10**8
-DELTA_MODES = ("safe", "paper", "oracle")
 
 
 @dataclass(frozen=True)
@@ -97,31 +97,42 @@ def smoothed_predict(v: VoteCounts) -> int:
     return int(np.argmax(np.asarray(v.counts)))
 
 
-def _paper_delta_1d(b: int, s: int, m: int) -> int:
-    if s == 1:
-        return m + b - 1
-    return math.ceil((m + s - 1) / s)
+def _check_placement(h: int, w: int, spec: AblationSpec, m) -> None:
+    """Refuse a spec without ablations on an h*w image, then a patch side m without placements."""
+    spec.validate_for(h, w)
+    if type(m) is not int or not 1 <= m <= min(h, w):  # a bool or a float is no side
+        raise ParameterError(f"patch side {m!r} admits no placement in {h}x{w}")
 
 
 def delta_closed_form(spec: AblationSpec, m: int, mode: str, dims) -> int:
     """Certification threshold Delta of an m*m patch on a dims=(h, w) image.
 
     ``paper`` reproduces the published formulas; ``safe`` is the product,
-    over the kind's axes, of the most retained intervals
-    (``axis_intervals``) that one window of m pixels meets.
+    over the kind's axes, of the most retained intervals that one window
+    of m pixels meets.
     """
     if mode not in ("safe", "paper"):
         raise ParameterError(f"unknown delta mode {mode!r}; use safe or paper")
     h, w = dims
-    spec.validate_for(h, w)
-    if not 1 <= m <= min(h, w):
-        raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
+    _check_placement(h, w, spec, m)
     if mode == "paper":
-        d1 = _paper_delta_1d(spec.b, spec.s, m)
+        d1 = m + spec.b - 1 if spec.s == 1 else math.ceil((m + spec.s - 1) / spec.s)
         return d1 if spec.kind == "column" else d1 * d1
     sizes = (w,) if spec.kind == "column" else (h, w)
-    return math.prod(int(_window_hits(axis_intervals(n, spec), m).sum(axis=0).max())
-                     for n in sizes)
+    return math.prod(_most_window_hits(n, spec, m) for n in sizes)
+
+
+def _most_window_hits(size: int, spec: AblationSpec, m: int) -> int:
+    """Most retained intervals along one axis that a window [t, t+m) meets, in O(size) memory.
+
+    The interval starting at a meets it iff a lies in the cyclic arc of
+    min(b+m-1, size) positions ending at t+m-1, so each window's count is
+    a difference of prefix sums of the start indicator, tiled twice for the wrap.
+    """
+    arc = min(spec.b + m - 1, size)
+    starts = np.tile(np.arange(size) % spec.s == spec.offset, 2)
+    pref = np.concatenate(([0], np.cumsum(starts)))
+    return int((pref[size + m :] - pref[size + m - arc : 2 * size + 1 - arc]).max())
 
 
 def _window_hits(axis: np.ndarray, m: int) -> np.ndarray:
@@ -139,9 +150,7 @@ def _axis_hits(h: int, w: int, spec: AblationSpec, m: int):
     and C[l, left]. A column keeps every row, so every top hits alike:
     R is [[1]], and top 0 stands for all of them.
     """
-    if not 1 <= m <= min(h, w):
-        raise ParameterError(f"patch side {m} admits no placement in {h}x{w}")
-    spec.validate_for(h, w)
+    _check_placement(h, w, spec, m)
     rows, tops = (len(range(spec.offset, h, spec.s)), h - m + 1) if spec.kind == "block" else (1, 1)
     cost = rows * (len(range(spec.offset, w, spec.s)) + tops) * (w - m + 1)
     if cost > ORACLE_BUDGET:  # the products of one _placement_hits, charged before any table
@@ -188,7 +197,7 @@ def certify_votes(v: VoteCounts, delta: int, m: int, delta_mode: str = "safe") -
         runner_up=runner_up,
         margin=margin,
         delta=int(delta),
-        patch_m=int(m),
+        patch_m=m,
         certified=bool(certified),
         delta_mode=delta_mode,
     )
@@ -260,12 +269,6 @@ def adversarial_flip_search(
     )
 
 
-def _delta_for(spec: AblationSpec, m: int, mode: str, h: int, w: int) -> int:
-    if mode == "oracle":
-        return delta_oracle(h, w, spec, m)
-    return delta_closed_form(spec, m, mode, dims=(h, w))
-
-
 def certified_accuracy(
     dataset,
     model,
@@ -279,21 +282,27 @@ def certified_accuracy(
     entry per distinct requested patch size, in first-seen order, plus a
     per-image certificate list, whose runner-up and margin come from the
     first patch size.
+
+    Every Delta is exact. ``delta_mode`` says how it is counted, ``safe``
+    (closed form) or ``oracle``; the two agree, and both stay because
+    certbench passes both. ``paper`` under-counts and is refused.
     """
     from .vit import smoothed_vit_forward  # deferred: vit builds on this module
 
-    if delta_mode not in DELTA_MODES:
-        raise ParameterError(f"unknown delta mode {delta_mode!r}")
+    if delta_mode not in ("safe", "oracle"):
+        raise ParameterError(f"unknown delta mode {delta_mode!r}; use safe or oracle")
     images = dataset.images
     labels = dataset.labels
     n = len(labels)
     if n == 0:
         raise InputError("dataset is empty")
     h, w = model.cfg.h, model.cfg.w
-    patch_sizes = list(dict.fromkeys(int(m) for m in patch_sizes))
-    if not patch_sizes:
+    # every m is checked, also one equal to an earlier m (True and 1); a repeat counts once
+    deltas = {m: delta_oracle(h, w, spec, m) if delta_mode == "oracle"
+              else delta_closed_form(spec, m, "safe", dims=(h, w)) for m in patch_sizes}
+    if not deltas:
         raise ParameterError("need at least one patch size to certify against")
-    deltas = {m: _delta_for(spec, m, delta_mode, h, w) for m in patch_sizes}
+    patch_sizes = list(deltas)
 
     per_image = []
     n_correct = 0

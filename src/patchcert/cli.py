@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set
 from .bench import smoothing_cost, wallclock_harness
-from .certify import DELTA_MODES, certified_accuracy, delta_closed_form, delta_oracle
+from .certify import certified_accuracy, delta_closed_form, delta_oracle
 from .errors import (
     BudgetError,
     ConfigError,
@@ -215,7 +215,6 @@ _DATA = {
 _SPLIT = {"split": (("train", "val", "test", "all"), "test")}
 _KIND = {"ablation": (KINDS, "column"), "offset": (int, 0)}
 _SPEC = {**_KIND, "b": (int, 3), "stride": (int, 1)}
-_DELTA_MODE = {"delta_mode": (DELTA_MODES, "safe")}
 
 OPTIONS = {
     "ablate": {**_DATA, **_SPEC, "index": (int, 0)},
@@ -226,12 +225,11 @@ OPTIONS = {
         "p": (int, 4), "d": (int, 32), "heads": (int, 4), "layers": (int, 2),
     },
     "certify": {
-        **_DATA, **_SPLIT, **_SPEC, **_DELTA_MODE,
-        "ckpt": (_path, None), "patch_sizes": (_int_list, "2"),
+        **_DATA, **_SPLIT, **_SPEC, "ckpt": (_path, None), "patch_sizes": (_int_list, "2"),
     },
     "delta": {**_SPEC, "h": (int, 224), "w": (int, 224), "patch_sizes": (_int_list, "32")},
     "sweep": {
-        **_DATA, **_SPLIT, **_KIND, **_DELTA_MODE, "ckpt": (_path, None),
+        **_DATA, **_SPLIT, **_KIND, "ckpt": (_path, None),
         "b_grid": (_int_list, "2,3,4"), "stride_grid": (_int_list, "1"),
         "patch_sizes": (_int_list, "2"),
     },
@@ -425,7 +423,7 @@ def cmd_certify(args) -> int:
     model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
     data = _dataset_split(_load_dataset(o, args.seed), o["split"])
     _check_compat(model, data)
-    report = certified_accuracy(data, model, _spec_from(o), o["patch_sizes"], o["delta_mode"])
+    report = certified_accuracy(data, model, _spec_from(o), o["patch_sizes"])
     stamp = config_hash({"command": "certify", "cfg": raw, "seed": args.seed})
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     rows = [
@@ -494,7 +492,7 @@ def cmd_sweep(args) -> int:
             specs.append(spec)
     rows = []
     for spec in specs:
-        report = certified_accuracy(data, model, spec, o["patch_sizes"], o["delta_mode"])
+        report = certified_accuracy(data, model, spec, o["patch_sizes"])
         for entry in report["certified"]:
             rows.append(
                 {

@@ -2,8 +2,9 @@
 
 The CLI maps these onto its exit-code contract: missing inputs and
 malformed files exit 2, invalid parameters and configs exit 3, as does
-an enumeration past its budget (the caller chose the exhaustive mode),
-and anything else exits 1.
+an enumeration past its budget (a caller's choice of the exhaustive
+count, not a fault; no command certifies with one, and delta prints
+such an oracle as skipped), and anything else exits 1.
 """
 
 

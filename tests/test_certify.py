@@ -158,6 +158,11 @@ def test_delta_validation():
         delta_closed_form(AblationSpec("column", 3), 2, "exact", dims=(8, 8))
     with pytest.raises(ParameterError):
         delta_oracle(8, 8, AblationSpec("column", 3), 9)
+    for m in (2.9, True):
+        with pytest.raises(ParameterError, match="admits no placement"):
+            delta_oracle(8, 8, AblationSpec("column", 3), m)
+        with pytest.raises(ParameterError, match="admits no placement"):
+            adversarial_flip_search([0] * 8, AblationSpec("column", 3), 8, 8, m, 0, 2)
 
 
 @pytest.mark.parametrize("mode", ["safe", "paper"])
@@ -165,7 +170,7 @@ def test_delta_closed_form_rejects_a_patch_larger_than_the_image(mode):
     for kind in ("column", "block"):
         spec = AblationSpec(kind, 3)
         assert delta_closed_form(spec, 8, mode, dims=(8, 12)) > 0
-        for m in (9, 13, 0):
+        for m in (9, 13, 0, 2.9, True):  # a bool or a float is no patch side
             with pytest.raises(ParameterError, match="admits no placement"):
                 delta_closed_form(spec, m, mode, dims=(8, 12))
     with pytest.raises(TypeError):
@@ -500,5 +505,20 @@ def test_certified_accuracy_counts_a_repeated_patch_size_once():
 
 
 def test_certified_accuracy_needs_a_patch_size():
-    with pytest.raises(ParameterError):
-        certified_accuracy(_single_image_dataset(2), _constant_model(2), AblationSpec("column", 3), [])
+    for sizes in ([], [2.9], [1, True]):  # a float or a bool is refused, not cast or merged
+        with pytest.raises(ParameterError):
+            certified_accuracy(
+                _single_image_dataset(2), _constant_model(2), AblationSpec("column", 3), sizes)
+
+
+def test_certified_accuracy_certifies_only_with_an_exact_delta(monkeypatch):
+    data, model, spec = _single_image_dataset(2), _constant_model(2), AblationSpec("column", 3)
+    safe = certified_accuracy(data, model, spec, [2, 5])
+    oracle = certified_accuracy(data, model, spec, [2, 5], "oracle")
+    assert oracle == dict(safe, delta_mode="oracle")
+    # the published formula under-counts some strided sets: it never certifies
+    with pytest.raises(ParameterError, match="'paper'"):
+        certified_accuracy(data, model, spec, [2], "paper")
+    monkeypatch.setattr(certify, "ORACLE_BUDGET", 1)
+    with pytest.raises(BudgetError):
+        certified_accuracy(data, model, spec, [2], "oracle")

@@ -1,13 +1,14 @@
 """CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
 write nothing; report names stay pinned; bench builds only what it times."""
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from patchcert import ablation, certify, cli
+from patchcert import ablation, cli
 from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
@@ -148,9 +149,7 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--config", "binary.json"], 3),
     (["certify", "--ckpt", "good.svit", "--patch-sizes", "a,b"], 3),
     (["certify", "--ckpt", "good.svit", "--patch-sizes", "99"], 3),
-    (["certify", "--ckpt", "good.svit", "--patch-sizes", "2,99", "--delta-mode", "paper"], 3),
     (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17"], 3),
-    (["sweep", "--ckpt", "good.svit", "--patch-sizes", "17", "--delta-mode", "paper"], 3),
     (["delta", "--h", "8", "--w", "8", "--patch-sizes", "9"], 3),
     # a failing delta run prints no row, not even the rows before the bad one
     (["delta", "--h", "0"], 3),
@@ -181,8 +180,6 @@ CASES = [
     # a block offset at or past the image height leaves no ablation: 3
     (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
       "block", "--b", "4", "--stride", "12", "--offset", "9"], 3),
-    (["certify", "--ckpt", "wide.svit", "--stripe-h", "8", "--stripe-w", "16", "--ablation",
-      "block", "--b", "4", "--stride", "12", "--offset", "9", "--delta-mode", "paper"], 3),
     (["ablate", "--stripe-h", "8", "--stripe-w", "16", "--ablation", "block", "--b", "4",
       "--stride", "12", "--offset", "9"], 3),
     (["bench", "--h", "8", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
@@ -233,12 +230,15 @@ CASES = [
     (["bench", "--b", "7"], 3),
     (["sweep", "--ckpt", "good.svit", "--b", "3"], 3),
     (["delta", "--out", "out"], 3),
+    # certify and sweep take Delta from no option: only the exact count certifies
+    (["certify", "--ckpt", "good.svit", "--delta-mode", "safe"], 3),
+    (["sweep", "--ckpt", "good.svit", "--delta-mode", "oracle"], 3),
     # a config value outside its choices fails before any work: 3
     (["train", "--config", "kind_diag.json"], 3),
     (["train", "--config", "format_x.json"], 3),
-    (["certify", "--ckpt", "good.svit", "--config", "mode_x.json"], 3),
     (["certify", "--config", "ckpt_fd.json"], 3),
     # a config key the command does not declare: 3
+    (["certify", "--ckpt", "good.svit", "--config", "mode_x.json"], 3),
     (["certify", "--ckpt", "good.svit", "--config", "split_typo.json"], 3),
     (["train", "--config", "b4.json"], 3),
     (["delta", "--config", "format_x.json"], 3),
@@ -374,19 +374,6 @@ def test_empty_split_names_the_splits_present(files, monkeypatch, capsys):
     assert "'val'" in record["error"] and "splits present: test" in record["error"]
 
 
-@pytest.mark.parametrize("command", ["certify", "sweep"])
-def test_an_oracle_past_its_budget_exits_3(files, monkeypatch, capsys, command):
-    # the error names a parameter choice, the closed form, not a fault of the program
-    monkeypatch.chdir(files)
-    monkeypatch.setattr(certify, "ORACLE_BUDGET", 1)
-    argv = [command, "--ckpt", "good.svit", "--delta-mode", "oracle", "--out", "out"]
-    assert cli.main(argv) == 3
-    captured = capsys.readouterr()
-    record = json.loads(captured.err.strip().splitlines()[-1])
-    assert record["type"] == "BudgetError" and record["exit_code"] == 3
-    assert captured.out == ""
-
-
 DELTA_TABLES = [
     (["--b", "19", "--stride", "10", "--patch-sizes", "16,32,64"], [
         "image 224x224, column b=19 s=10 offset=0",
@@ -402,10 +389,16 @@ DELTA_TABLES = [
         "    m       safe      paper     oracle  note",
         "   32       2500       2500       2500  ",
     ]),
+    # the closed form counts each axis in linear memory; the oracle is past its budget
+    (["--h", "100000", "--w", "100000", "--b", "1", "--patch-sizes", "5"], [
+        "image 100000x100000, column b=1 s=1 offset=0",
+        "    m       safe      paper     oracle  note",
+        "    5          5          5    skipped  ",
+    ]),
 ]
 
 
-@pytest.mark.parametrize("argv,lines", DELTA_TABLES, ids=["column-s10", "block-s1"])
+@pytest.mark.parametrize("argv,lines", DELTA_TABLES, ids=["column-s10", "block-s1", "column-1e5"])
 def test_delta_prints_the_paper_imagenet_settings(capsys, argv, lines):
     assert cli.main(["delta", "--h", "224", "--w", "224"] + argv) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
@@ -448,6 +441,34 @@ def test_report_names_are_pinned(files, monkeypatch, argv, names):
     assert cli.main(argv + ["--out", "out"]) == 0
     stamped = sorted(p.name for p in (files / "out").iterdir() if p.name.count("-") == 1)
     assert stamped == names
+
+
+# certify reports as the exact Delta has always produced them, for a strided,
+# offset column set and a block set: the JSON report's sha256 and the CSV
+CERTIFY_REPORTS = [
+    (["--b", "5", "--stride", "3", "--offset", "2", "--patch-sizes", "2,3,5"],
+     "7dace4e740d5acd3fb94ced1df21987b970644b44551b895ed2de9ca9b7cccb2", [
+         "m,delta,certified_accuracy,standard_accuracy",
+         "2,2,0.2564102564102564,0.2564102564102564",
+         "3,3,0.0,0.2564102564102564",
+         "5,3,0.0,0.2564102564102564",
+     ]),
+    (["--ablation", "block", "--b", "4", "--stride", "2", "--offset", "1", "--patch-sizes", "1,3"],
+     "d9527a62a644ab30abbc302fe90355fc27db13753b721bdb38a9a4699cff6c01", [
+         "m,delta,certified_accuracy,standard_accuracy",
+         "1,4,0.2564102564102564,0.2564102564102564",
+         "3,9,0.2564102564102564,0.2564102564102564",
+     ]),
+]
+
+
+@pytest.mark.parametrize("argv,digest,rows", CERTIFY_REPORTS, ids=["column", "block"])
+def test_certify_reports_are_pinned(files, monkeypatch, argv, digest, rows):
+    monkeypatch.chdir(files)
+    assert cli.main(["certify", "--ckpt", "good.svit", *argv, "--out", "out"]) == 0
+    (report,) = (files / "out").glob("*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert report.with_suffix(".csv").read_text() == "\n".join(rows) + "\n"
 
 
 SMALL_BENCH = ["bench", "--h", "16", "--w", "24", "--c", "1", "--p", "4", "--d", "8",

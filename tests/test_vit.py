@@ -192,7 +192,7 @@ def test_cost_tokens_are_the_surviving_cells_of_every_ablation(case):
     masks = [z.mask for z in ablation_set(np.zeros((cfg.h, cfg.w, 1), np.float32), spec)]
     want = [int(vit._surviving_cells(mask, cfg).sum()) + 1 for mask in masks]
     cost = smoothing_cost(cfg, spec)
-    assert cost["tokens"] == want and cost["ablations"] == len(masks)
+    assert cost["tokens"] == want
     model = CostModel.for_config(cfg)
     assert cost["macs_drop"] == sum(model.total(n) for n in want)
 
@@ -921,7 +921,5 @@ def test_wallclock_harness_checks_its_inputs_and_times_both_paths():
     with pytest.raises(ParameterError, match="nonempty"):
         wallclock_harness(model, [], trials=3)
     timing = wallclock_harness(model, batch, trials=3)
-    assert timing["trials"] == 3 and timing["batch_size"] == len(batch)
-    for key in ("time_drop_mean_s", "time_full_mean_s", "speedup"):
-        assert timing[key] > 0
-    assert timing["time_drop_std_s"] >= 0 and timing["time_full_std_s"] >= 0
+    assert sorted(timing) == ["speedup", "time_drop_mean_s", "time_full_mean_s"]
+    assert all(value > 0 for value in timing.values())
