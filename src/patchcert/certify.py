@@ -297,7 +297,7 @@ def certified_accuracy(
     if n == 0:
         raise InputError("dataset is empty")
     h, w = model.cfg.h, model.cfg.w
-    # every m is checked, also one equal to an earlier m (True and 1); a repeat counts once
+    # every m is checked, also a repeat, which counts once
     deltas = {m: delta_oracle(h, w, spec, m) if delta_mode == "oracle"
               else delta_closed_form(spec, m, "safe", dims=(h, w)) for m in patch_sizes}
     if not deltas:

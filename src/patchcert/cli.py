@@ -31,16 +31,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set
+from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set, validate_image
 from .bench import smoothing_cost, wallclock_harness
 from .certify import certified_accuracy, delta_closed_form, delta_oracle
-from .errors import (
-    BudgetError,
-    ConfigError,
-    FormatError,
-    ParameterError,
-    PatchcertError,
-)
+from .errors import BudgetError, FormatError, ParameterError, PatchcertError
 from .train import LabeledDataset, TrainConfig, fit, make_stripe_dataset
 from .vit import Model, ViTConfig, load_checkpoint, save_checkpoint
 
@@ -360,9 +354,9 @@ def _check_compat(model: Model, data: LabeledDataset) -> None:
     shape = data.images.shape[1:]
     want = (model.cfg.h, model.cfg.w, model.cfg.c)
     if shape != want:
-        raise ConfigError(f"checkpoint expects images {want}, dataset has {shape}")
+        raise ParameterError(f"checkpoint expects images {want}, dataset has {shape}")
     if data.k > model.cfg.k:
-        raise ConfigError(f"dataset has {data.k} classes, checkpoint only {model.cfg.k}")
+        raise ParameterError(f"dataset has {data.k} classes, checkpoint only {model.cfg.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +369,15 @@ def cmd_ablate(args) -> int:
     index = o["index"]
     if not 0 <= index < len(data):
         raise ParameterError(f"image index {index} outside dataset of {len(data)}")
+    x = validate_image(data.images[index])  # checked, like the spec, before any file is made
     spec = _spec_from(o)
-    ablations = ablation_set(data.images[index], spec)
+    anchors = ablation_anchors(x.shape[0], x.shape[1], spec)
     os.makedirs(args.out, exist_ok=True)
-    for i, abl in enumerate(ablations):
+    for i, anchor in enumerate(anchors):  # one ablation alive at a time, not the whole set
+        (abl,) = ablation_set(x, spec, [anchor])
         write_ppm(os.path.join(args.out, f"abl_{i}.ppm"), abl.pixels)
         write_pgm(os.path.join(args.out, f"mask_{i}.pgm"), abl.mask * 255)
-    print(f"wrote {len(ablations)} ablations to {args.out}")
+    print(f"wrote {len(anchors)} ablations to {args.out}")
     return EXIT_OK
 
 
@@ -579,6 +575,13 @@ COMMANDS = {
 }
 
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:  # numpy's generators refuse a negative seed
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="patchcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"patchcert {__version__}")
@@ -586,8 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--seed", type=int, default=0)
-        if name != "delta":  # the one command that only prints
+        if name != "delta":  # the one command that only prints, and from no random draw
+            p.add_argument("--seed", type=_seed, default=0)
             p.add_argument("--out", default=".", help="output directory (default: current)")
         for key, (kind, default) in OPTIONS[name].items():
             p.add_argument(
@@ -637,7 +640,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, FormatError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING
-    except (ParameterError, BudgetError) as exc:
+    except ParameterError as exc:
         _emit_error(exc, EXIT_INVALID)
         return EXIT_INVALID
     except PatchcertError as exc:

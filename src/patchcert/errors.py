@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its exit-code contract: missing inputs and
-malformed files exit 2, invalid parameters and configs exit 3, as does
-an enumeration past its budget (a caller's choice of the exhaustive
-count, not a fault; no command certifies with one, and delta prints
-such an oracle as skipped), and anything else exits 1.
+malformed files exit 2, invalid parameters and configs exit 3, and
+anything else exits 1. No command lets an enumeration past its budget
+escape: certify and sweep use the closed-form Delta, and delta prints
+such an oracle as skipped.
 """
 
 
@@ -30,10 +30,6 @@ class EmptyVotesError(InputError):
 
 class FormatError(InputError):
     """An on-disk artifact does not match its declared binary format."""
-
-
-class ConfigError(ParameterError):
-    """Loaded components disagree (e.g. checkpoint vs dataset shape)."""
 
 
 class BudgetError(PatchcertError, RuntimeError):

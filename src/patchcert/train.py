@@ -197,12 +197,13 @@ def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int,
     return correct / total
 
 
-def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path=None) -> dict:
+def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
     """Train with per-epoch validation and early stopping.
 
     Keeps the parameter snapshot of the best validation epoch and stops
-    after ``patience`` epochs without improvement. Returns a record with
-    the best model, per-epoch history, and the JSONL log lines.
+    after ``patience`` epochs without improvement. Writes one JSONL line
+    per epoch to ``log_path`` and returns a record with the best model,
+    the best epoch and the per-epoch validation history.
     """
     train_split = data.subset("train")
     val_split = data.subset("val")
@@ -210,33 +211,23 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path=None) -> 
         raise ParameterError("fit needs nonempty train and val splits")
     state = OptState.fresh(model, cfg)
     history: list[float] = []
-    losses: list[float] = []
     log_lines: list[str] = []
     best_params = {k: v.copy() for k, v in model.params.items()}
     best_epoch = -1
     for epoch in range(cfg.epochs):
         model, loss, state = train_epoch(model, train_split, cfg, state)
         val_acc = _ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
-        losses.append(loss)
         history.append(val_acc)
-        line = json.dumps(
+        log_lines.append(json.dumps(
             {"epoch": epoch, "train_loss": round(loss, 6), "val_ablation_acc": val_acc, "lr": cfg.lr},
             sort_keys=True,
-        )
-        log_lines.append(line)
+        ))
         if best_epoch < 0 or val_acc > history[best_epoch]:
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}
         if epoch - best_epoch >= cfg.patience:
             break
     model.params = best_params
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            fh.write("\n".join(log_lines) + "\n")
-    return {
-        "model": model,
-        "best_epoch": best_epoch,
-        "val_history": history,
-        "loss_history": losses,
-        "log_lines": log_lines,
-    }
+    with open(log_path, "w") as fh:
+        fh.write("\n".join(log_lines) + "\n")
+    return {"model": model, "best_epoch": best_epoch, "val_history": history}

@@ -1,9 +1,11 @@
 """CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
-write nothing; report names stay pinned; bench builds only what it times."""
+write nothing; report names stay pinned; bench builds only what it times, and ablate
+holds one ablation at a time."""
 
 import hashlib
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +245,12 @@ CASES = [
     (["train", "--config", "b4.json"], 3),
     (["delta", "--config", "format_x.json"], 3),
     (["bench", "--batch", "0"], 3),
+    # numpy's generators refuse a negative seed, and delta draws nothing: 3
+    (["train", "--seed", "-1"], 3),
+    (["ablate", "--seed", "-1"], 3),
+    (["bench", "--seed", "-1"], 3),
+    (["certify", "--ckpt", "good.svit", "--seed", "-1"], 3),
+    (["delta", "--seed", "1"], 3),
 ]
 
 
@@ -495,6 +503,26 @@ def test_bench_mac_report_is_pinned(tmp_path, monkeypatch, argv, lines):
     assert cli.main(SMALL_BENCH + argv + ["--out", "out"]) == 0
     (mac,) = [p for p in (tmp_path / "out").iterdir() if p.name.count("-") == 1]
     assert mac.read_text() == "\n".join(["# MAC columns cover one full smoothed pass", *lines, ""])
+
+
+def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypatch):
+    built, written = [], []
+
+    class Tracked(ablation.AblatedImage):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    def ppm(path, pixels):
+        written.append(sum(ref() is not None for ref in built))
+        write_ppm(path, pixels)
+
+    write_ppm = cli.write_ppm
+    monkeypatch.setattr(ablation, "AblatedImage", Tracked)
+    monkeypatch.setattr(cli, "write_ppm", ppm)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ablate", "--ablation", "block", "--b", "4", "--out", "out"]) == 0
+    assert written == [1] * 256  # one 16x16 block ablation alive per file, not the set
 
 
 def test_bench_builds_only_the_timed_sample(tmp_path, monkeypatch):
