@@ -1,4 +1,4 @@
-"""Analytic cost model and measurement harness for the encoder.
+"""Analytic cost model of the encoder.
 
 Costs are multiply-accumulates (one MAC = 1); elementwise work
 (softmax, layer norm, GELU, residual adds) is excluded, which makes the
@@ -13,26 +13,21 @@ Tokenization projects only the n-1 surviving grid patches, which
 smoothing_cost reads from retained_axes as the forward does, and the
 head reads out the class token. The model counts the inference forward;
 training, which records activations, keeps every row of the last layer.
-
-Wall-clock numbers are machine-dependent; assertions against them
-should stay directional (ordering and ratio bounds only).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import AblatedImage, AblationSpec, retained_axes
+from .ablation import AblationSpec, retained_axes
 from .errors import ParameterError
-from .vit import Model, ViTConfig, ablation_logits
+from .vit import ViTConfig
 
 __all__ = [
     "CostModel",
     "smoothing_cost",
-    "wallclock_harness",
 ]
 
 
@@ -98,41 +93,3 @@ def smoothing_cost(cfg: ViTConfig, spec: AblationSpec) -> dict:
         "macs_full": macs_full,
         "mac_ratio": macs_drop / macs_full,
     }
-
-
-def wallclock_harness(model: Model, batch, trials: int = 5) -> dict:
-    """Time the reduced-token path against the full-token path.
-
-    ``batch`` is a sequence of AblatedImage inputs built beforehand, so
-    input construction is excluded from the timed region. The full-token
-    baseline runs the same forward on a copy of each ablation whose mask
-    keeps every pixel, also built before timing: every grid cell then
-    survives. Runs single-threaded; returns the mean seconds per batch of
-    each path plus the multiplicative speedup of dropping tokens.
-    """
-    if trials < 3:
-        raise ParameterError(f"need at least 3 trials, got {trials}")
-    if not batch:
-        raise ParameterError("need a nonempty ablation batch")
-    params, cfg = model.params, model.cfg
-    full_grid = [AblatedImage(z_m.pixels, np.ones_like(z_m.mask)) for z_m in batch]
-
-    def run(ablations):
-        for z_m in ablations:
-            ablation_logits(z_m, params, cfg)
-
-    run(batch)  # warm up caches and allocator before timing
-    run(full_grid)
-    drop_times = []
-    full_times = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        run(batch)
-        t1 = time.perf_counter()
-        run(full_grid)
-        t2 = time.perf_counter()
-        drop_times.append(t1 - t0)
-        full_times.append(t2 - t1)
-    drop = float(np.mean(drop_times))
-    full = float(np.mean(full_times))
-    return {"time_drop_mean_s": drop, "time_full_mean_s": full, "speedup": full / drop}

@@ -321,7 +321,7 @@ def _weight_product(x, w, per_set):
 
 
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
-    """Logits of the reduced-token forward pass for one ablation."""
+    """Reduced-token logits of one ablation, for certbench's logit gate and the tests."""
     patches, grid_idx = _reduced_cells(z_m, cfg)
     return _encoder_core(_embed(patches[None], grid_idx[None], params, cfg), params, cfg)[0]
 

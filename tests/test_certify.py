@@ -1,12 +1,15 @@
 """Vote math, certification thresholds, and the exhaustive adversary."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchcert import certify
+from patchcert import certify, vit
 from patchcert.ablation import AblationSpec, ablation_anchors, ablation_set
+from patchcert.bench import smoothing_cost
 from patchcert.certify import (
     FlipSearchResult,
     VoteCounts,
@@ -421,6 +424,66 @@ def test_oracle_and_flip_search_run_at_the_imagenet_block_setting():
         changed=False, worst_prediction=0, placement=(0, 0), rival=1,
         original_prediction=0, post_counts=(47676, 2500), advantage=-45176,
     )
+
+
+# ---------------------------------------------------------------------------
+# the certificate's premise, through pixels: a patch changes only the
+# ablations whose kept pixels it touches
+
+
+@st.composite
+def _paste_case(draw):
+    p = draw(st.integers(1, 3))
+    h, w = p * draw(st.integers(1, 4)), p * draw(st.integers(1, 4))
+    cfg = ViTConfig(h=h, w=w, c=draw(st.sampled_from([1, 3])), p=p, d=4, heads=2,
+                    layers=draw(st.integers(1, 2)), k=3)
+    # mostly blocks: a column set's row mask keeps every row
+    kind = draw(st.sampled_from(["block", "block", "column"]))
+    s = draw(st.integers(1, w))
+    offset = draw(st.integers(0, (s if kind == "column" else min(s, h)) - 1))
+    b = draw(st.integers(1, w if kind == "column" else min(h, w)))
+    m = draw(st.integers(1, min(h, w)))
+    top, left = draw(st.integers(0, h - m)), draw(st.integers(0, w - m))
+    content = draw(st.sampled_from(["random", "zero", "one", "copy"]))
+    return cfg, AblationSpec(kind, b, s, offset), m, (top, left), content, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_paste_case())
+def test_a_pasted_patch_leaves_every_ablation_it_does_not_hit_bitwise_unchanged(case):
+    cfg, spec, m, (top, left), content, seed = case
+    rng = np.random.default_rng(seed)
+    model = Model.init(cfg, seed=seed)
+    clean = rng.uniform(0, 1, size=(cfg.h, cfg.w, cfg.c)).astype(np.float32)
+    patched = clean.copy()
+    if content == "copy":
+        src_top, src_left = rng.integers(0, cfg.h - m + 1), rng.integers(0, cfg.w - m + 1)
+        patch = clean[src_top : src_top + m, src_left : src_left + m]
+    else:
+        patch = {"random": rng.uniform(0, 1, size=(m, m, cfg.c)), "zero": 0.0, "one": 1.0}[content]
+    patched[top : top + m, left : left + m] = patch
+
+    core, tokens = vit._encoder_core, smoothing_cost(cfg, spec)["tokens"]
+
+    def logits(image):
+        stacks = []
+
+        def recorded(*args, **kwargs):
+            stacks.append(core(*args, **kwargs))
+            return stacks[-1]
+
+        with mock.patch.object(vit, "_encoder_core", recorded):
+            vit.per_ablation_predictions(image, spec, model.params, cfg)
+        # stacks take the ablations of each token count in anchor order, counts ascending
+        by_ablation = np.empty((len(tokens), cfg.k), np.float32)
+        by_ablation[np.argsort(tokens, kind="stable")] = np.concatenate(stacks)
+        return by_ablation
+
+    before, after = logits(clean), logits(patched)
+    rowhit, colhit = certify._axis_hits(cfg.h, cfg.w, spec, m)
+    hit = np.outer(rowhit[:, top if spec.kind == "block" else 0], colhit[:, left]).ravel()
+    for j in np.nonzero(hit == 0)[0]:
+        assert before[j].tobytes() == after[j].tobytes(), f"ablation {j} changed"
 
 
 # ---------------------------------------------------------------------------

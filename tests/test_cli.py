@@ -1,6 +1,6 @@
 """CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
-write nothing; report names stay pinned; bench builds only what it times, and ablate
-holds one ablation at a time."""
+write nothing; report names stay pinned; bench times the engine on the passes its MAC
+columns count, and ablate holds one ablation at a time."""
 
 import hashlib
 import json
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from patchcert import ablation, cli
+from patchcert.numerics import count_macs
 from patchcert.vit import Model, ViTConfig, save_checkpoint
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
@@ -244,7 +245,9 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--config", "split_typo.json"], 3),
     (["train", "--config", "b4.json"], 3),
     (["delta", "--config", "format_x.json"], 3),
+    # bench times whole smoothed passes: it has no --batch, and needs 3 trials
     (["bench", "--batch", "0"], 3),
+    (["bench", "--trials", "2"], 3),
     # numpy's generators refuse a negative seed, and delta draws nothing: 3
     (["train", "--seed", "-1"], 3),
     (["ablate", "--seed", "-1"], 3),
@@ -266,7 +269,7 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
 
 
 BENCH = ["bench", "--h", "16", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
-         "--layers", "1", "--k", "3", "--b-grid", "3,5", "--batch", "2", "--trials", "3"]
+         "--layers", "1", "--k", "3", "--b-grid", "3,5", "--trials", "3"]
 
 WRITING_COMMANDS = [
     ["ablate"],
@@ -283,7 +286,7 @@ def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypat
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("ablation_set", "fit", "certified_accuracy", "wallclock_harness"):
+    for name in ("ablation_set", "fit", "certified_accuracy", "per_ablation_predictions"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.chdir(files)
     before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
@@ -308,7 +311,7 @@ def test_every_spec_is_checked_before_any_work(files, monkeypatch, capsys, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("fit", "certified_accuracy", "wallclock_harness"):
+    for name in ("fit", "certified_accuracy", "per_ablation_predictions"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.chdir(files)
     assert cli.main(argv + ["--out", "out"]) == 3
@@ -439,7 +442,7 @@ PINNED = [
      ["certify-9db89bd5f306.csv", "certify-9db89bd5f306.json"]),
     (["sweep", "--ckpt", "good.svit", "--b-grid", "2,3,3", "--patch-sizes", "2"],
      ["sweep-402a5eb54d6a.csv"]),
-    (BENCH, ["bench-168fa6f21211.csv"]),
+    (BENCH, ["bench-78beb9a97678.csv"]),
 ]
 
 
@@ -480,7 +483,7 @@ def test_certify_reports_are_pinned(files, monkeypatch, argv, digest, rows):
 
 
 SMALL_BENCH = ["bench", "--h", "16", "--w", "24", "--c", "1", "--p", "4", "--d", "8",
-               "--heads", "2", "--layers", "1", "--k", "3", "--batch", "2", "--trials", "3"]
+               "--heads", "2", "--layers", "1", "--k", "3", "--trials", "3"]
 
 # MAC reports of strided sets whose last strip wraps past the image edge
 MAC_REPORTS = [
@@ -525,25 +528,42 @@ def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypa
     assert written == [1] * 256  # one 16x16 block ablation alive per file, not the set
 
 
-def test_bench_builds_only_the_timed_sample(tmp_path, monkeypatch):
-    built, timed = [], []
+def test_bench_builds_no_ablated_image(tmp_path, monkeypatch):
+    built = []
 
     class Counted(ablation.AblatedImage):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    def harness(model, batch, trials):
-        timed.append(batch)
-        return wallclock_harness(model, batch, trials)
-
-    wallclock_harness = cli.wallclock_harness
     monkeypatch.setattr(ablation, "AblatedImage", Counted)
-    monkeypatch.setattr(cli, "wallclock_harness", harness)
     monkeypatch.chdir(tmp_path)
     assert cli.main(BENCH + ["--ablation", "block", "--out", "out"]) == 0
-    assert len(built) == 4  # --batch 2 for each b in 3,5, not 2 x 256 block ablations
-    blank = np.zeros((16, 16, 1), dtype=np.float32)
-    for b, batch in zip([3, 5], timed):
-        full = ablation.ablation_set(blank, ablation.AblationSpec("block", b))
-        assert [z.mask.tolist() for z in batch] == [z.mask.tolist() for z in full[::128]]
+    assert built == []  # both timed sides run the engine on the image itself
+
+
+@pytest.mark.parametrize("argv,lines", MAC_REPORTS, ids=["column", "block"])
+def test_bench_times_the_passes_its_mac_columns_count(tmp_path, monkeypatch, argv, lines):
+    # count_macs over each timed pass: the drop pass gives macs_drop, and the
+    # full-grid pass, run once per anchor row of the set, gives macs_full
+    macs = {}
+
+    def counted(x, spec, params, cfg):
+        with count_macs() as counter:
+            preds = engine(x, spec, params, cfg)
+        macs.setdefault(spec, set()).add(counter.total)
+        return preds
+
+    engine = cli.per_ablation_predictions
+    monkeypatch.setattr(cli, "per_ablation_predictions", counted)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SMALL_BENCH + argv + ["--out", "out"]) == 0
+    assert len(macs) == len(lines)  # one full-grid pass, and one drop pass per b
+    (full,) = [spec for spec in macs if spec.kind == "column" and spec.b == 24]
+    for line in lines[1:]:
+        b, _, _, macs_drop, macs_full, _ = line.split(",")
+        (spec,) = [spec for spec in macs if spec.b == int(b)]
+        assert (full.s, full.offset) == (spec.s, spec.offset)
+        assert macs[spec] == {int(macs_drop)}
+        anchor_rows = len(ablation.retained_axes(16, 24, spec)[0])
+        assert {total * anchor_rows for total in macs[full]} == {int(macs_full)}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from patchcert import vit
 from patchcert.ablation import AblationSpec, ablation_set, block_ablation, column_ablation
-from patchcert.bench import CostModel, smoothing_cost, wallclock_harness
+from patchcert.bench import CostModel, smoothing_cost
 from patchcert import cli, train
 from patchcert import numerics as nx
 from patchcert.errors import FormatError, ParameterError
@@ -910,16 +910,3 @@ def test_stripe_noise_drawn_per_image_equals_one_draw(monkeypatch, n, h, w, k, n
 def test_train_config_rejects_an_unknown_kind():
     with pytest.raises(ParameterError, match="'diag'"):
         TrainConfig(kind="diag")
-
-
-def test_wallclock_harness_checks_its_inputs_and_times_both_paths():
-    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=8, heads=2, layers=1, k=3)
-    model = Model.init(cfg, seed=0)
-    batch = ablation_set(_image(cfg), AblationSpec("column", 3, 4))
-    with pytest.raises(ParameterError, match="at least 3 trials"):
-        wallclock_harness(model, batch, trials=2)
-    with pytest.raises(ParameterError, match="nonempty"):
-        wallclock_harness(model, [], trials=3)
-    timing = wallclock_harness(model, batch, trials=3)
-    assert sorted(timing) == ["speedup", "time_drop_mean_s", "time_full_mean_s"]
-    assert all(value > 0 for value in timing.values())
