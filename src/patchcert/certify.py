@@ -17,8 +17,9 @@ each is computed for a given image size:
   only. They under-count when the stride does not divide the width (the
   strided start grid has one short wrap gap), so nothing certifies by them.
 
-Certification uses integer arithmetic only and breaks argmax ties by
-lowest class index everywhere.
+Votes are an int64 array of per-ablation predictions, counted into a
+(k,) int64 array of per-class votes. Certification uses integer
+arithmetic only and breaks argmax ties by lowest class index everywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .ablation import AblationSpec, axis_intervals
 from .errors import BudgetError, EmptyVotesError, InputError, ParameterError
 
 __all__ = [
-    "VoteCounts",
     "Certificate",
     "FlipSearchResult",
     "aggregate_votes",
@@ -45,18 +45,6 @@ __all__ = [
 ]
 
 ORACLE_BUDGET = 10**8
-
-
-@dataclass(frozen=True)
-class VoteCounts:
-    """Per-class ablation prediction counts."""
-
-    counts: tuple
-    total: int
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -81,20 +69,19 @@ class FlipSearchResult:
     advantage: int
 
 
-def aggregate_votes(predictions, k: int) -> VoteCounts:
-    """Count per-class occurrences of a prediction sequence."""
-    preds = np.asarray(list(predictions), dtype=np.int64)
+def aggregate_votes(predictions, k: int) -> np.ndarray:
+    """(k,) int64 array of per-class counts of an int64 array of predictions."""
+    preds = np.asarray(predictions, dtype=np.int64)
     if preds.size and (preds.min() < 0 or preds.max() >= k):
         raise InputError(f"prediction outside [0, {k}) in vote aggregation")
-    counts = np.bincount(preds, minlength=k) if preds.size else np.zeros(k, dtype=np.int64)
-    return VoteCounts(counts=tuple(int(c) for c in counts), total=int(preds.size))
+    return np.bincount(preds, minlength=k)
 
 
-def smoothed_predict(v: VoteCounts) -> int:
-    """Majority class; ties break to the lowest class index."""
-    if v.total == 0:
+def smoothed_predict(votes: np.ndarray) -> int:
+    """Majority class of an int64 vote-count array; ties break to the lowest class index."""
+    if not votes.any():
         raise EmptyVotesError("cannot predict from an empty vote aggregate")
-    return int(np.argmax(np.asarray(v.counts)))
+    return int(np.argmax(votes))
 
 
 def _check_placement(h: int, w: int, spec: AblationSpec, m) -> None:
@@ -177,28 +164,26 @@ def delta_oracle(h: int, w: int, spec: AblationSpec, m: int) -> int:
     return int(_placement_hits(rowhit, colhit, np.ones(len(rowhit) * len(colhit))).max())
 
 
-def certify_votes(v: VoteCounts, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
-    """Apply the 2*Delta margin test to a vote aggregate."""
-    if v.total == 0:
+def certify_votes(votes: np.ndarray, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
+    """Apply the 2*Delta margin test to an int64 vote-count array."""
+    if not votes.any():
         raise EmptyVotesError("cannot certify an empty vote aggregate")
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
-    if v.k < 2:
+    if len(votes) < 2:
         raise ParameterError("certification needs at least two classes")
-    counts = np.asarray(v.counts)
-    predicted = int(np.argmax(counts))
-    others = counts.copy()
+    predicted = int(np.argmax(votes))
+    others = votes.copy()
     others[predicted] = -1
     runner_up = int(np.argmax(others))
-    margin = int(counts[predicted] - counts[runner_up])
-    certified = counts[predicted] > counts[runner_up] + 2 * delta
+    margin = int(votes[predicted] - votes[runner_up])
     return Certificate(
         predicted=predicted,
         runner_up=runner_up,
         margin=margin,
         delta=int(delta),
         patch_m=m,
-        certified=bool(certified),
+        certified=bool(margin > 2 * delta),
         delta_mode=delta_mode,
     )
 
@@ -222,18 +207,16 @@ def adversarial_flip_search(
     a successful attack. The attack targets the smoothed prediction, so
     true_class does not enter the search.
     """
-    preds = np.asarray(list(per_ablation_predictions), dtype=np.int64)
+    preds = np.asarray(per_ablation_predictions, dtype=np.int64)
     if preds.size == 0:
         raise InputError("need at least one per-ablation prediction")
-    if preds.min() < 0 or preds.max() >= k:
-        raise InputError(f"prediction outside [0, {k})")
+    base = aggregate_votes(preds, k)
     if k < 2:
         raise ParameterError("flip search needs at least two classes")
     rowhit, colhit = _axis_hits(h, w, spec, m)
     if preds.size != len(rowhit) * len(colhit):
         raise InputError(f"{preds.size} predictions but the ablation set has "
                          f"{len(rowhit) * len(colhit)} members")
-    base = np.bincount(preds, minlength=k).astype(np.int64)
     g0 = int(np.argmax(base))
     keys = []  # (changed, advantage, -placement, -rival), maximised lexicographically
     for r in range(k):

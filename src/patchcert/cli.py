@@ -338,26 +338,47 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
     )
 
 
-def _dataset_split(data: LabeledDataset, split: str) -> LabeledDataset:
+def _spec_from(o: dict) -> AblationSpec:
+    return AblationSpec(kind=o["ablation"], b=o["b"], s=o["stride"], offset=o["offset"])
+
+
+def _certify_each(o: dict, seed: int, grid):
+    """Yield (spec, certified_accuracy report) per distinct (b, stride) of grid, one at a time.
+
+    The checkpoint, the split and every grid point are checked against
+    each other before the first point is certified.
+    """
+    model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
+    data = _load_dataset(o, seed)
+    split = o["split"]
     sub = data if split == "all" else data.subset(split)
     if not len(sub):
         present = ", ".join(sorted(set(data.splits.tolist()))) or "none"
         raise ParameterError(f"dataset has no images in split {split!r} "
                              f"(splits present: {present})")
-    return sub
-
-
-def _spec_from(o: dict) -> AblationSpec:
-    return AblationSpec(kind=o["ablation"], b=o["b"], s=o["stride"], offset=o["offset"])
-
-
-def _check_compat(model: Model, data: LabeledDataset) -> None:
-    shape = data.images.shape[1:]
+    shape = sub.images.shape[1:]
     want = (model.cfg.h, model.cfg.w, model.cfg.c)
     if shape != want:
         raise ParameterError(f"checkpoint expects images {want}, dataset has {shape}")
-    if data.k > model.cfg.k:
-        raise ParameterError(f"dataset has {data.k} classes, checkpoint only {model.cfg.k}")
+    if sub.k > model.cfg.k:
+        raise ParameterError(f"dataset has {sub.k} classes, checkpoint only {model.cfg.k}")
+    specs = []
+    for b, s in grid:
+        spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
+        if spec in specs:
+            log.warning("duplicate sweep point b=%d s=%d skipped", b, s)
+            continue
+        spec.validate_for(model.cfg.h, model.cfg.w)
+        specs.append(spec)
+    for spec in specs:
+        yield spec, certified_accuracy(sub, model, spec, o["patch_sizes"])
+
+
+def _report_rows(spec: AblationSpec, report: dict) -> list[dict]:
+    """One CSV row per patch size of a certified_accuracy report."""
+    return [{"b": spec.b, "s": spec.s, "m": entry["m"], "delta": entry["delta"],
+             "standard_accuracy": report["standard_accuracy"],
+             "certified_accuracy": entry["accuracy"]} for entry in report["certified"]]
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +438,11 @@ def cmd_train(args) -> int:
 
 def cmd_certify(args) -> int:
     raw, o = _options(args)
-    model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
-    data = _dataset_split(_load_dataset(o, args.seed), o["split"])
-    _check_compat(model, data)
-    report = certified_accuracy(data, model, _spec_from(o), o["patch_sizes"])
+    ((spec, report),) = _certify_each(o, args.seed, [(o["b"], o["stride"])])
     stamp = config_hash({"command": "certify", "cfg": raw, "seed": args.seed})
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    rows = [
-        {
-            "m": entry["m"],
-            "delta": entry["delta"],
-            "certified_accuracy": entry["accuracy"],
-            "standard_accuracy": report["standard_accuracy"],
-        }
-        for entry in report["certified"]
-    ]
-    csv_text = _csv_text(rows, ["m", "delta", "certified_accuracy", "standard_accuracy"])
+    csv_text = _csv_text(_report_rows(spec, report),
+                         ["m", "delta", "certified_accuracy", "standard_accuracy"])
     jpath = write_report(args.out, f"certify-{stamp}.json", json_text)
     write_report(args.out, f"certify-{stamp}.csv", csv_text)
     print(f"standard accuracy {report['standard_accuracy']:.4f}")
@@ -475,38 +485,17 @@ def cmd_delta(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw, o = _options(args)
-    model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
-    data = _dataset_split(_load_dataset(o, args.seed), o["split"])
-    _check_compat(model, data)
-    specs = []
-    for b in o["b_grid"]:
-        for s in o["stride_grid"]:
-            spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
-            if spec in specs:
-                log.warning("duplicate sweep point b=%d s=%d skipped", b, s)
-                continue
-            spec.validate_for(model.cfg.h, model.cfg.w)  # every point, before any is certified
-            specs.append(spec)
-    rows = []
-    for spec in specs:
-        report = certified_accuracy(data, model, spec, o["patch_sizes"])
-        for entry in report["certified"]:
-            rows.append(
-                {
-                    "b": spec.b,
-                    "s": spec.s,
-                    "m": entry["m"],
-                    "delta": entry["delta"],
-                    "standard_accuracy": report["standard_accuracy"],
-                    "certified_accuracy": entry["accuracy"],
-                }
-            )
+    grid = [(b, s) for b in o["b_grid"] for s in o["stride_grid"]]
+    rows, points = [], 0
+    for spec, report in _certify_each(o, args.seed, grid):
+        rows += _report_rows(spec, report)
+        points += 1
     stamp = config_hash({"command": "sweep", "cfg": raw, "seed": args.seed})
     csv_text = _csv_text(
         rows, ["b", "s", "m", "delta", "standard_accuracy", "certified_accuracy"]
     )
     path = write_report(args.out, f"sweep-{stamp}.csv", csv_text)
-    print(f"swept {len(specs)} grid points; report: {path}")
+    print(f"swept {points} grid points; report: {path}")
     return EXIT_OK
 
 

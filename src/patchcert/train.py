@@ -192,7 +192,7 @@ def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int,
     total = 0
     for x, label in zip(data.images, data.labels):
         preds = per_ablation_predictions(x, spec, model.params, model.cfg)
-        correct += preds.count(int(label))
+        correct += np.count_nonzero(preds == label)
         total += len(preds)
     return correct / total
 

@@ -376,7 +376,7 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
 
 
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
-    """Base-classifier prediction for every ablation in the set, in anchor order.
+    """Base-classifier predictions for every ablation in the set: an int64 array in anchor order.
 
     The image is patchified once. Ablation j keeps row interval j // q_cols
     and column interval j % q_cols of ``retained_axes``, which give its
@@ -410,11 +410,11 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
             cells *= row_mask[..., None]
             cells *= col_mask.astype(x.dtype)[:, :, None]
             preds[ids] = process_ablation(cells.reshape(ids.size, n, -1), grid_idx, params, cfg)
-    return preds.tolist()
+    return preds
 
 
 def smoothed_vit_forward(x, spec: AblationSpec, params: dict, cfg: ViTConfig):
-    """Smoothed prediction and vote counts over the full ablation set."""
+    """Smoothed prediction and its (k,) int64 vote counts over the full ablation set."""
     votes = aggregate_votes(per_ablation_predictions(x, spec, params, cfg), cfg.k)
     return smoothed_predict(votes), votes
 

@@ -1,8 +1,10 @@
-"""Test-only reference implementations: a triple-loop matmul and a
-central finite-difference gradient."""
+"""Test-only reference implementations: a triple-loop matmul, a central
+finite-difference gradient and a pixel-space patch search."""
 
 import numpy as np
 
+from patchcert import certify, vit
+from patchcert.ablation import ablation_anchors, ablation_set
 from patchcert.errors import DimensionError, ParameterError
 
 
@@ -47,3 +49,58 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def strongest_patches(x: np.ndarray, spec, model, m: int, rng, restarts: int = 3) -> list:
+    """For every placement of an m*m patch on x, the contents that best attack the smoothed vote.
+
+    Returns (top, left, patched image) per placement, row-major. Each
+    placement's search takes the best of ``restarts`` random contents and
+    all-0 and all-1 contents, then one greedy pass that sets each patch
+    value to 0 or 1 where that helps. A candidate scores by the rival's
+    lead over the clean smoothed prediction, then by the hit votes it
+    moves; only the ablations that ``certify._axis_hits`` says the
+    placement hits are re-classified, through ``ablation_set`` and
+    ``ablation_logits``.
+    """
+    cfg = model.cfg
+    anchors = ablation_anchors(cfg.h, cfg.w, spec)
+
+    def classify(image, ids):
+        zs = ablation_set(image, spec, [anchors[j] for j in ids])
+        return np.array([int(np.argmax(vit.ablation_logits(z, model.params, cfg))) for z in zs])
+
+    base = classify(x, range(len(anchors)))
+    counts = np.bincount(base, minlength=cfg.k)
+    top_class = int(np.argmax(counts))
+    rowhit, colhit = certify._axis_hits(cfg.h, cfg.w, spec, m)
+    found = []
+    for top in range(cfg.h - m + 1):
+        for left in range(cfg.w - m + 1):
+            row = rowhit[:, top if spec.kind == "block" else 0]
+            hit = np.nonzero(np.outer(row, colhit[:, left]).ravel())[0]
+
+            def score(patch):
+                image = x.copy()
+                image[top : top + m, left : left + m] = patch
+                votes = classify(image, hit)
+                post = counts + np.bincount(votes, minlength=cfg.k)
+                post -= np.bincount(base[hit], minlength=cfg.k)
+                lead = max(post[r] - post[top_class] for r in range(cfg.k) if r != top_class)
+                return (int(lead), int(np.count_nonzero(votes != base[hit])))
+
+            shape = (m, m, cfg.c)
+            starts = [np.zeros(shape), np.ones(shape)]
+            starts += [rng.uniform(0, 1, size=shape) for _ in range(restarts)]
+            best, patch = max(((score(p), p) for p in starts), key=lambda sp: sp[0])
+            for i in np.ndindex(shape):
+                for value in (0.0, 1.0):
+                    trial = patch.copy()
+                    trial[i] = value
+                    trial_score = score(trial)
+                    if trial_score > best:
+                        best, patch = trial_score, trial
+            image = x.copy()
+            image[top : top + m, left : left + m] = patch
+            found.append((top, left, image))
+    return found

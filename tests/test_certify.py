@@ -12,7 +12,6 @@ from patchcert.ablation import AblationSpec, ablation_anchors, ablation_set
 from patchcert.bench import smoothing_cost
 from patchcert.certify import (
     FlipSearchResult,
-    VoteCounts,
     adversarial_flip_search,
     aggregate_votes,
     certified_accuracy,
@@ -24,6 +23,7 @@ from patchcert.certify import (
 from patchcert.errors import BudgetError, EmptyVotesError, InputError, ParameterError
 from patchcert.train import LabeledDataset
 from patchcert.vit import Model, ViTConfig
+from references import strongest_patches
 
 TOY_CONFIG = ViTConfig(h=16, w=16, c=1, p=4, d=32, heads=4, layers=2, k=4)
 
@@ -34,22 +34,20 @@ TOY_CONFIG = ViTConfig(h=16, w=16, c=1, p=4, d=32, heads=4, layers=2, k=4)
 
 def test_aggregate_votes_basic():
     v = aggregate_votes([0, 0, 1], k=2)
-    assert v.counts == (2, 1)
-    assert v.total == 3
+    assert v.tolist() == [2, 1] and v.dtype == np.int64
 
 
 def test_aggregate_votes_empty_and_predict_error():
     v = aggregate_votes([], k=3)
-    assert v.counts == (0, 0, 0)
-    assert v.total == 0
+    assert v.tolist() == [0, 0, 0] and v.dtype == np.int64
     with pytest.raises(EmptyVotesError):
         smoothed_predict(v)
 
 
 def test_aggregate_votes_unanimous():
     v = aggregate_votes([3] * 224, k=10)
-    assert v.counts[3] == 224
-    assert v.total == 224
+    assert v[3] == 224
+    assert v.sum() == 224
 
 
 def test_aggregate_votes_range_check():
@@ -212,9 +210,9 @@ def test_certify_votes_fields_and_errors():
     cert = certify_votes(v, delta=0, m=1, delta_mode="oracle")
     assert cert.predicted == 2 and cert.runner_up == 1
     assert cert.margin == 1 and cert.delta_mode == "oracle"
-    assert cert.certified == (v.counts[2] > v.counts[1] + 0)
+    assert cert.certified == (v[2] > v[1] + 0)
     with pytest.raises(EmptyVotesError):
-        certify_votes(VoteCounts(counts=(0, 0), total=0), 1, 1)
+        certify_votes(np.zeros(2, np.int64), 1, 1)
     with pytest.raises(ParameterError):
         certify_votes(v, delta=-1, m=1)
 
@@ -336,7 +334,7 @@ def test_flip_search_near_tightness_constructive():
     preds[extra[: delta + 1]] = 1  # predicted class 1 leads, margin <= 2*delta
     votes = aggregate_votes(preds, 2)
     assert smoothed_predict(votes) == 1
-    margin = votes.counts[1] - votes.counts[0]
+    margin = votes[1] - votes[0]
     assert 0 < margin <= 2 * delta
     res = adversarial_flip_search(preds, spec, h, w, m, true_class=1, k=2)
     assert res.changed and res.worst_prediction == 0
@@ -484,6 +482,41 @@ def test_a_pasted_patch_leaves_every_ablation_it_does_not_hit_bitwise_unchanged(
     hit = np.outer(rowhit[:, top if spec.kind == "block" else 0], colhit[:, left]).ravel()
     for j in np.nonzero(hit == 0)[0]:
         assert before[j].tobytes() == after[j].tobytes(), f"ablation {j} changed"
+
+
+# tiny 4x4-cell models whose blocks end inside a cell; the init is scaled up
+# so that a patch can move the votes of the ablations it hits
+PREMISE_CASES = [
+    (ViTConfig(h=8, w=8, c=1, p=2, d=8, heads=2, layers=1, k=3), AblationSpec("block", 3, 2), 1),
+    (ViTConfig(h=12, w=12, c=3, p=3, d=8, heads=2, layers=1, k=3), AblationSpec("block", 4, 3, 1), 2),
+]
+
+
+@pytest.mark.parametrize("cfg,spec,m", PREMISE_CASES, ids=["b3-s2-m1", "b4-s3-offset1-m2"])
+def test_no_searched_patch_moves_a_certified_prediction_or_a_vote_it_does_not_hit(cfg, spec, m):
+    rowhit, colhit = certify._axis_hits(cfg.h, cfg.w, spec, m)
+    delta = delta_closed_form(spec, m, "safe", dims=(cfg.h, cfg.w))
+    images = moved = 0
+    for seed in range(40):
+        model = Model.init(cfg, seed=seed)
+        for name, value in model.params.items():
+            if "ln" not in name:
+                value *= 10.0
+        x = np.random.default_rng(seed).uniform(0, 1, (cfg.h, cfg.w, cfg.c)).astype(np.float32)
+        clean = vit.per_ablation_predictions(x, spec, model.params, cfg)
+        cert = certify_votes(aggregate_votes(clean, cfg.k), delta, m)
+        if not cert.certified:
+            continue
+        images += 1
+        for top, left, patched in strongest_patches(x, spec, model, m, np.random.default_rng(seed)):
+            after = vit.per_ablation_predictions(patched, spec, model.params, cfg)
+            hit = np.outer(rowhit[:, top], colhit[:, left]).ravel() > 0
+            assert np.array_equal(after[~hit], clean[~hit]), (seed, top, left)
+            assert smoothed_predict(aggregate_votes(after, cfg.k)) == cert.predicted
+            moved += np.count_nonzero(after[hit] != clean[hit])
+        if images == 2:
+            break
+    assert images == 2 and moved > 0  # certified images, and a search that moves votes
 
 
 # ---------------------------------------------------------------------------

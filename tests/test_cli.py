@@ -482,6 +482,68 @@ def test_certify_reports_are_pinned(files, monkeypatch, argv, digest, rows):
     assert report.with_suffix(".csv").read_text() == "\n".join(rows) + "\n"
 
 
+# sweep reports: a column grid with a duplicate b, and an offset block grid
+SWEEP_REPORTS = [
+    (["--b-grid", "2,5,2", "--stride-grid", "1,3", "--patch-sizes", "1,2,4"], [
+        "b,s,m,delta,standard_accuracy,certified_accuracy",
+        "2,1,1,2,0.2564102564102564,0.2564102564102564",
+        "2,1,2,3,0.2564102564102564,0.2564102564102564",
+        "2,1,4,5,0.2564102564102564,0.2564102564102564",
+        "2,3,1,2,0.2564102564102564,0.2564102564102564",
+        "2,3,2,2,0.2564102564102564,0.2564102564102564",
+        "2,3,4,3,0.2564102564102564,0.0",
+        "5,1,1,5,0.2564102564102564,0.2564102564102564",
+        "5,1,2,6,0.2564102564102564,0.2564102564102564",
+        "5,1,4,8,0.2564102564102564,0.0",
+        "5,3,1,3,0.2564102564102564,0.0",
+        "5,3,2,3,0.2564102564102564,0.0",
+        "5,3,4,4,0.2564102564102564,0.0",
+    ]),
+    (["--ablation", "block", "--b-grid", "3,4", "--stride-grid", "2,3", "--offset", "1",
+      "--patch-sizes", "1,3"], [
+        "b,s,m,delta,standard_accuracy,certified_accuracy",
+        "3,2,1,4,0.2564102564102564,0.2564102564102564",
+        "3,2,3,9,0.2564102564102564,0.2564102564102564",
+        "3,3,1,1,0.2564102564102564,0.2564102564102564",
+        "3,3,3,4,0.2564102564102564,0.2564102564102564",
+        "4,2,1,4,0.2564102564102564,0.2564102564102564",
+        "4,2,3,9,0.2564102564102564,0.2564102564102564",
+        "4,3,1,4,0.2564102564102564,0.2564102564102564",
+        "4,3,3,4,0.2564102564102564,0.2564102564102564",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,rows", SWEEP_REPORTS, ids=["column", "block"])
+def test_sweep_reports_are_pinned(files, monkeypatch, argv, rows):
+    monkeypatch.chdir(files)
+    assert cli.main(["sweep", "--ckpt", "good.svit", *argv, "--out", "out"]) == 0
+    (report,) = (files / "out").iterdir()
+    assert report.read_text() == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv,rows", SWEEP_REPORTS, ids=["column", "block"])
+def test_each_sweep_point_is_the_certify_report(files, monkeypatch, argv, rows):
+    monkeypatch.chdir(files)
+    header, *body = (r.split(",") for r in rows)
+    groups = {}
+    for row in body:
+        record = dict(zip(header, row))
+        groups.setdefault((record["b"], record["s"]), []).append(record)
+    kind = argv[argv.index("--ablation") + 1] if "--ablation" in argv else "column"
+    offset = argv[argv.index("--offset") + 1] if "--offset" in argv else "0"
+    sizes = argv[argv.index("--patch-sizes") + 1]
+    for (b, s), records in groups.items():
+        out = f"certify-{b}-{s}"
+        assert cli.main(["certify", "--ckpt", "good.svit", "--ablation", kind, "--b", b,
+                         "--stride", s, "--offset", offset, "--patch-sizes", sizes,
+                         "--out", out]) == 0
+        (report,) = (files / out).glob("*.csv")
+        columns = ["m", "delta", "certified_accuracy", "standard_accuracy"]
+        want = [",".join(columns)] + [",".join(r[c] for c in columns) for r in records]
+        assert report.read_text() == "\n".join(want) + "\n"
+
+
 SMALL_BENCH = ["bench", "--h", "16", "--w", "24", "--c", "1", "--p", "4", "--d", "8",
                "--heads", "2", "--layers", "1", "--k", "3", "--trials", "3"]
 

@@ -130,7 +130,7 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
     _assert_argmax(preds, [ablation_logits(z, model.params, cfg) for z in ablation_set(x, spec)])
     for budget in (1, 7):
         monkeypatch.setattr(vit, "ROW_BUDGET", budget)
-        assert per_ablation_predictions(x, spec, model.params, cfg) == preds
+        assert np.array_equal(per_ablation_predictions(x, spec, model.params, cfg), preds)
 
 
 _STAGE_OF = {"patch_embed.weight": "tokenization", "head.weight": "head",
