@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import struct
 import sys
@@ -94,7 +95,7 @@ def load_idx_tensor(path, scale_bytes: bool = True) -> np.ndarray:
     if len(blob) < head:
         raise FormatError("IDX header truncated")
     dims = struct.unpack(f">{ndim}I", blob[4:head])
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)  # exact: np.prod wraps around at 2**63
     itemsize = 1 if code == IDX_UBYTE else 4
     expect = head + count * itemsize
     if len(blob) != expect:

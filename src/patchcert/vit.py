@@ -234,7 +234,9 @@ def _encoder_core(x, params, cfg, record=False):
     """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
 
     Weight products run once over all B*n rows; attention runs per set
-    and head. The readout is the class token, row 0 of every set, so the
+    and head, one BLAS call each: a 2-D nx.matmul per (set, head) in
+    inference, one matmul_stacked over the (B, heads) stack in record
+    mode. The readout is the class token, row 0 of every set, so the
     last layer computes only that row past its keys and values: LN1 and
     the K/V projections run over all n rows, because the class token
     attends to every key, while Q, the scores (B, heads, 1, n), the
@@ -260,17 +262,25 @@ def _encoder_core(x, params, cfg, record=False):
         # q has n rows per set, or 1 in the class-only layer
         q_h, v_h = (_by_head(t, bsz, cfg) for t in (q, v))
         k_t = np.ascontiguousarray(_by_head(kk, bsz, cfg).swapaxes(2, 3))
-        scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
-        for b in range(bsz):
-            for hd in range(heads):
-                scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
+        # inference stays one 2-D nx.matmul per (set, head): certbench stages
+        # forward MACs from those calls (ROADMAP item 1)
+        if record:
+            scores = nx.matmul_stacked(q_h, k_t)
+        else:
+            scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
+            for b in range(bsz):
+                for hd in range(heads):
+                    scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
         scores *= scale
         attn = nx.softmax_last_dim(scores)
         o = np.empty_like(q)
         o_h = _by_head(o, bsz, cfg)
-        for b in range(bsz):
-            for hd in range(heads):
-                o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
+        if record:
+            o_h[...] = nx.matmul_stacked(attn, v_h)
+        else:
+            for b in range(bsz):
+                for hd in range(heads):
+                    o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
         x_mid = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
         x_mid += x  # the residual, summed into the fresh branch output
         h2, ln2_ctx = nx.layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
@@ -427,9 +437,11 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     receive zero gradient. Both sums run in batch order from +0, over
     per-ablation values that are bitwise those of a batch of one.
     Ablations with equal token counts share one recorded forward and
-    one backward, whose every product runs per ablation. The groups'
-    backwards step in lockstep, so only one parameter's per-ablation
-    gradients are alive at a time.
+    one backward, whose every product runs per ablation (the recorded
+    attention too, stacked over sets and heads). The groups' backwards
+    step in lockstep, so only one parameter's per-ablation gradients are
+    alive at a time, and each parameter's batch sum adds those rows in
+    place into one zero-filled array.
     """
     if len(ablations) != len(labels) or not ablations:
         raise ParameterError(
@@ -454,14 +466,15 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     loss_sum = 0.0
     for loss in losses:
         loss_sum += loss
-    # per-ablation gradients in batch order, summed row by row from +0: 0 + g_0 + g_1 + ...
+    # per-ablation gradients in batch order, summed in place from +0: 0 + g_0 + g_1 + ...
+    slots = sorted((i, g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids))
     grads = {}
     for parts in zip(*streams):
         name, first = parts[0]
-        buf = np.empty((len(ablations), *first.shape[1:]), dtype=first.dtype)
-        for ids, (_, stack) in zip(groups, parts):
-            buf[ids] = stack
-        grads[name] = np.add.reduce(buf, axis=0, initial=0.0)
+        total = np.zeros(first.shape[1:], dtype=first.dtype)
+        for _, g, row in slots:
+            total += parts[g][1][row]
+        grads[name] = total
     return loss_sum, {k: grads[k] for k in params}
 
 
@@ -541,7 +554,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
     yield "patch_embed.weight", nx.matmul_stacked(patches.swapaxes(1, 2), dgrid)
     yield "patch_embed.bias", dgrid.sum(axis=1)
     pos = np.zeros((bsz, *params["pos_embed"].shape), dtype=dgrid.dtype)
-    np.add.at(pos, (np.arange(bsz)[:, None], grid_idx), dgrid)
+    pos[np.arange(bsz)[:, None], grid_idx] = dgrid  # a set's cells are distinct
     yield "pos_embed", pos
 
 

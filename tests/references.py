@@ -1,9 +1,11 @@
-"""Test-only reference implementations: a triple-loop matmul, a central
-finite-difference gradient and a pixel-space patch search."""
+"""Test-only reference implementations: a triple-loop matmul, a per-head
+attention product loop, a central finite-difference gradient and a
+pixel-space patch search."""
 
 import numpy as np
 
 from patchcert import certify, vit
+from patchcert import numerics as nx
 from patchcert.ablation import ablation_anchors, ablation_set
 from patchcert.errors import DimensionError, ParameterError
 
@@ -25,6 +27,22 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for t in range(k):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
+    return out
+
+
+def matmul_per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, heads, m, k) x (B, heads, k, n) as one 2-D nx.matmul per (set, head).
+
+    The inference forward's attention loop: the oracle for the recorded
+    forward's stacked attention products.
+    """
+    if a.ndim != 4 or a.shape[:2] != b.shape[:2]:
+        raise DimensionError(
+            f"matmul_per_head expects (B, heads, ...) stacks, got {a.shape} and {b.shape}")
+    out = np.empty((*a.shape[:3], b.shape[3]), dtype=np.result_type(a, b))
+    for s in range(a.shape[0]):
+        for hd in range(a.shape[1]):
+            out[s, hd] = nx.matmul(a[s, hd], b[s, hd])
     return out
 
 

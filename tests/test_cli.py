@@ -89,6 +89,8 @@ def files(tmp_path):
         "labels_2d.idx": b"\0\0\x08\x02" + struct.pack(">II", 4, 1) + bytes([0, 1, 2, 3]),
         "labels3.idx": b"\0\0\x08\x01" + struct.pack(">I", 3) + bytes([0, 1, 2]),
         "labels0.idx": b"\0\0\x08\x01" + struct.pack(">I", 0),
+        # dims whose product is 2**64: in int64 it wraps to 0, matching the empty payload
+        "wrap.idx": b"\0\0\x0d\x03" + struct.pack(">III", 2**31, 2**31, 4),
         "empty.idx": _idx_float32(np.zeros((0, 16, 16), np.float32)),
         "rank0.idx": _idx_float32(np.array(0.5, np.float32)),
         "rank2.idx": _idx_float32(np.full((6, 8), 0.5, np.float32)),
@@ -134,6 +136,10 @@ CASES = [
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
       "--labels", "labels_2d.idx"], 2),
     (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels_2d.idx"], 2),
+    # IDX dims whose element count overflows int64: 2
+    (["train", "--data-format", "idx", "--data", "wrap.idx", "--labels", "labels0.idx"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "wrap.idx",
+      "--labels", "labels0.idx"], 2),
     # IDX images and labels whose counts disagree: 2
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
       "--labels", "labels3.idx"], 2),

@@ -32,7 +32,7 @@ from patchcert.vit import (
     per_ablation_predictions,
     save_checkpoint,
 )
-from references import finite_difference_gradient
+from references import finite_difference_gradient, matmul_per_head
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
@@ -408,6 +408,76 @@ def test_class_row_only_last_layer_equals_every_row(p, grid, c, d_heads, layers,
     assert logits.shape == want.shape == (bsz, k)
     assert np.max(np.abs(logits - want)) <= ORACLE_TOLERANCE
     _assert_argmax(np.argmax(logits, axis=1), want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(grid=st.tuples(st.integers(1, 3), st.integers(1, 3)), heads=st.sampled_from([1, 2, 4]),
+       dh=st.sampled_from([1, 2, 4]), layers=st.integers(1, 2), bsz=st.integers(1, 3),
+       cells=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+@example(grid=(2, 2), heads=4, dh=2, layers=2, bsz=1, cells=1, dtype=np.float32, seed=0)
+@example(grid=(2, 2), heads=2, dh=4, layers=1, bsz=3, cells=1, dtype=np.float64, seed=1)
+def test_recorded_attention_equals_the_per_head_loop(grid, heads, dh, layers, bsz, cells, dtype,
+                                                     seed):
+    # the recorded forward stacks each attention product over (set, head); the per-head loop
+    # of 2-D nx.matmul calls must give the same bytes, and the same MAC count
+    cfg = ViTConfig(h=2 * grid[0], w=2 * grid[1], c=1, p=2, d=heads * dh, heads=heads,
+                    layers=layers, k=3)
+    rng = np.random.default_rng(seed)
+    params = {name: (v + rng.normal(0.0, 0.1, v.shape)).astype(dtype)
+              for name, v in Model.init(cfg, seed=seed).params.items()}
+    n = min(cells, cfg.grid_tokens)
+    grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
+                         for _ in range(bsz)])
+    patches = rng.uniform(0.0, 1.0, (bsz, n, 4)).astype(np.float32)
+    x = vit._embed(patches, grid_idx, params, cfg, record=True)
+    with count_macs() as macs:
+        logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+    stacked, loop_calls = nx.matmul_stacked, []
+
+    def attention_by_loop(a, b):
+        if a.ndim == 4:  # only the attention products are (set, head) stacks
+            loop_calls.append(a.shape[:2])
+            return matmul_per_head(a, b)
+        return stacked(a, b)
+
+    with mock.patch.object(nx, "matmul_stacked", attention_by_loop), count_macs() as loop_macs:
+        want, want_ctx = vit._encoder_core(x, params, cfg, record=True)
+    assert loop_calls == [(bsz, heads)] * 2 * layers
+    assert macs.total == loop_macs.total
+    for lc, wc in zip(ctx["layers"], want_ctx["layers"], strict=True):
+        _assert_same_bytes(lc["attn"], wc["attn"])
+        _assert_same_bytes(lc["o"], wc["o"])
+    _assert_same_bytes(logits, want)
+
+
+def test_only_inference_attention_runs_through_nx_matmul(monkeypatch):
+    # certbench stages forward MACs from nx.matmul: a product whose right operand is a
+    # parameter array is a weight product, any other is attention
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=4, layers=3, k=5)
+    params = Model.init(cfg, seed=15).params
+    x = _image(cfg, 15)
+    matmul, calls = nx.matmul, []
+
+    def counting(a, b):
+        calls.append((a.shape, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(nx, "matmul", counting)
+
+    def is_param(b):
+        return any(b is w for w in params.values())
+
+    ablations = [column_ablation(x, 2, 4), block_ablation(x, 0, 0, 4), block_ablation(x, 1, 1, 5)]
+    loss_and_gradients(ablations, [0, 1, 2], params, cfg)
+    assert calls and all(is_param(b) for _, b in calls)
+
+    calls.clear()
+    sets = len(per_ablation_predictions(x, AblationSpec("block", 6, 3), params, cfg))
+    attention = [shape for shape, b in calls if not is_param(b)]
+    # sets x heads x (scores, weighted sum) in every layer; the last layer's query is the class row
+    assert len(attention) == sets * cfg.heads * 2 * cfg.layers
+    assert sum(rows == 1 for rows, _ in attention) == sets * cfg.heads * 2
 
 
 def test_seeded_training_is_byte_identical():
