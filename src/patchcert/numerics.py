@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import threading
 
 import numpy as np
 
@@ -43,13 +44,19 @@ _LN_EPS = 1e-5
 
 
 class MacCounter:
-    """Multiply-accumulate tally: matmul(m*k by k*n) adds exactly m*k*n."""
+    """Multiply-accumulate tally: matmul(m*k by k*n) adds exactly m*k*n.
+
+    Threads that share the counter (the stack pool of
+    vit.per_ablation_predictions) add under a lock, so no add is lost.
+    """
 
     def __init__(self) -> None:
         self.total = 0
+        self._lock = threading.Lock()
 
     def add(self, n: int) -> None:
-        self.total += n
+        with self._lock:
+            self.total += n
 
 
 _active_counter: contextvars.ContextVar[MacCounter | None] = contextvars.ContextVar(

@@ -6,7 +6,9 @@ v <- momentum*v + g + weight_decay*theta, theta -= lr*v, where g is the
 batch mean gradient. One ``loss_and_gradients`` call per batch runs the
 batch's reduced-token ablations as stacks of equal token count, and
 returns the same bits as summing per-ablation gradients in batch order.
-Runs are single-threaded and bit-deterministic for a given seed.
+Training steps are single-threaded, and runs are bit-deterministic for a
+given seed; validation classifies through per_ablation_predictions, whose
+stacks may overlap on a thread pool with the same bits.
 
 The stripe dataset paints every pixel with a class-specific base level
 plus bounded uniform noise, so any single pixel column carries the full

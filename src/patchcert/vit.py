@@ -16,9 +16,13 @@ order doubles as the checkpoint manifest order.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +57,20 @@ CHECKPOINT_MAGIC = b"SVIT"
 CHECKPOINT_VERSION = 1
 
 # Token rows per stacked forward in per_ablation_predictions. Unbounded
-# stacks raise peak memory; small ones pay more per-call overhead.
+# stacks raise peak memory; small ones pay more per-call overhead. The
+# stacks of one image are independent, and each writes only its own
+# predictions.
 ROW_BUDGET = 256
+# per_ablation_predictions overlaps its stacks on a thread pool only where
+# the stacks spend their time outside the GIL: where the weight MACs per
+# Python-level attention call (6*(n+1)*d*d/heads for n cells, averaged
+# over the set) reach this floor. Measured on 2 CPUs with one BLAS thread:
+# ImageNet-like stacks (224x224, p=16, d=128, column b=19: 756k) ran
+# 1.5-1.8x faster on two threads; CIFAR-like ones (32x32, p=4, d=64:
+# block b=8 53k, column b=4 92k) ran no faster, because the per-(set,
+# head) attention loop holds the GIL. Probe sets between 190k and 620k
+# went either way.
+POOL_MACS_PER_CALL = 300_000
 
 
 def _layer_table(d: int) -> dict:
@@ -385,41 +401,144 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
     return r @ p64["head.weight"] + p64["head.bias"]
 
 
-def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
-    """Base-classifier predictions for every ablation in the set: an int64 array in anchor order.
+@dataclass(frozen=True)
+class _Stack:
+    """One stacked forward of per_ablation_predictions: B ablations of n cells each."""
 
-    The image is patchified once. Ablation j keeps row interval j // q_cols
-    and column interval j % q_cols of ``retained_axes``, which give its
-    surviving cells and their pixel masks. Ablations with equal token
-    counts are classified together, in stacks of at most ROW_BUDGET rows.
+    ids: np.ndarray  # (B,) anchor indices
+    grid_idx: np.ndarray  # (B, n) grid cells the ablations keep
+    row_key: np.ndarray | None  # (B, n) rows of _StackPlan.row_masks; None keeps every row
+    col_key: np.ndarray  # (B, n) rows of _StackPlan.col_masks
+
+
+@dataclass(frozen=True)
+class _StackPlan:
+    """The image-independent half of per_ablation_predictions for one (cfg, spec)."""
+
+    size: int  # ablations in the set
+    stacks: tuple  # of _Stack, grouped by token count, then in anchor order
+    row_masks: np.ndarray  # (q_rows*grid_h, p) 0/1: the pixel rows a row interval keeps of a cell row
+    col_masks: np.ndarray  # (q_cols*grid_w, p*c) 0/1: the same for pixel columns, at pixel-row width
+    macs_per_call: float  # weight MACs per Python-level attention call, over the set
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=4)
+def _stack_plan(cfg: ViTConfig, spec: AblationSpec, budget: int) -> _StackPlan:
+    """Every stack of the set, at most budget rows each, with its cells and mask rows.
+
+    Ablation j keeps row interval j // q_cols and column interval
+    j % q_cols of ``retained_axes``, which give its surviving cells and
+    their pixel masks. Ablations with equal token counts share stacks.
     """
-    x = validate_image(x)
-    if x.shape != (cfg.h, cfg.w, cfg.c):
-        raise DimensionError(f"image shape {x.shape} does not match config ({cfg.h}, {cfg.w}, {cfg.c})")
     rows, cols = retained_axes(cfg.h, cfg.w, spec)
-    p, gw, q_cols = cfg.p, cfg.grid_w, cols.shape[0]
-    row_cells = rows.reshape(-1, cfg.grid_h, p)  # retained pixel rows of each cell row
+    p, gh, gw, q_cols = cfg.p, cfg.grid_h, cfg.grid_w, cols.shape[0]
+    row_cells = rows.reshape(-1, gh, p)  # retained pixel rows of each cell row
     col_cells = cols.reshape(q_cols, gw, p)
     row_alive, col_alive = row_cells.any(axis=2), col_cells.any(axis=2)
     alive = (row_alive[:, None, :, None] & col_alive[None, :, None, :]).reshape(-1, cfg.grid_tokens)
     counts = alive.sum(axis=1)
-    patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, p, p * cfg.c)
-    preds = np.empty(len(alive), dtype=np.int64)
+    stacks = []
     for n in np.unique(counts).tolist():
         members = np.nonzero(counts == n)[0]
-        stack = max(1, ROW_BUDGET // (n + 1))  # n cells plus the class token
+        stack = max(1, budget // (n + 1))  # n cells plus the class token
         for start in range(0, members.size, stack):
             ids = members[start : start + stack]
             grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
-            # 0/1 masks in the pixels' dtype: each cell's pixel rows, and its
-            # pixel columns at pixel-row width (p*c). Pixels are finite and
-            # >= 0, so (x*r)*c is bitwise x*(r and c), negative zeros included.
-            row_mask = row_cells[ids[:, None] // q_cols, grid_idx // gw].astype(x.dtype)
-            col_mask = np.repeat(col_cells[ids[:, None] % q_cols, grid_idx % gw], cfg.c, axis=2)
-            cells = patches[grid_idx]
-            cells *= row_mask[..., None]
-            cells *= col_mask.astype(x.dtype)[:, :, None]
-            preds[ids] = process_ablation(cells.reshape(ids.size, n, -1), grid_idx, params, cfg)
+            # a column set keeps every pixel row, and x*1 is x bitwise
+            row_key = None if spec.kind == "column" else (ids[:, None] // q_cols) * gh + grid_idx // gw
+            col_key = (ids[:, None] % q_cols) * gw + grid_idx % gw
+            stacks.append(_Stack(*(a if a is None else _read_only(a)
+                                   for a in (ids, grid_idx, row_key, col_key))))
+    row_masks = row_cells.reshape(-1, p).astype(np.float32)
+    col_masks = np.repeat(col_cells.reshape(-1, p), cfg.c, axis=1).astype(np.float32)
+    # per set and layer: 12*(n+1)*d*d weight MACs (QKV, out-projection, MLP)
+    # against 2*heads Python-level attention products
+    macs_per_call = 6 * float(counts.mean() + 1) * cfg.d * cfg.d / cfg.heads
+    return _StackPlan(len(alive), tuple(stacks), _read_only(row_masks), _read_only(col_masks),
+                      macs_per_call)
+
+
+@functools.cache
+def _pool_workers() -> int:
+    """The CPUs this process may run on over the threads OpenBLAS starts (at least 1).
+
+    OpenBLAS takes its thread count from the first of these variables
+    that is set to a positive count, else it starts one thread per CPU.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+@functools.cache
+def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
+    """The stack pool of process pid: created on first use, its threads started on first submit."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="patchcert-stack")
+
+
+def _stack_pool(plan: _StackPlan) -> ThreadPoolExecutor | None:
+    """The pool that runs plan's stacks, or None to run them on the calling thread."""
+    workers = _pool_workers()
+    if workers < 2 or plan.macs_per_call < POOL_MACS_PER_CALL:
+        return None
+    return _executor(os.getpid(), workers)  # a forked child builds its own
+
+
+def _run_each(job, items, pool):
+    """[job(item) for item in items], on pool's threads when there is one.
+
+    Each job runs in a copy of the caller's context, so count_macs sees
+    its products. Every job has ended when this returns or raises; an
+    exception comes out as the job raised it.
+    """
+    if pool is None:
+        return [job(item) for item in items]
+    futures = [pool.submit(contextvars.copy_context().run, job, item) for item in items]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
+
+
+def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
+    """Base-classifier predictions for every ablation in the set: an int64 array in anchor order.
+
+    The image is patchified once, and the stacks of the cached
+    ``_stack_plan`` gather their cells from it and mask them. Where the
+    stacks are large enough (POOL_MACS_PER_CALL) and BLAS leaves CPUs
+    free, the stacks overlap on a thread pool. Every stack computes
+    exactly what the serial loop computes, so the predictions are
+    bitwise the same either way.
+    """
+    x = validate_image(x)
+    if x.shape != (cfg.h, cfg.w, cfg.c):
+        raise DimensionError(f"image shape {x.shape} does not match config ({cfg.h}, {cfg.w}, {cfg.c})")
+    plan = _stack_plan(cfg, spec, ROW_BUDGET)
+    patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, cfg.p, cfg.p * cfg.c)
+
+    def classify(stack: _Stack) -> np.ndarray:
+        # 0/1 masks in the pixels' dtype. Pixels are finite and >= 0, so
+        # (x*r)*c is bitwise x*(r and c), negative zeros included.
+        cells = patches[stack.grid_idx]
+        if stack.row_key is not None:
+            cells *= plan.row_masks[stack.row_key].astype(x.dtype, copy=False)[..., None]
+        cells *= plan.col_masks[stack.col_key].astype(x.dtype, copy=False)[:, :, None]
+        return process_ablation(cells.reshape(stack.ids.size, stack.grid_idx.shape[1], -1),
+                                stack.grid_idx, params, cfg)
+
+    preds = np.empty(plan.size, dtype=np.int64)
+    for stack, classes in zip(plan.stacks, _run_each(classify, plan.stacks, _stack_pool(plan))):
+        preds[stack.ids] = classes
     return preds
 
 

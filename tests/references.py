@@ -1,6 +1,10 @@
 """Test-only reference implementations: a triple-loop matmul, a per-head
 attention product loop, a central finite-difference gradient and a
-pixel-space patch search."""
+pixel-space patch search; and a switch that puts every smoothing pass
+on the stack pool."""
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 
@@ -122,3 +126,12 @@ def strongest_patches(x: np.ndarray, spec, model, m: int, rng, restarts: int = 3
             image[top : top + m, left : left + m] = patch
             found.append((top, left, image))
     return found
+
+
+@contextlib.contextmanager
+def forced_stack_pool():
+    """per_ablation_predictions runs every config's stacks on a two-worker pool,
+    whatever its rule and BLAS's thread count would choose."""
+    with mock.patch.object(vit, "POOL_MACS_PER_CALL", 0), \
+            mock.patch.object(vit, "_pool_workers", lambda: 2):
+        yield

@@ -10,9 +10,11 @@ import weakref
 import numpy as np
 import pytest
 
-from patchcert import ablation, cli
+from patchcert import ablation, cli, vit
+from patchcert.errors import FormatError, ParameterError
 from patchcert.numerics import count_macs
 from patchcert.vit import Model, ViTConfig, save_checkpoint
+from references import forced_stack_pool
 
 CFG = ViTConfig(h=16, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
 WIDE = ViTConfig(h=8, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
@@ -486,6 +488,29 @@ def test_certify_reports_are_pinned(files, monkeypatch, argv, digest, rows):
     (report,) = (files / "out").glob("*.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
     assert report.with_suffix(".csv").read_text() == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv,digest,rows", CERTIFY_REPORTS, ids=["column", "block"])
+def test_certify_reports_are_the_same_on_the_stack_pool(files, monkeypatch, argv, digest, rows):
+    monkeypatch.chdir(files)
+    with forced_stack_pool():
+        assert cli.main(["certify", "--ckpt", "good.svit", *argv, "--out", "out"]) == 0
+    (report,) = (files / "out").glob("*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert report.with_suffix(".csv").read_text() == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("error,code", [(FormatError, 2), (ParameterError, 3)])
+def test_an_error_on_the_stack_pool_exits_with_its_code(files, monkeypatch, capsys, error, code):
+    def failing(*args):
+        raise error("raised on a pool thread")
+
+    monkeypatch.chdir(files)
+    monkeypatch.setattr(vit, "process_ablation", failing)
+    with forced_stack_pool():
+        assert cli.main(["certify", "--ckpt", "good.svit", "--out", "out"]) == code
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["exit_code"] == code and "raised on a pool thread" in record["error"]
 
 
 # sweep reports: a column grid with a duplicate b, and an offset block grid

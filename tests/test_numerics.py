@@ -1,6 +1,9 @@
 """Numerics substrate: forward ops, exact backwards, MAC accounting."""
 
+import contextvars
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -57,6 +60,33 @@ def test_mac_counter_counts_mkn_exactly():
     # no counter active outside the context
     nx.matmul(a, b)
     assert c.total == 2 * 3 * 4 * 5
+
+
+def test_mac_counter_loses_no_add_across_threads():
+    # more threads than CPUs share one counter, as the stack pool's jobs do
+    # through a copied context, and switch as often as the interpreter allows:
+    # each sees the counter and loses none of its adds
+    a = np.zeros((3, 4), np.float32)
+    b = np.zeros((4, 5), np.float32)
+
+    def work():
+        for _ in range(2000):
+            nx.matmul(a, b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with nx.count_macs() as c:
+            threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert c.total == 8 * 2000 * 3 * 4 * 5
 
 
 def test_matmul_rejects_stacked_operands():

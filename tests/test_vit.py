@@ -3,10 +3,13 @@ independent float64 masked-attention oracle, exact MACs, analytic
 gradients (batched training step vs the per-sample and per-head
 references), training determinism and the checkpoint format."""
 
+import contextlib
 import inspect
 import json
 import math
 import struct
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -19,7 +22,7 @@ from patchcert.ablation import AblationSpec, ablation_set, block_ablation, colum
 from patchcert.bench import CostModel, smoothing_cost
 from patchcert import cli, train
 from patchcert import numerics as nx
-from patchcert.errors import FormatError, ParameterError
+from patchcert.errors import DimensionError, FormatError, InputError, ParameterError
 from patchcert.numerics import count_macs
 from patchcert.train import OptState, TrainConfig, fit, make_stripe_dataset, train_epoch
 from patchcert.vit import (
@@ -32,7 +35,7 @@ from patchcert.vit import (
     per_ablation_predictions,
     save_checkpoint,
 )
-from references import finite_difference_gradient, matmul_per_head
+from references import finite_difference_gradient, forced_stack_pool, matmul_per_head
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
@@ -91,23 +94,27 @@ def test_stacked_engine_matches_per_ablation_path_and_oracle(case):
 
 
 @settings(deadline=None, max_examples=60)
-@given(_case(), st.sampled_from([1, 7, 256]), st.floats(0.0, 0.5))
-def test_engine_cells_equal_the_ablated_cells_bytewise(case, budget, zeros):
+@given(_case(), st.sampled_from([1, 7, 256]), st.floats(0.0, 0.5), st.booleans())
+def test_engine_cells_equal_the_ablated_cells_bytewise(case, budget, zeros, pooled):
     # the cells each stack hands the encoder are, ablation by ablation, the
-    # reduced cells of the ablated image, negative zeros included
+    # reduced cells of the ablated image, negative zeros included, in
+    # whatever order the stacks run
     cfg, spec, seed = case
     x = _image(cfg, seed)
     x[np.random.default_rng(seed).uniform(size=x.shape) < zeros] = -0.0
-    handed = []  # (cells, grid index) of every ablation, in the order the stacks run
+    handed = []  # (cells, grid index) of every ablation, in the order the stacks ran
+    lock = threading.Lock()
 
     def capture(cells, grid_idx, params, cfg):
-        first = len(handed)
-        handed.extend(zip(cells, grid_idx))
-        return np.arange(first, len(handed))  # each ablation "predicts" its position
+        with lock:
+            first = len(handed)
+            handed.extend(zip(cells, grid_idx))
+            return np.arange(first, len(handed))  # each ablation "predicts" its position
 
     params = Model.init(cfg, seed=seed).params
     with mock.patch.object(vit, "process_ablation", capture), \
-            mock.patch.object(vit, "ROW_BUDGET", budget):
+            mock.patch.object(vit, "ROW_BUDGET", budget), \
+            (forced_stack_pool() if pooled else contextlib.nullcontext()):
         position = per_ablation_predictions(x, spec, params, cfg)
     ablations = ablation_set(x, spec)
     assert sorted(position) == list(range(len(ablations)))
@@ -133,6 +140,129 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
         assert np.array_equal(per_ablation_predictions(x, spec, model.params, cfg), preds)
 
 
+def _stack_logits(x, spec, params, cfg):
+    """Predictions, the logits bytes of every stack keyed by its token stack, and the
+    names of the threads that ran the stacks."""
+    core, logits, threads = vit._encoder_core, {}, set()
+
+    def recording(stack, params, cfg):
+        out = core(stack, params, cfg)
+        logits[stack.shape, stack.tobytes()] = out.tobytes()
+        threads.add(threading.current_thread().name)
+        return out
+
+    with mock.patch.object(vit, "_encoder_core", recording):
+        preds = per_ablation_predictions(x, spec, params, cfg)
+    return preds, logits, threads
+
+
+@settings(deadline=None, max_examples=40)
+@given(_case(), st.sampled_from([1, 7, 256]))
+def test_the_stack_pool_computes_the_serial_loop_bitwise(case, budget):
+    cfg, spec, seed = case
+    params = Model.init(cfg, seed=seed).params
+    x = _image(cfg, seed)
+    with mock.patch.object(vit, "ROW_BUDGET", budget):
+        with mock.patch.object(vit, "_pool_workers", lambda: 1):
+            serial, serial_logits, serial_threads = _stack_logits(x, spec, params, cfg)
+        with forced_stack_pool():
+            pooled, pooled_logits, pooled_threads = _stack_logits(x, spec, params, cfg)
+    assert pooled.dtype == np.int64 and pooled.tobytes() == serial.tobytes()
+    assert pooled_logits == serial_logits
+    assert serial_threads == {threading.current_thread().name}
+    assert pooled_threads and all(t.startswith("patchcert-stack") for t in pooled_threads)
+
+
+@pytest.mark.parametrize("error", [DimensionError, InputError])
+def test_an_error_on_the_stack_pool_keeps_its_type_and_outlives_no_job(error):
+    cfg = ViTConfig(h=16, w=16, c=3, p=2, d=8, heads=2, layers=1, k=3)
+    params = Model.init(cfg, seed=2).params
+    calls, running, lock = [0], [0], threading.Lock()
+
+    def failing(cells, grid_idx, params, cfg):
+        with lock:
+            calls[0] += 1
+            first = calls[0] == 1
+            running[0] += 1
+        try:
+            if first:
+                raise error("raised on a pool thread")
+            time.sleep(0.002)
+            return np.zeros(len(cells), dtype=np.int64)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    with forced_stack_pool(), mock.patch.object(vit, "process_ablation", failing), \
+            mock.patch.object(vit, "ROW_BUDGET", 7):
+        with pytest.raises(error, match="raised on a pool thread"):
+            per_ablation_predictions(_image(cfg, 2), AblationSpec("block", 3), params, cfg)
+    assert running[0] == 0  # every job ended before the call raised
+
+
+def test_cifar_like_stacks_start_no_pool_thread(monkeypatch):
+    # two free CPUs, as with one BLAS thread on a 2-CPU machine: the rule alone
+    # keeps CIFAR-like stacks on the calling thread and picks the pool for
+    # ImageNet-like ones
+    monkeypatch.setattr(vit, "_pool_workers", lambda: 2)
+    cifar = ViTConfig(h=32, w=32, c=3, p=4, d=64, heads=4, layers=4, k=4)
+    imagenet = ViTConfig(h=224, w=224, c=3, p=16, d=128, heads=4, layers=3, k=4)
+    for spec in (AblationSpec("column", 19), AblationSpec("column", 19, 10)):
+        assert vit._stack_pool(vit._stack_plan(imagenet, spec, vit.ROW_BUDGET)) is not None
+
+    def refuse(*args):
+        raise AssertionError("a CIFAR-like plan asked for the stack pool")
+
+    monkeypatch.setattr(vit, "_executor", refuse)
+    params = Model.init(cifar, seed=3).params
+    for spec in (AblationSpec("block", 8), AblationSpec("column", 4)):
+        _, _, threads = _stack_logits(_image(cifar, 3), spec, params, cifar)
+        assert threads == {threading.current_thread().name}
+
+
+@pytest.mark.parametrize("env,cpus,workers", [
+    ({}, 2, 1),  # OpenBLAS starts a thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4, 4),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, 1),
+])
+def test_the_pool_takes_the_cpus_blas_leaves_free(monkeypatch, env, cpus, workers):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(vit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert vit._pool_workers.__wrapped__() == workers
+
+
+@pytest.mark.parametrize("spec", [AblationSpec("column", 3, 2, 1), AblationSpec("block", 5, 3, 2)])
+def test_the_stack_plan_is_built_once_and_read_only(spec):
+    cfg = ViTConfig(h=12, w=16, c=3, p=2, d=8, heads=2, layers=1, k=3)
+    plan = vit._stack_plan(cfg, spec, 7)
+    assert vit._stack_plan(ViTConfig(**vars(cfg)), AblationSpec(**spec.to_dict()), 7) is plan
+    ids = np.concatenate([stack.ids for stack in plan.stacks])
+    assert sorted(ids.tolist()) == list(range(plan.size))
+    for stack in plan.stacks:
+        assert (stack.row_key is None) == (spec.kind == "column")
+        n = stack.grid_idx.shape[1]
+        assert stack.ids.size == 1 or stack.ids.size * (n + 1) <= 7
+        for a in (stack.ids, stack.grid_idx, stack.row_key, stack.col_key):
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+    for a in (plan.row_masks, plan.col_masks):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+    hits = vit._stack_plan.cache_info().hits
+    with mock.patch.object(vit, "ROW_BUDGET", 7):
+        per_ablation_predictions(_image(cfg), spec, Model.init(cfg).params, cfg)
+    assert vit._stack_plan.cache_info().hits == hits + 1
+
+
 _STAGE_OF = {"patch_embed.weight": "tokenization", "head.weight": "head",
              "attn.wq": "projections_linear", "attn.wk": "projections_linear",
              "attn.wv": "projections_linear", "attn.wo": "projections_linear",
@@ -150,24 +280,29 @@ _STAGE_OF = {"patch_embed.weight": "tokenization", "head.weight": "head",
 )
 def test_engine_macs_equal_the_cost_model(monkeypatch, cfg, spec):
     # stage every product by its right operand, as certbench does: a
-    # weight's identity gives its stage, anything else is attention
+    # weight's identity gives its stage, anything else is attention; on
+    # the calling thread and on the stack pool alike
     model = Model.init(cfg, seed=1)
     stage_of = {id(model.params[name]): stage for name in model.params
                 for suffix, stage in _STAGE_OF.items() if name.endswith(suffix)}
-    staged = dict.fromkeys(["attention_quadratic", *set(_STAGE_OF.values())], 0)
-    matmul = nx.matmul
+    cost = CostModel.for_config(cfg)
+    tokens = smoothing_cost(cfg, spec)["tokens"]
+    want = {stage: sum(cost.breakdown(n)[stage] for n in tokens)
+            for stage in ["attention_quadratic", *set(_STAGE_OF.values())]}
+    matmul, lock = nx.matmul, threading.Lock()
 
     def staged_matmul(a, b):
-        staged[stage_of.get(id(b), "attention_quadratic")] += a.shape[0] * a.shape[1] * b.shape[1]
+        with lock:
+            staged[stage_of.get(id(b), "attention_quadratic")] += a.shape[0] * a.shape[1] * b.shape[1]
         return matmul(a, b)
 
     monkeypatch.setattr(nx, "matmul", staged_matmul)
-    with count_macs() as counter:
-        per_ablation_predictions(_image(cfg), spec, model.params, cfg)
-    assert counter.total == smoothing_cost(cfg, spec)["macs_drop"]
-    cost = CostModel.for_config(cfg)
-    tokens = smoothing_cost(cfg, spec)["tokens"]
-    assert staged == {stage: sum(cost.breakdown(n)[stage] for n in tokens) for stage in staged}
+    for pool in (contextlib.nullcontext(), forced_stack_pool()):
+        staged = dict.fromkeys(want, 0)
+        with pool, count_macs() as counter:
+            per_ablation_predictions(_image(cfg), spec, model.params, cfg)
+        assert counter.total == smoothing_cost(cfg, spec)["macs_drop"]
+        assert staged == want
 
 
 @st.composite
