@@ -8,7 +8,7 @@ set to 0 in [0,1] pixel space, before any model-side processing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class AblationSpec:
             raise ParameterError(f"block offset {self.offset} leaves no ablation anchor in {h}x{w}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "b": self.b, "s": self.s, "offset": self.offset}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,12 @@ def _wrapped_interval(start, length: int, size: int) -> np.ndarray:
     return (np.arange(size) - np.asarray(start)[..., None]) % size < length
 
 
+def _ablated(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> AblatedImage:
+    """x with every pixel outside the kept rows x cols zeroed, and its uint8 mask."""
+    mask = np.logical_and(rows[:, None], cols[None, :]).astype(np.uint8)
+    return AblatedImage(pixels=x * mask[:, :, None].astype(x.dtype), mask=mask)
+
+
 def column_ablation(x: np.ndarray, start: int, b: int) -> AblatedImage:
     """Keep columns {start, ..., start+b-1} mod w; zero the rest."""
     x = validate_image(x)
@@ -105,10 +111,7 @@ def column_ablation(x: np.ndarray, start: int, b: int) -> AblatedImage:
         raise ParameterError(f"column start {start} outside [0, {w})")
     if not 1 <= b <= w:
         raise ParameterError(f"column width b={b} outside [1, {w}]")
-    cols = _wrapped_interval(start, b, w)
-    mask = np.repeat(cols[None, :], h, axis=0).astype(np.uint8)
-    pixels = x * mask[:, :, None].astype(x.dtype)
-    return AblatedImage(pixels=pixels, mask=mask)
+    return _ablated(x, np.ones(h, dtype=bool), _wrapped_interval(start, b, w))
 
 
 def block_ablation(x: np.ndarray, top: int, left: int, b: int) -> AblatedImage:
@@ -121,11 +124,7 @@ def block_ablation(x: np.ndarray, top: int, left: int, b: int) -> AblatedImage:
         raise ParameterError(f"block left {left} outside [0, {w})")
     if not 1 <= b <= min(h, w):
         raise ParameterError(f"block side b={b} outside [1, {min(h, w)}]")
-    rows = _wrapped_interval(top, b, h)
-    cols = _wrapped_interval(left, b, w)
-    mask = np.logical_and(rows[:, None], cols[None, :]).astype(np.uint8)
-    pixels = x * mask[:, :, None].astype(x.dtype)
-    return AblatedImage(pixels=pixels, mask=mask)
+    return _ablated(x, _wrapped_interval(top, b, h), _wrapped_interval(left, b, w))
 
 
 def ablation_anchors(h: int, w: int, spec: AblationSpec) -> list:
@@ -135,10 +134,9 @@ def ablation_anchors(h: int, w: int, spec: AblationSpec) -> list:
     pairs on the stride grid in both dimensions.
     """
     spec.validate_for(h, w)
+    tops, lefts = (range(spec.offset, size, spec.s) for size in (h, w))
     if spec.kind == "column":
-        return list(range(spec.offset, w, spec.s))
-    tops = range(spec.offset, h, spec.s)
-    lefts = range(spec.offset, w, spec.s)
+        return list(lefts)
     return [(t, l) for t in tops for l in lefts]
 
 

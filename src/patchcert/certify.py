@@ -166,13 +166,11 @@ def delta_oracle(h: int, w: int, spec: AblationSpec, m: int) -> int:
 
 def certify_votes(votes: np.ndarray, delta: int, m: int, delta_mode: str = "safe") -> Certificate:
     """Apply the 2*Delta margin test to an int64 vote-count array."""
-    if not votes.any():
-        raise EmptyVotesError("cannot certify an empty vote aggregate")
+    predicted = smoothed_predict(votes)
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     if len(votes) < 2:
         raise ParameterError("certification needs at least two classes")
-    predicted = int(np.argmax(votes))
     others = votes.copy()
     others[predicted] = -1
     runner_up = int(np.argmax(others))

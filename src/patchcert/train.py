@@ -36,6 +36,8 @@ __all__ = [
     "fit",
 ]
 
+TRAIN_PERCENT, VAL_PERCENT = 70, 15  # the stripe data's train and val shares; the rest is test
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -97,8 +99,9 @@ def make_stripe_dataset(
 ) -> LabeledDataset:
     """Constant-color images (per class) with bounded uniform pixel noise.
 
-    Split tags are assigned deterministically: first 70% train, next 15%
-    val, rest test.
+    Split tags are assigned deterministically: the first
+    n * TRAIN_PERCENT // 100 train, the next n * VAL_PERCENT // 100 val,
+    the rest test.
     """
     if k > 8 or k < 2:
         raise ParameterError(f"stripe dataset supports 2..8 classes, got {k}")
@@ -118,8 +121,8 @@ def make_stripe_dataset(
         for img in images:
             img += rng.uniform(-noise, noise, size=img.shape).astype(np.float32)
         np.clip(images, 0.0, 1.0, out=images)
-    n_train = int(n * 0.70)
-    n_val = int(n * 0.15)
+    n_train = n * TRAIN_PERCENT // 100
+    n_val = n * VAL_PERCENT // 100
     splits = np.array(["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val))
     return LabeledDataset(images=images, labels=labels, splits=splits, k=k)
 
@@ -184,8 +187,7 @@ def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: Opt
     return model, total_loss / len(data), state
 
 
-def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int,
-                       kind: str = "column") -> float:
+def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int, kind: str) -> float:
     """Fraction of correct single-ablation predictions over the stride-1 set."""
     if len(data) == 0:
         raise ParameterError("cannot evaluate an empty dataset")
@@ -214,8 +216,7 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
     state = OptState.fresh(model, cfg)
     history: list[float] = []
     log_lines: list[str] = []
-    best_params = {k: v.copy() for k, v in model.params.items()}
-    best_epoch = -1
+    best_epoch = -1  # epoch 0 always sets best: there is at least one epoch
     for epoch in range(cfg.epochs):
         model, loss, state = train_epoch(model, train_split, cfg, state)
         val_acc = _ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
@@ -225,11 +226,10 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
             sort_keys=True,
         ))
         if best_epoch < 0 or val_acc > history[best_epoch]:
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best_epoch, best = epoch, model.copy()
         if epoch - best_epoch >= cfg.patience:
             break
-    model.params = best_params
+    model.params = best.params
     with open(log_path, "w") as fh:
         fh.write("\n".join(log_lines) + "\n")
     return {"model": model, "best_epoch": best_epoch, "val_history": history}

@@ -23,7 +23,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,11 +136,7 @@ class ViTConfig:
         return self.d // self.heads
 
     def to_dict(self) -> dict:
-        return {
-            "h": self.h, "w": self.w, "c": self.c, "p": self.p, "d": self.d,
-            "heads": self.heads, "layers": self.layers, "k": self.k,
-            "use_class_token": self.use_class_token,
-        }
+        return {**asdict(self), "use_class_token": self.use_class_token}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ViTConfig":

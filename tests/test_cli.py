@@ -100,6 +100,11 @@ def files(tmp_path):
         "float_labels.idx": _idx_float32(np.array([0.0, 1.7, 2.0, 3e9], np.float32)),
         "lr_nan.json": b'{"lr": NaN}',
         "wd_nan.json": b'{"weight_decay": NaN}',
+        "code09.idx": b"\0\0\x09\x01" + struct.pack(">I", 1) + b"\0",
+        "short_head.idx": b"\0\0\x08\x02" + struct.pack(">I", 4),  # two dims, one given
+        "cifar_label10.bin": b"\x0a" + bytes(3072),
+        "version.svit": blob[:4] + struct.pack("<I", vit.CHECKPOINT_VERSION + 1) + blob[8:],
+        "layers2.svit": _with_config(blob, layers=2),  # its manifest lists one layer
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -262,7 +267,32 @@ CASES = [
     (["bench", "--seed", "-1"], 3),
     (["certify", "--ckpt", "good.svit", "--seed", "-1"], 3),
     (["delta", "--seed", "1"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-h", "8"], 3),
+    (["certify", "--ckpt", "good.svit", "--stripe-k", "5"], 3),
+    (["ablate", "--stripe-n", "4", "--index", "4"], 3),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "code09.idx",
+      "--labels", "labels.idx"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "short_head.idx",
+      "--labels", "labels.idx"], 2),
+    (["certify", "--ckpt", "good.svit", "--data-format", "cifar10", "--data",
+      "cifar_label10.bin"], 2),
+    (["certify", "--ckpt", "version.svit"], 2),
+    (["certify", "--ckpt", "layers2.svit"], 2),
 ]
+
+# rows whose error record must name the check that refused them
+NAMED = {
+    "certify --ckpt good.svit --stripe-h 8": "checkpoint expects images (16, 16, 1)",
+    "certify --ckpt good.svit --stripe-k 5": "dataset has 5 classes, checkpoint only 4",
+    "ablate --stripe-n 4 --index 4": "image index 4 outside dataset of 4",
+    "certify --ckpt good.svit --data-format idx --data code09.idx --labels labels.idx":
+        "unsupported IDX type code 0x09",
+    "certify --ckpt good.svit --data-format idx --data short_head.idx --labels labels.idx":
+        "IDX header truncated",
+    "certify --ckpt good.svit --data-format cifar10 --data cifar_label10.bin": "label byte 10 > 9",
+    "certify --ckpt version.svit": "unsupported checkpoint version",
+    "certify --ckpt layers2.svit": "checkpoint manifest does not match its config",
+}
 
 
 @pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a) for a, _ in CASES])
@@ -272,6 +302,7 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     captured = capsys.readouterr()
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["exit_code"] == code
+    assert NAMED.get(" ".join(argv), "") in record["error"]
     assert captured.out == ""
     assert not (files / "out").exists() or not any((files / "out").iterdir())
 
@@ -288,7 +319,9 @@ WRITING_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("out", ["good.svit", "good.svit/sub"])
+# an empty path, and names longer than the system allows, here or under a directory to make
+@pytest.mark.parametrize("out", ["good.svit", "good.svit/sub", "", "a" * 300, "new/" + "a" * 300],
+                         ids=["good.svit", "good.svit/sub", "empty", "a*300", "new/a*300"])
 @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
 def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypatch, capsys, argv, out):
     def no_work(*args, **kwargs):
@@ -326,6 +359,21 @@ def test_every_spec_is_checked_before_any_work(files, monkeypatch, capsys, argv)
     captured = capsys.readouterr()
     assert json.loads(captured.err.strip().splitlines()[-1])["exit_code"] == 3
     assert captured.out == "" and not (files / "out").exists()
+
+
+def test_a_rerun_that_would_overwrite_a_different_report_exits_1(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    argv = ["certify", "--ckpt", "good.svit", "--stripe-n", "2", "--out", "out"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    (report,) = (files / "out").glob("certify-*.json")
+    report.write_text("{}\n")
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["exit_code"] == 1 and "refusing to clobber" in record["error"]
+    assert captured.out == ""
+    assert report.read_text() == "{}\n"
 
 
 def test_idx_images_certify_when_finite(files, monkeypatch, capsys):

@@ -960,6 +960,30 @@ def test_seeded_fit_is_byte_identical(tmp_path):
     assert len(runs[0][1].splitlines()) == 3
 
 
+def test_fit_stops_after_patience_epochs_without_improvement(tmp_path, monkeypatch):
+    cfg = ViTConfig(h=8, w=8, c=1, p=2, d=8, heads=2, layers=1, k=3)
+    data = make_stripe_dataset(40, 8, 8, 3, 0.2, seed=7)
+    tcfg = TrainConfig(epochs=10, batch_size=8, b_train=3, kind="column", seed=7, patience=2)
+    scores = [0.5, 0.7, 0.6, 0.6]  # best at epoch 1, then two epochs without improvement
+    seen = []
+
+    def scripted(model, val, b_eval, kind):
+        assert (b_eval, kind) == (tcfg.b_train, tcfg.kind)
+        seen.append({k: v.copy() for k, v in model.params.items()})
+        return scores[len(seen) - 1]  # an IndexError if a fifth epoch ran
+
+    monkeypatch.setattr(train, "_ablation_accuracy", scripted)
+    log = tmp_path / "fit.jsonl"
+    result = fit(Model.init(cfg, seed=7), data, tcfg, log_path=log)
+    assert len(seen) == 4
+    assert result["best_epoch"] == 1 and result["val_history"] == scores
+    for name, value in result["model"].params.items():
+        assert value.tobytes() == seen[1][name].tobytes(), name
+    assert any(seen[3][k].tobytes() != seen[1][k].tobytes() for k in seen[1])
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(line["epoch"], line["val_ablation_acc"]) for line in lines] == list(enumerate(scores))
+
+
 def test_checkpoint_round_trips_every_parameter(tmp_path):
     cfg = ViTConfig(h=8, w=12, c=3, p=4, d=8, heads=2, layers=2, k=5)
     model = Model.init(cfg, seed=8)
@@ -1110,6 +1134,14 @@ def test_stripe_noise_drawn_per_image_equals_one_draw(monkeypatch, n, h, w, k, n
     assert data.images.dtype == images.dtype and data.images.shape == images.shape
     assert data.images.tobytes() == images.tobytes()
     assert made[0].bit_generator.state == rng.bit_generator.state
+
+
+def test_stripe_splits_are_the_integer_shares():
+    # n = 90 kept 62 train records when the share was int(n * 0.70)
+    for n in range(1001):
+        splits = make_stripe_dataset(n, 1, 1, 2, 0.0, seed=0).splits.tolist()
+        n_train, n_val = n * 70 // 100, n * 15 // 100
+        assert splits == ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val), n
 
 
 def test_train_config_rejects_an_unknown_kind():
