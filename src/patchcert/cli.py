@@ -10,9 +10,10 @@ columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
 regenerate the same file and sweeps never clobber unrelated results.
 
-Exit codes: 0 success, 1 internal error, 2 missing/corrupt input,
-3 invalid parameters. Set PATCHCERT_LOG={error,info,debug} for logging: one
-JSON object per line on standard error.
+Exit codes: 0 success, 1 internal error, 2 missing/corrupt input (a
+checkpoint whose forward is not finite too), 3 invalid parameters (a
+training run that diverges too). Set PATCHCERT_LOG={error,info,debug}
+for logging: one JSON object per line on standard error.
 
 certify, sweep and bench overlap an ImageNet-sized image's stacks on threads
 only when BLAS runs one thread (OPENBLAS_NUM_THREADS=1). On 2 CPUs, certify of
@@ -42,7 +43,8 @@ from . import __version__
 from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set, validate_image
 from .bench import smoothing_cost
 from .certify import certified_accuracy, delta_closed_form, delta_oracle
-from .errors import BudgetError, FormatError, ParameterError, PatchcertError
+from .errors import (BudgetError, DivergenceError, FormatError, NonFiniteError, ParameterError,
+                     PatchcertError)
 from .train import VAL_PERCENT, LabeledDataset, TrainConfig, fit, make_stripe_dataset
 from .vit import Model, ViTConfig, load_checkpoint, per_ablation_predictions, save_checkpoint
 
@@ -650,10 +652,10 @@ def main(argv=None) -> int:
         if "out" in args:
             _check_out(args.out)
         return args.func(args)
-    except (FileNotFoundError, FormatError) as exc:
+    except (FileNotFoundError, FormatError, NonFiniteError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING
-    except ParameterError as exc:
+    except (ParameterError, DivergenceError) as exc:
         _emit_error(exc, EXIT_INVALID)
         return EXIT_INVALID
     except PatchcertError as exc:

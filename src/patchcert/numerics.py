@@ -1,5 +1,5 @@
-"""Dense numerical substrate for the encoder: forward ops and exact
-backward passes.
+"""Dense numerical substrate for the encoder: forward ops, exact
+backward passes and one cross-entropy op over a whole logit stack.
 
 Tensors are plain numpy arrays: row-major storage, float32 for model
 state and compute (reductions may accumulate wider). Every exported op
@@ -33,7 +33,6 @@ __all__ = [
     "gelu",
     "gelu_backward",
     "cross_entropy",
-    "cross_entropy_backward",
 ]
 
 # tanh-approximation GELU constants; this exact form is the contract.
@@ -223,18 +222,21 @@ def gelu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return t
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> float:
-    """-log softmax(logits)[target] for a single length-k logit vector."""
-    if logits.ndim != 1:
-        raise DimensionError(f"cross_entropy expects a 1-D logit vector, got {logits.shape}")
-    if not 0 <= target < logits.shape[0]:
-        raise ParameterError(f"target {target} outside [0, {logits.shape[0]})")
-    shifted = logits - logits.max()
-    logz = np.log(np.exp(shifted).sum())
-    return float(logz - shifted[target])
+def cross_entropy(logits: np.ndarray, targets):
+    """Losses -log softmax(logits)[target] (B,) and logit gradients (B, k) of a (B, k) stack.
 
-def cross_entropy_backward(logits: np.ndarray, target: int) -> np.ndarray:
-    """dlogits = softmax(logits) - onehot(target)."""
-    g = softmax_last_dim(logits)
-    g[target] -= 1.0
-    return g
+    One max-shift, exp and row sum give both; the gradient is exp / sum, less 1 at the target.
+    """
+    targets, rows = np.asarray(targets), np.arange(len(logits))
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise DimensionError(f"cross_entropy expects (B, k) logits and (B,) targets, "
+                             f"got {logits.shape} and {targets.shape}")
+    if targets.size and not 0 <= targets.min() <= targets.max() < logits.shape[1]:
+        raise ParameterError(f"targets outside [0, {logits.shape[1]})")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    losses = np.log(total) - shifted[rows, targets]
+    e /= total[:, None]
+    e[rows, targets] -= 1.0
+    return losses, e

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablation import KINDS, AblationSpec, block_ablation, column_ablation
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, NonFiniteError, ParameterError
 from .vit import Model, loss_and_gradients, per_ablation_predictions
 
 __all__ = [
@@ -152,11 +152,13 @@ def _random_ablation(x: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
     return block_ablation(x, int(rng.integers(0, h)), int(rng.integers(0, w)), cfg.b_train)
 
 
+@np.errstate(all="ignore")  # no raw warning: a non-finite loss raises DivergenceError
 def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: OptState | None = None):
     """One pass over the data with fresh random ablations, one gradient call per batch.
 
     Updates model.params in place and returns (model, epoch_loss, state),
-    where epoch_loss is the mean per-sample loss.
+    where epoch_loss is the mean per-sample loss. A batch whose loss is
+    not finite raises DivergenceError.
     """
     if state is None:
         state = OptState.fresh(model, cfg)
@@ -219,7 +221,10 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
     best_epoch = -1  # epoch 0 always sets best: there is at least one epoch
     for epoch in range(cfg.epochs):
         model, loss, state = train_epoch(model, train_split, cfg, state)
-        val_acc = _ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
+        try:
+            val_acc = _ablation_accuracy(model, val_split, cfg.b_train, cfg.kind)
+        except NonFiniteError as exc:  # finite losses, but a model that cannot classify
+            raise DivergenceError(f"after epoch {epoch} the model cannot classify: {exc}") from exc
         history.append(val_acc)
         log_lines.append(json.dumps(
             {"epoch": epoch, "train_loss": round(loss, 6), "val_ablation_acc": val_acc, "lr": cfg.lr},

@@ -12,6 +12,9 @@ production forward.
 
 Parameters live in a flat name->array dict (float32) whose insertion
 order doubles as the checkpoint manifest order.
+
+A forward that overflows or gives a logit that is not finite raises
+NonFiniteError in process_ablation instead of voting class 0.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .ablation import (  # noqa: F401
     validate_image,
 )
 from .certify import aggregate_votes, smoothed_predict
-from .errors import DimensionError, FormatError, InputError, ParameterError
+from .errors import DimensionError, FormatError, InputError, NonFiniteError, ParameterError
 
 __all__ = [
     "ViTConfig",
@@ -352,9 +355,19 @@ def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cf
     """Classes of a stack of B ablations with n surviving cells each.
 
     patches (B, n, p*p*c) are the ablated pixels of the cells at grid
-    indices grid_idx (B, n); returns B argmax classes.
+    indices grid_idx (B, n); returns B argmax classes. A forward that
+    raises FloatingPointError (per_ablation_predictions' errstate) or
+    gives a logit that is not finite, which argmax would read as class
+    0, raises NonFiniteError.
     """
-    return np.argmax(_encoder_core(_embed(patches, grid_idx, params, cfg), params, cfg), axis=1)
+    stack = f"the forward of a stack of {len(patches)} ablations of {grid_idx.shape[1]} cells each"
+    try:
+        logits = _encoder_core(_embed(patches, grid_idx, params, cfg), params, cfg)
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{stack} failed: {exc}") from exc
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(f"{stack} gave non-finite logits")
+    return np.argmax(logits, axis=1)
 
 
 def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
@@ -506,6 +519,10 @@ def _run_each(job, items, pool):
         wait(futures)
 
 
+# an overflow, or an invalid operation, in the forward raises rather than
+# warns (process_ablation reports it); numpy 2's errstate is a contextvar,
+# so the stack pool's jobs inherit it
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cfg: ViTConfig):
     """Base-classifier predictions for every ablation in the set: an int64 array in anchor order.
 
@@ -551,12 +568,12 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     parameter, in parameter order; pos_embed rows of dropped tokens
     receive zero gradient. Both sums run in batch order from +0, over
     per-ablation values that are bitwise those of a batch of one.
-    Ablations with equal token counts share one recorded forward and
-    one backward, whose every product runs per ablation (the recorded
-    attention too, stacked over sets and heads). The groups' backwards
-    step in lockstep, so only one parameter's per-ablation gradients are
-    alive at a time, and each parameter's batch sum adds those rows in
-    place into one zero-filled array.
+    Ablations with equal token counts share one recorded forward, one
+    nx.cross_entropy call and one backward, whose every product runs per
+    ablation (the recorded attention too, stacked over sets and heads).
+    The groups' backwards step in lockstep, so only one parameter's
+    per-ablation gradients are alive at a time, and each parameter's
+    batch sum adds those rows in place into one zero-filled array.
     """
     if len(ablations) != len(labels) or not ablations:
         raise ParameterError(
@@ -566,20 +583,17 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     for i, (_, grid_idx) in enumerate(cells):
         by_count.setdefault(grid_idx.size, []).append(i)
     groups = list(by_count.values())
-    losses = [0.0] * len(ablations)
+    losses = np.empty(len(ablations))  # float64 holds each float32 loss exactly
     streams = []
     for ids in groups:
         patches = np.stack([cells[i][0] for i in ids])
         grid_idx = np.stack([cells[i][1] for i in ids])
         x = _embed(patches, grid_idx, params, cfg, record=True)
         logits, ctx = _encoder_core(x, params, cfg, record=True)
-        dlogits = np.empty_like(logits)
-        for row, i in enumerate(ids):
-            losses[i] = nx.cross_entropy(logits[row], labels[i])
-            dlogits[row] = nx.cross_entropy_backward(logits[row], labels[i])
+        losses[ids], dlogits = nx.cross_entropy(logits, [labels[i] for i in ids])
         streams.append(_set_gradients(patches, grid_idx, dlogits, ctx, params, cfg))
-    loss_sum = 0.0
-    for loss in losses:
+    loss_sum = 0.0  # Python floats in batch order: sum() compensates from 3.12, np.sum pairs
+    for loss in losses.tolist():
         loss_sum += loss
     # per-ablation gradients in batch order, summed in place from +0: 0 + g_0 + g_1 + ...
     slots = sorted((i, g, row) for g, ids in enumerate(groups) for row, i in enumerate(ids))

@@ -1,7 +1,7 @@
 """Test-only reference implementations: a triple-loop matmul, a per-head
-attention product loop, a central finite-difference gradient and a
-pixel-space patch search; and a switch that puts every smoothing pass
-on the stack pool."""
+attention product loop, the per-row cross-entropy pair, a central
+finite-difference gradient and a pixel-space patch search; and a switch
+that puts every smoothing pass on the stack pool."""
 
 import contextlib
 from unittest import mock
@@ -48,6 +48,27 @@ def matmul_per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for hd in range(a.shape[1]):
             out[s, hd] = nx.matmul(a[s, hd], b[s, hd])
     return out
+
+
+def cross_entropy_row(logits: np.ndarray, target: int) -> float:
+    """-log softmax(logits)[target] for a single length-k logit vector.
+
+    With cross_entropy_row_backward, the per-row slow path of nx.cross_entropy.
+    """
+    if logits.ndim != 1:
+        raise DimensionError(f"cross_entropy expects a 1-D logit vector, got {logits.shape}")
+    if not 0 <= target < logits.shape[0]:
+        raise ParameterError(f"target {target} outside [0, {logits.shape[0]})")
+    shifted = logits - logits.max()
+    logz = np.log(np.exp(shifted).sum())
+    return float(logz - shifted[target])
+
+
+def cross_entropy_row_backward(logits: np.ndarray, target: int) -> np.ndarray:
+    """dlogits = softmax(logits) - onehot(target)."""
+    g = nx.softmax_last_dim(logits)
+    g[target] -= 1.0
+    return g
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:

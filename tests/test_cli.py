@@ -46,6 +46,10 @@ def files(tmp_path):
     good = tmp_path / "good.svit"
     save_checkpoint(Model.init(CFG, seed=0), good)
     save_checkpoint(Model.init(WIDE, seed=0), tmp_path / "wide.svit")
+    # finite weights whose forward overflows, as a diverged run leaves them
+    huge = Model.init(CFG, seed=0)
+    save_checkpoint(Model(CFG, {k: v * np.float32(1e30) for k, v in huge.params.items()}),
+                    tmp_path / "huge.svit")
     _save_reshaped(tmp_path / "pos_row.svit", pos_embed=(1, 8))
     _save_reshaped(tmp_path / "mlp_2d.svit", **{
         "layers.0.mlp.w1": (8, 16), "layers.0.mlp.b1": (16,), "layers.0.mlp.w2": (16, 8)})
@@ -153,6 +157,8 @@ CASES = [
     (["train", "--data-format", "idx", "--data", "half.idx", "--labels", "labels3.idx"], 2),
     # a checkpoint that would vote from NaN logits: 2
     (["certify", "--ckpt", "nan_bias.svit"], 2),
+    # finite weights whose forward overflows: corrupt, as NaN weights are: 2
+    (["certify", "--ckpt", "huge.svit"], 2),
     # a checkpoint whose config dimensions are not integers: 2
     (["certify", "--ckpt", "h_float.svit"], 2),
     (["certify", "--ckpt", "heads_true.svit"], 2),
@@ -222,6 +228,17 @@ CASES = [
     (["sweep", "--ckpt", "good.svit", "--config", "grid_true.json"], 3),
     (["train", "--config", "lr_true.json"], 3),
     (["train", "--epochs", "0"], 3),
+    # training that leaves a model whose forward is not finite diverged, even with finite losses: 3
+    (["train", "--stripe-n", "16", "--epochs", "1", "--lr", "1e30"], 3),
+    # a training, stripe, ablation or model setting outside its range: 3
+    (["train", "--momentum", "1"], 3),
+    (["train", "--stripe-k", "9"], 3),
+    (["train", "--stripe-noise", "0.5"], 3),
+    (["certify", "--ckpt", "good.svit", "--stride", "0"], 3),
+    (["ablate", "--stride", "40"], 3),
+    (["train", "--p", "5"], 3),
+    (["train", "--d", "30", "--heads", "4"], 3),
+    (["train", "--layers", "0"], 3),
     # a non-finite learning rate or weight decay would train a non-finite checkpoint: 3
     (["train", "--lr", "nan"], 3),
     (["train", "--lr", "inf"], 3),
@@ -292,15 +309,29 @@ NAMED = {
     "certify --ckpt good.svit --data-format cifar10 --data cifar_label10.bin": "label byte 10 > 9",
     "certify --ckpt version.svit": "unsupported checkpoint version",
     "certify --ckpt layers2.svit": "checkpoint manifest does not match its config",
+    "certify --ckpt huge.svit": "failed: overflow encountered",
+    "train --stripe-n 16 --epochs 1 --lr 1e30": "after epoch 0 the model cannot classify",
+    "train --momentum 1": "momentum must be in [0, 1)",
+    "train --stripe-k 9": "supports 2..8 classes, got 9",
+    "train --stripe-noise 0.5": "noise amplitude must be in [0, 0.5)",
+    "certify --ckpt good.svit --stride 0": "stride must be >= 1",
+    "ablate --stride 40": "stride 40 exceeds image width 16",
+    "train --p 5": "patch size 5 must divide 16x16",
+    "train --d 30 --heads 4": "embedding dim 30 not divisible by 4 heads",
+    "train --layers 0": "all config dimensions must be positive",
 }
 
 
+# a warning is an error here: in a terminal numpy's raw warning lines would reach stderr
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a) for a, _ in CASES])
 def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(files)
     assert cli.main(argv + ([] if argv[0] == "delta" else ["--out", "out"])) == code
     captured = capsys.readouterr()
-    record = json.loads(captured.err.strip().splitlines()[-1])
+    records = [json.loads(line) for line in captured.err.splitlines()]  # every line is JSON
+    assert records and all(isinstance(r, dict) for r in records)
+    record = records[-1]
     assert record["exit_code"] == code
     assert NAMED.get(" ".join(argv), "") in record["error"]
     assert captured.out == ""
@@ -397,6 +428,17 @@ def test_train_splits_a_file_without_splits_deterministically(files, monkeypatch
     assert ckpt_a.name == ckpt_b.name and ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
 
+def test_a_seed_replays_its_checkpoint_and_another_seed_does_not(files, monkeypatch, capsys):
+    monkeypatch.chdir(files)
+    argv = ["train", "--stripe-n", "8", "--epochs", "1", "--d", "8", "--heads", "2",
+            "--layers", "1"]
+    for seed, out in (("3", "a"), ("3", "b"), ("0", "c")):
+        assert cli.main(argv + ["--seed", seed, "--out", out]) == 0
+    (a,), (b,), (c,) = (list((files / d).glob("ckpt-*.svit")) for d in "abc")
+    assert a.name == b.name != c.name
+    assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+
 def test_one_record_names_the_count(files, monkeypatch, capsys):
     monkeypatch.chdir(files)
     argv = ["train", "--data-format", "cifar10", "--data", "cifar1.bin", "--out", "out"]
@@ -462,10 +504,19 @@ DELTA_TABLES = [
         "    m       safe      paper     oracle  note",
         "    5          5          5    skipped  ",
     ]),
+    # past the oracle's budget, the paper count below the safe one is still flagged
+    (["--ablation", "block", "--h", "1000", "--w", "1000", "--b", "19", "--stride", "3",
+      "--patch-sizes", "32"], [
+        "image 1000x1000, block b=19 s=3 offset=0",
+        "    m       safe      paper     oracle  note",
+        "   32        324        144    skipped  paper<safe",
+        "note: flagged rows mark thresholds below the exact intersection count",
+    ]),
 ]
 
 
-@pytest.mark.parametrize("argv,lines", DELTA_TABLES, ids=["column-s10", "block-s1", "column-1e5"])
+@pytest.mark.parametrize("argv,lines", DELTA_TABLES,
+                         ids=["column-s10", "block-s1", "column-1e5", "block-paper-safe"])
 def test_delta_prints_the_paper_imagenet_settings(capsys, argv, lines):
     assert cli.main(["delta", "--h", "224", "--w", "224"] + argv) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from patchcert import numerics as nx
 from patchcert.errors import DimensionError, ParameterError
-from references import finite_difference_gradient, matmul_reference
+from references import (
+    cross_entropy_row,
+    cross_entropy_row_backward,
+    finite_difference_gradient,
+    matmul_reference,
+)
 
 
 @pytest.fixture
@@ -374,19 +379,50 @@ def test_identity_matmul_chain_passes_gradient_through():
 
 
 def test_cross_entropy_gradient_closed_form():
-    logits = np.array([2.0, 1.0, 0.5], np.float32)
+    logits = np.array([[2.0, 1.0, 0.5]], np.float32)
     target = int(np.argmax(logits))
-    grad = nx.cross_entropy_backward(logits, target)
-    expected = nx.softmax_last_dim(logits).copy()
+    (loss,), (grad,) = nx.cross_entropy(logits, [target])
+    expected = nx.softmax_last_dim(logits[0]).copy()
+    assert loss == pytest.approx(-math.log(expected[target]), rel=1e-6)
     expected[target] -= 1.0
     np.testing.assert_allclose(grad, expected, atol=1e-7)
 
 
 def test_cross_entropy_matches_finite_differences():
     rng = np.random.default_rng(2)
-    logits = rng.normal(size=6).astype(np.float32)
-    fd = finite_difference_gradient(lambda t: nx.cross_entropy(t, 3), logits, h=1e-4)
-    assert _rel_err(nx.cross_entropy_backward(logits, 3).astype(np.float64), fd) < 1e-3
+    logits = rng.normal(size=(1, 6)).astype(np.float32)
+    fd = finite_difference_gradient(lambda t: nx.cross_entropy(t, [3])[0][0], logits, h=1e-4)
+    assert _rel_err(nx.cross_entropy(logits, [3])[1].astype(np.float64), fd) < 1e-3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_cross_entropy_equals_the_per_row_pair_bytewise(seed):
+    # one softmax per row gives the bits of the former loss and gradient calls on each row
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 2), (1, 39), (64, 2), (7, 10)]  # then B in [1, 64] and k in [2, 39]
+    shapes += [tuple(rng.integers([1, 2], [65, 40])) for _ in range(20)]
+    for b, k in shapes:
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            logits = (rng.normal(size=(b, k)) * scale).astype(np.float32)
+            targets = rng.integers(0, k, size=b)
+            losses, grads = nx.cross_entropy(logits, targets)
+            pairs = list(zip(logits, targets.tolist()))
+            want = [cross_entropy_row(row, t) for row, t in pairs]
+            want_grads = [cross_entropy_row_backward(row, t) for row, t in pairs]
+            assert losses.dtype == grads.dtype == np.float32 and grads.shape == (b, k)
+            assert losses.astype(np.float64).tobytes() == np.array(want).tobytes(), (b, k, scale)
+            assert grads.tobytes() == np.stack(want_grads).tobytes(), (b, k, scale)
+
+
+def test_cross_entropy_refuses_misshaped_stacks_and_targets_out_of_range():
+    logits = np.zeros((3, 4), np.float32)
+    for bad_logits, bad_targets in ((logits[0], [1]), (logits[None], [1, 2, 3]),
+                                    (logits, [1, 2]), (logits, [[1, 2, 3]]), (logits, 1)):
+        with pytest.raises(DimensionError):
+            nx.cross_entropy(bad_logits, bad_targets)
+    for targets in ([0, 4, 1], [-1, 0, 0]):
+        with pytest.raises(ParameterError, match=r"outside \[0, 4\)"):
+            nx.cross_entropy(logits, targets)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

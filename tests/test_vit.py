@@ -22,7 +22,7 @@ from patchcert.ablation import AblationSpec, ablation_set, block_ablation, colum
 from patchcert.bench import CostModel, smoothing_cost
 from patchcert import cli, train
 from patchcert import numerics as nx
-from patchcert.errors import DimensionError, FormatError, InputError, ParameterError
+from patchcert.errors import DimensionError, FormatError, InputError, NonFiniteError, ParameterError
 from patchcert.numerics import count_macs
 from patchcert.train import OptState, TrainConfig, fit, make_stripe_dataset, train_epoch
 from patchcert.vit import (
@@ -198,6 +198,27 @@ def test_an_error_on_the_stack_pool_keeps_its_type_and_outlives_no_job(error):
         with pytest.raises(error, match="raised on a pool thread"):
             per_ablation_predictions(_image(cfg, 2), AblationSpec("block", 3), params, cfg)
     assert running[0] == 0  # every job ended before the call raised
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+@pytest.mark.parametrize("weights,message", [
+    # NaN weights give NaN logits and set no floating-point flag
+    ("nan", "gave non-finite logits"),
+    # huge finite ones overflow, which can leave finite, constant logits behind
+    ("huge", "failed: overflow encountered"),
+])
+def test_a_forward_that_is_not_finite_raises_instead_of_voting_class_0(pooled, weights, message):
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=8, heads=2, layers=1, k=3)
+    params = Model.init(cfg, seed=5).params
+    if weights == "nan":
+        params["patch_embed.weight"] = np.full_like(params["patch_embed.weight"], np.nan)
+    else:
+        params = {k: v * np.float32(1e30) for k, v in params.items()}
+    before = np.geterr()
+    with forced_stack_pool() if pooled else mock.patch.object(vit, "_pool_workers", lambda: 1):
+        with pytest.raises(NonFiniteError, match="stack of 8 ablations of 4 cells each " + message):
+            per_ablation_predictions(_image(cfg, 5), AblationSpec("column", 3), params, cfg)
+    assert np.geterr() == before
 
 
 def test_cifar_like_stacks_start_no_pool_thread(monkeypatch):
@@ -637,10 +658,9 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
     patches, grid_idx = vit._reduced_cells(z_m, cfg)
     x = vit._embed(patches[None], grid_idx[None], params, cfg)
     logits, ctx = vit._encoder_core(x, params, cfg, record=True)
-    logits = logits[0]
-    loss = nx.cross_entropy(logits, label)
+    (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
+    loss = float(loss)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dlogits = nx.cross_entropy_backward(logits, label)
     grads["head.weight"] += nx.matmul(ctx["r"].T, dlogits[None, :])
     grads["head.bias"] += dlogits
     dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
@@ -729,10 +749,9 @@ def _per_sample_loss_and_gradients(z_m, label, params, cfg):
     patches, grid_idx = vit._reduced_cells(z_m, cfg)
     x = vit._embed(patches[None], grid_idx[None], params, cfg)
     logits, ctx = vit._encoder_core(x, params, cfg, record=True)
-    logits = logits[0]
-    loss = nx.cross_entropy(logits, label)
+    (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
+    loss = float(loss)
     grads = {}
-    dlogits = nx.cross_entropy_backward(logits, label)
     grads["head.weight"] = nx.matmul(ctx["r"].T, dlogits[None, :])
     grads["head.bias"] = dlogits
     dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
@@ -886,17 +905,23 @@ def test_one_recorded_forward_per_token_count(monkeypatch):
         block_ablation(x, 14, 14, 4),  # 4
         block_ablation(x, 12, 8, 3),  # 1
     ]
-    core = vit._encoder_core
-    stacks = []
+    core, loss = vit._encoder_core, nx.cross_entropy
+    stacks, loss_rows = [], []
 
     def counting_core(x, params, cfg, record=False):
         stacks.append((x.shape[1] - 1, x.shape[0], record))  # (cells, sets, record)
         return core(x, params, cfg, record)
 
+    def counting_loss(logits, targets):
+        loss_rows.append(len(logits))
+        return loss(logits, targets)
+
     monkeypatch.setattr(vit, "_encoder_core", counting_core)
+    monkeypatch.setattr(nx, "cross_entropy", counting_loss)
     labels = [j % cfg.k for j in range(len(ablations))]
     loss_and_gradients(ablations, labels, params, cfg)
     assert sorted(stacks) == [(1, 4, True), (4, 2, True), (8, 1, True)]
+    assert sorted(loss_rows) == [1, 2, 4]  # one loss call per stack, over all its rows
     _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg)
 
 
