@@ -215,7 +215,7 @@ def adversarial_flip_search(
     if preds.size != len(rowhit) * len(colhit):
         raise InputError(f"{preds.size} predictions but the ablation set has "
                          f"{len(rowhit) * len(colhit)} members")
-    g0 = int(np.argmax(base))
+    g0 = smoothed_predict(base)
     keys = []  # (changed, advantage, -placement, -rival), maximised lexicographically
     for r in range(k):
         if r == g0:
@@ -241,7 +241,7 @@ def adversarial_flip_search(
     post[r] += int(hit.sum())
     return FlipSearchResult(
         changed=flips,
-        worst_prediction=int(np.argmax(post)),
+        worst_prediction=smoothed_predict(post),
         placement=(top, left),
         rival=r,
         original_prediction=g0,

@@ -43,7 +43,7 @@ from . import __version__
 from .ablation import KINDS, AblationSpec, ablation_anchors, ablation_set, validate_image
 from .bench import smoothing_cost
 from .certify import certified_accuracy, delta_closed_form, delta_oracle
-from .errors import (BudgetError, DivergenceError, FormatError, NonFiniteError, ParameterError,
+from .errors import (BudgetError, DivergenceError, FormatError, InputError, ParameterError,
                      PatchcertError)
 from .train import VAL_PERCENT, LabeledDataset, TrainConfig, fit, make_stripe_dataset
 from .vit import Model, ViTConfig, load_checkpoint, per_ablation_predictions, save_checkpoint
@@ -652,7 +652,7 @@ def main(argv=None) -> int:
         if "out" in args:
             _check_out(args.out)
         return args.func(args)
-    except (FileNotFoundError, FormatError, NonFiniteError) as exc:
+    except (FileNotFoundError, InputError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING
     except (ParameterError, DivergenceError) as exc:

@@ -87,15 +87,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Independent products (..., m, k) x (..., k, n) over equal leading dims.
+    """Independent products (..., m, k) x (..., k, n): b has a's leading dims,
+    or is one 2-D (k, n) weight that every (m, k) slice of a shares.
 
     One BLAS call per product, each computed as the 2-D call on that
     slice would be; increments the MAC counter by (products)*m*k*n.
     """
-    if a.ndim < 3 or a.ndim != b.ndim:
+    if a.ndim < 3 or b.ndim < 2:
         raise DimensionError(
-            f"matmul_stacked expects stacked operands, got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+            f"matmul_stacked expects a stack and a matrix or stack, got {a.shape} and {b.shape}")
+    if b.shape[:-2] not in ((), a.shape[:-2]) or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul_stacked operands disagree: {a.shape} x {b.shape}")
     counter = _active_counter.get()
     if counter is not None:

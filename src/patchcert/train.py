@@ -114,7 +114,7 @@ def make_stripe_dataset(
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n).astype(np.int64)
     base = stripe_base_levels(k)[labels].astype(np.float32)
-    images = np.broadcast_to(base[:, None, None, None], (n, h, w, channels)).copy()
+    images = np.repeat(base, h * w * channels).reshape(n, h, w, channels)
     if noise > 0:
         # one image at a time: the same draws as one full-shape call, but
         # the float64 scratch is one image, not the whole dataset

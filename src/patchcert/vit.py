@@ -331,17 +331,12 @@ def _by_head(t, bsz, cfg):
     return t.reshape(bsz, -1, cfg.heads, cfg.head_dim).transpose(0, 2, 1, 3)
 
 
-def _per_set(w, bsz):
-    """w repeated for each of bsz sets, as a read-only (bsz, *w.shape) view."""
-    return np.broadcast_to(w, (bsz, *w.shape))
-
-
 def _weight_product(x, w, per_set):
     """x (B, rows, k) @ w: one 2-D product over all B*rows rows, or per set as a
     batch of one computes it (a one-row product is a matrix-vector call, which
     rounds differently from the rows of a stacked product)."""
     if per_set:
-        return nx.matmul_stacked(x, _per_set(w, len(x)))
+        return nx.matmul_stacked(x, w)
     return nx.matmul(x.reshape(-1, x.shape[-1]), w).reshape(len(x), -1, w.shape[1])
 
 
@@ -612,8 +607,9 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
 
     patches (B, n, p*p*c) and grid_idx (B, n) are the stack's cells,
     dlogits (B, k) its loss gradients. Every product runs once per set
-    (matmul_stacked, weights broadcast), and every sum over rows runs
-    per set, so each set's gradient is bitwise that of a batch of one.
+    (matmul_stacked; an input gradient takes the weight's transpose as
+    the shared 2-D operand), and every sum over rows runs per set, so
+    each set's gradient is bitwise that of a batch of one.
     """
     bsz, n = dlogits.shape[0], ctx["n"]
     scale = ctx["scale"]
@@ -622,17 +618,13 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         """(B, n, width) view of a (B*n, width) activation."""
         return t.reshape(bsz, n, -1)
 
-    def input_grad(dy, w):
-        """dy_b @ w.T for every set b."""
-        return nx.matmul_stacked(dy, _per_set(w.T, bsz))
-
     def weight_grad(t, dy):
         """t_b.T @ dy_b for every set b."""
         return nx.matmul_stacked(sets(t).swapaxes(1, 2), dy)
 
     yield "head.weight", nx.matmul_stacked(ctx["r"][:, :, None], dlogits[:, None, :])
     yield "head.bias", dlogits
-    dr = input_grad(dlogits[:, None, :], params["head.weight"])
+    dr = nx.matmul_stacked(dlogits[:, None, :], params["head.weight"].T)
     df = np.zeros_like(sets(ctx["f"]))
     df[:, 0] = dr[:, 0]
     dx, dgamma, dbeta = nx.layer_norm_bwd(ctx["final_ln"], df, axis=1)
@@ -646,10 +638,11 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         # MLP residual: x_out = x_mid + W2(gelu(W1 ln2(x_mid)))
         yield pre + "mlp.w2", weight_grad(lc["act"], dx)
         yield pre + "mlp.b2", dx.sum(axis=1)
-        dm1 = nx.gelu_backward(sets(lc["m1"]), input_grad(dx, lp["mlp.w2"]))
+        dm1 = nx.gelu_backward(sets(lc["m1"]), nx.matmul_stacked(dx, lp["mlp.w2"].T))
         yield pre + "mlp.w1", weight_grad(lc["h2"], dm1)
         yield pre + "mlp.b1", dm1.sum(axis=1)
-        dx_mid, dgamma, dbeta = nx.layer_norm_bwd(lc["ln2"], input_grad(dm1, lp["mlp.w1"]), axis=1)
+        dh2 = nx.matmul_stacked(dm1, lp["mlp.w1"].T)
+        dx_mid, dgamma, dbeta = nx.layer_norm_bwd(lc["ln2"], dh2, axis=1)
         yield pre + "ln2.gamma", dgamma
         yield pre + "ln2.beta", dbeta
         dx = dx + dx_mid
@@ -657,7 +650,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         # attention residual: x_mid = x_in + Wo(attn(ln1(x_in))), all heads at once
         yield pre + "attn.wo", weight_grad(lc["o"], dx)
         yield pre + "attn.bo", dx.sum(axis=1)
-        do = _by_head(input_grad(dx, lp["attn.wo"]), bsz, cfg)
+        do = _by_head(nx.matmul_stacked(dx, lp["attn.wo"].T), bsz, cfg)
         a = lc["attn"]
         q_h, k_h, v_h = (_by_head(lc[t], bsz, cfg) for t in ("q", "k", "v"))
         da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.swapaxes(2, 3)))
@@ -669,8 +662,8 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         for t, g in (("q", dq), ("k", dk), ("v", dv)):
             yield pre + "attn.w" + t, weight_grad(lc["h1"], g)
             yield pre + "attn.b" + t, g.sum(axis=1)
-        dh1 = (input_grad(dq, lp["attn.wq"]) + input_grad(dk, lp["attn.wk"])
-               + input_grad(dv, lp["attn.wv"]))
+        dh1 = (nx.matmul_stacked(dq, lp["attn.wq"].T) + nx.matmul_stacked(dk, lp["attn.wk"].T)
+               + nx.matmul_stacked(dv, lp["attn.wv"].T))
         dx_in, dgamma, dbeta = nx.layer_norm_bwd(lc["ln1"], dh1, axis=1)
         yield pre + "ln1.gamma", dgamma
         yield pre + "ln1.beta", dbeta

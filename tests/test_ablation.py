@@ -163,6 +163,14 @@ def test_parameter_validation():
         column_ablation(x, start=0, b=9)
     with pytest.raises(ParameterError):
         block_ablation(x, top=-1, left=0, b=2)
+    with pytest.raises(ParameterError, match="block left 8 outside"):
+        block_ablation(x, top=0, left=8, b=2)
+    for b in (0, 9):
+        with pytest.raises(ParameterError, match=f"block side b={b} outside"):
+            block_ablation(x, top=0, left=0, b=b)
+    for shape in [(8, 8), (1, 8, 8, 1)]:
+        with pytest.raises(ParameterError, match=r"image must be h\*w\*c"):
+            validate_image(np.zeros(shape, np.float32))
     with pytest.raises(ParameterError):
         AblationSpec("row", b=2)
     with pytest.raises(ParameterError):

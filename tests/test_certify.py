@@ -215,6 +215,8 @@ def test_certify_votes_fields_and_errors():
         certify_votes(np.zeros(2, np.int64), 1, 1)
     with pytest.raises(ParameterError):
         certify_votes(v, delta=-1, m=1)
+    with pytest.raises(ParameterError, match="at least two classes"):
+        certify_votes(np.array([3], np.int64), delta=0, m=1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,14 @@ def test_flip_search_finds_tie_break_flip():
 def test_flip_search_rejects_oversized_patch():
     with pytest.raises(ParameterError):
         adversarial_flip_search([0, 1], AblationSpec("column", 1), 2, 2, m=3, true_class=0, k=2)
+
+
+def test_flip_search_needs_predictions_and_two_classes():
+    spec = AblationSpec("column", 1)
+    with pytest.raises(InputError, match="at least one per-ablation prediction"):
+        adversarial_flip_search([], spec, 4, 4, m=1, true_class=0, k=2)
+    with pytest.raises(ParameterError, match="at least two classes"):
+        adversarial_flip_search([0] * 4, spec, 4, 4, m=1, true_class=0, k=1)
 
 
 def test_flip_search_prediction_count_mismatch():

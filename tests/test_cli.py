@@ -109,6 +109,9 @@ def files(tmp_path):
         "cifar_label10.bin": b"\x0a" + bytes(3072),
         "version.svit": blob[:4] + struct.pack("<I", vit.CHECKPOINT_VERSION + 1) + blob[8:],
         "layers2.svit": _with_config(blob, layers=2),  # its manifest lists one layer
+        "c2.svit": _with_config(blob, c=2),
+        "k1.svit": _with_config(blob, k=1),
+        "two_channel.idx": _idx_float32(np.full((4, 16, 16, 2), 0.5, np.float32)),
     }
     for name, data in contents.items():
         (tmp_path / name).write_bytes(data)
@@ -295,6 +298,13 @@ CASES = [
       "cifar_label10.bin"], 2),
     (["certify", "--ckpt", "version.svit"], 2),
     (["certify", "--ckpt", "layers2.svit"], 2),
+    # a checkpoint header whose config no model can have: 2
+    (["certify", "--ckpt", "c2.svit"], 2),
+    (["certify", "--ckpt", "k1.svit"], 2),
+    # images of 2 channels: 3, as a 2-channel stripe image would be
+    (["ablate", "--data-format", "idx", "--data", "two_channel.idx", "--labels", "labels.idx"], 3),
+    # 6 stripe records hold 6 * 15 // 100 = 0 val records: 3
+    (["train", "--stripe-n", "6", "--epochs", "1"], 3),
 ]
 
 # rows whose error record must name the check that refused them
@@ -319,6 +329,11 @@ NAMED = {
     "train --p 5": "patch size 5 must divide 16x16",
     "train --d 30 --heads 4": "embedding dim 30 not divisible by 4 heads",
     "train --layers 0": "all config dimensions must be positive",
+    "certify --ckpt c2.svit": "unreadable checkpoint header: channels must be 1 or 3, got 2",
+    "certify --ckpt k1.svit": "unreadable checkpoint header: need at least 2 classes, got 1",
+    "ablate --data-format idx --data two_channel.idx --labels labels.idx":
+        "bad image dimensions (16, 16, 2); channels must be 1 or 3",
+    "train --stripe-n 6 --epochs 1": "fit needs nonempty train and val splits",
 }
 
 
@@ -698,6 +713,15 @@ def test_bench_mac_report_is_pinned(tmp_path, monkeypatch, argv, lines):
     assert cli.main(SMALL_BENCH + argv + ["--out", "out"]) == 0
     (mac,) = [p for p in (tmp_path / "out").iterdir() if p.name.count("-") == 1]
     assert mac.read_text() == "\n".join(["# MAC columns cover one full smoothed pass", *lines, ""])
+
+
+@pytest.mark.parametrize("write,shape", [
+    (cli.write_ppm, (4, 4)), (cli.write_ppm, (4, 4, 2)), (cli.write_pgm, (4, 4, 1)),
+])
+def test_image_writers_refuse_a_grid_of_the_wrong_shape(tmp_path, write, shape):
+    with pytest.raises(ParameterError, match="writer expects"):
+        write(tmp_path / "img", np.zeros(shape, np.uint8))
+    assert not (tmp_path / "img").exists()
 
 
 def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypatch):

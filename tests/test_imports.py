@@ -1,4 +1,5 @@
-"""Every module imports first in a fresh interpreter, and reads every name it imports.
+"""Every module imports first in a fresh interpreter, reads every name it imports, and
+every private module-level function or class is loaded somewhere in the package.
 
 The package imports none of its modules, so which one loads first
 depends on the caller; an import cycle (certify and vit need each
@@ -38,9 +39,13 @@ def test_module_imports_first(module):
 UNREAD_IMPORTS = {("vit", "ablation_set")}
 
 
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_read(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = _tree(module)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -53,5 +58,22 @@ def test_every_imported_name_is_read(module):
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
         if targets == ["__all__"]:
             exported = set(ast.literal_eval(node.value))
-    unread = {name for name in imported - read - exported if (module, name) not in UNREAD_IMPORTS}
-    assert not unread, f"{module} imports names it never reads: {sorted(unread)}"
+    unread = imported - read - exported
+    exempt = {name for m, name in UNREAD_IMPORTS if m == module}
+    assert not unread - exempt, f"{module} imports names it never reads: {sorted(unread - exempt)}"
+    assert exempt <= unread, f"stale UNREAD_IMPORTS entries for {module}: {sorted(exempt - unread)}"
+
+
+def test_every_private_definition_is_loaded():
+    # a private helper that only the tests call is dead code in the package
+    trees = {module: _tree(module) for module in MODULES}
+    loaded = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)  # a name read through its module, as in nx._LN_EPS
+    dead = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in loaded]
+    assert not dead, f"private definitions nothing in the package loads: {dead}"

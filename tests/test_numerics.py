@@ -114,22 +114,26 @@ def _head_views(rng, s, rows, inner, transposed):
     ta=st.booleans(), tb=st.booleans(), seed=st.integers(0, 2**16),
 )
 def test_matmul_stacked_equals_per_slice_matmul(s, m, k, n, ta, tb, seed):
-    # operands are strided head views, contiguous or transposed, as in the attention backward
+    # a is a stack of strided head views, contiguous or transposed, as in the attention
+    # backward; b is a like stack, or one 2-D weight (a transpose if tb) that every slice shares
     rng = np.random.default_rng(seed)
     a = _head_views(rng, s, m, k, ta)
-    b = _head_views(rng, s, k, n, tb)
-    with nx.count_macs() as stacked_macs:
-        out = nx.matmul_stacked(a, b)
-    with nx.count_macs() as slice_macs:
-        ref = np.stack([nx.matmul(a[i], b[i]) for i in range(s)])
-    assert out.shape == (s, m, n)
-    assert out.tobytes() == ref.tobytes()
-    assert stacked_macs.total == slice_macs.total == s * m * k * n
+    stack = _head_views(rng, s, k, n, tb)
+    weight = rng.normal(size=(n, k) if tb else (k, n)).astype(np.float32)
+    for b in (stack, weight.T if tb else weight):
+        with nx.count_macs() as stacked_macs:
+            out = nx.matmul_stacked(a, b)
+        with nx.count_macs() as slice_macs:
+            ref = np.stack([nx.matmul(a[i], b if b.ndim == 2 else b[i]) for i in range(s)])
+        assert out.shape == (s, m, n)
+        assert out.tobytes() == ref.tobytes()
+        assert stacked_macs.total == slice_macs.total == s * m * k * n
 
 
 @pytest.mark.parametrize(
     "a_shape,b_shape",
-    [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (2, 5, 5)), ((3, 4), (4, 5)), ((2, 3, 4), (4, 5))],
+    [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (2, 5, 5)), ((3, 4), (4, 5)), ((2, 3, 4), (5, 5)),
+     ((2, 3, 4), (4,))],
 )
 def test_matmul_stacked_rejects_mismatched_operands(a_shape, b_shape):
     with nx.count_macs() as c, pytest.raises(DimensionError):
@@ -509,6 +513,14 @@ def test_fd_constant_function_is_zero():
 def test_fd_rejects_nonpositive_step():
     with pytest.raises(ParameterError):
         finite_difference_gradient(lambda t: 0.0, np.ones(2), h=0.0)
+
+
+@pytest.mark.parametrize("bias_shape", [(7,), (1, 8), ()])
+def test_bias_add_refuses_a_bias_that_is_not_the_last_dimension(bias_shape):
+    x = np.zeros((4, 8), np.float32)
+    with pytest.raises(DimensionError, match="does not match input"):
+        nx.bias_add(x, np.ones(bias_shape, np.float32))
+    assert not x.any()
 
 
 def test_exported_ops_stay_float32_and_finite(rng):

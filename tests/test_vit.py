@@ -18,7 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patchcert import vit
-from patchcert.ablation import AblationSpec, ablation_set, block_ablation, column_ablation
+from patchcert.ablation import (AblatedImage, AblationSpec, ablation_set, block_ablation,
+                                column_ablation)
 from patchcert.bench import CostModel, smoothing_cost
 from patchcert import cli, train
 from patchcert import numerics as nx
@@ -437,7 +438,7 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
     f, xhatf = _out_of_place_layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
     r = f.reshape(bsz, -1, cfg.d)[:, 0]
     if record:
-        logits = nx.matmul_stacked(r[:, None], vit._per_set(params["head.weight"], bsz))[:, 0]
+        logits = nx.matmul_stacked(r[:, None], params["head.weight"])[:, 0]
     else:
         logits = nx.matmul(r, params["head.weight"])
     return logits + params["head.bias"], acts + [xhatf, f, r]
@@ -634,6 +635,36 @@ def test_only_inference_attention_runs_through_nx_matmul(monkeypatch):
     # sets x heads x (scores, weighted sum) in every layer; the last layer's query is the class row
     assert len(attention) == sets * cfg.heads * 2 * cfg.layers
     assert sum(rows == 1 for rows, _ in attention) == sets * cfg.heads * 2
+
+
+def test_training_weight_products_take_the_parameters_themselves(monkeypatch):
+    # every 2-D operand of a training nx.matmul_stacked is a parameter array, or its
+    # transpose for an input gradient, so a product can be staged by its weight's identity
+    cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=4, layers=2, k=5)
+    params = Model.init(cfg, seed=16).params
+    x = _image(cfg, 16)
+    stacked, plain, transposed = nx.matmul_stacked, [], []
+
+    def spying(a, b):
+        if b.ndim == 2:
+            name = next((n for n, w in params.items() if b is w or b.base is w), None)
+            assert name, f"a 2-D operand {b.shape} that is no parameter"
+            w = params[name]
+            if b is w:
+                plain.append(name)
+            else:
+                assert b.shape == w.shape[::-1] and b.strides == w.strides[::-1]
+                transposed.append(name)
+        return stacked(a, b)
+
+    monkeypatch.setattr(nx, "matmul_stacked", spying)
+    # survivors 8, 1 and 4 cells: three recorded stacks
+    ablations = [column_ablation(x, 2, 4), block_ablation(x, 0, 0, 4), block_ablation(x, 1, 1, 5)]
+    loss_and_gradients(ablations, [0, 1, 2], params, cfg)
+    layer_weights = [f"layers.{i}.{w}" for i in range(cfg.layers)
+                     for w in ("mlp.w2", "mlp.w1", "attn.wo", "attn.wq", "attn.wk", "attn.wv")]
+    assert sorted(plain) == sorted(["patch_embed.weight", "head.weight"] * 3)
+    assert sorted(transposed) == sorted((["head.weight"] + layer_weights) * 3)
 
 
 def test_seeded_training_is_byte_identical():
@@ -1167,6 +1198,45 @@ def test_stripe_splits_are_the_integer_shares():
         splits = make_stripe_dataset(n, 1, 1, 2, 0.0, seed=0).splits.tolist()
         n_train, n_val = n * 70 // 100, n * 15 // 100
         assert splits == ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val), n
+
+
+def test_a_labeled_dataset_refuses_unequal_lengths_and_labels_out_of_range():
+    images, splits = np.zeros((3, 4, 4, 1), np.float32), np.array(["test"] * 3, dtype=object)
+    with pytest.raises(ParameterError, match="equal length"):
+        train.LabeledDataset(images=images, labels=np.zeros(2, np.int64), splits=splits, k=2)
+    for bad in (-1, 2):
+        with pytest.raises(ParameterError, match=r"labels outside \[0, 2\)"):
+            train.LabeledDataset(images=images, labels=np.array([0, bad, 1]), splits=splits, k=2)
+
+
+def test_ablation_accuracy_refuses_an_empty_set():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=2)
+    empty = make_stripe_dataset(0, 8, 8, 2, 0.0, seed=0)
+    with pytest.raises(ParameterError, match="empty dataset"):
+        train._ablation_accuracy(Model.init(cfg), empty, 3, "column")
+
+
+def test_cost_model_refuses_a_stack_without_tokens():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=2)
+    with pytest.raises(ParameterError, match="token count must be >= 1"):
+        CostModel.for_config(cfg).breakdown(0)
+
+
+def test_forwards_refuse_a_misshaped_image_or_mask_and_an_empty_ablation():
+    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=2)
+    params = Model.init(cfg).params
+    x = _image(cfg)
+    z = column_ablation(x, 0, 3)
+    for forward in (ablation_logits, masked_attention_oracle_forward):
+        with pytest.raises(DimensionError, match="ablated image shape"):
+            forward(AblatedImage(np.zeros((8, 8, 3), np.float32), z.mask), params, cfg)
+        with pytest.raises(DimensionError, match="mask shape"):
+            forward(AblatedImage(z.pixels, z.mask[:4]), params, cfg)
+        with pytest.raises(InputError, match="masks every token"):
+            forward(AblatedImage(np.zeros_like(x), np.zeros_like(z.mask)), params, cfg)
+    with pytest.raises(DimensionError, match="does not match config"):
+        per_ablation_predictions(np.zeros((8, 12, 1), np.float32), AblationSpec("column", 3),
+                                 params, cfg)
 
 
 def test_train_config_rejects_an_unknown_kind():
