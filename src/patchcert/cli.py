@@ -34,7 +34,7 @@ import struct
 import sys
 import time
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -67,8 +67,7 @@ IDX_FLOAT32 = 0x0D
 
 def _file_records(images, labels, k: int) -> LabeledDataset:
     """A dataset read from a file, which carries no split: every record is tagged test."""
-    return LabeledDataset(images=images, labels=labels,
-                          splits=np.array(["test"] * len(labels), dtype=object), k=k)
+    return LabeledDataset(images=images, labels=labels, splits=np.full(len(labels), "test"), k=k)
 
 
 def load_cifar10_binary(path) -> LabeledDataset:
@@ -89,12 +88,13 @@ def load_cifar10_binary(path) -> LabeledDataset:
             f"label byte {labels[bad[0]]} > 9 at byte offset {int(bad[0]) * _CIFAR_RECORD}"
         )
     planes = records[:, 1:].reshape(n, 3, 32, 32)
-    images = np.ascontiguousarray(planes.transpose(0, 2, 3, 1)).astype(np.float32) / 255.0
+    images = np.ascontiguousarray(planes.transpose(0, 2, 3, 1), dtype=np.float32)
+    images /= 255.0
     return _file_records(images, labels, 10)
 
 
-def load_idx_tensor(path, scale_bytes: bool = True) -> np.ndarray:
-    """Read an IDX tensor; unsigned bytes are scaled to [0,1] by default."""
+def load_idx_tensor(path) -> np.ndarray:
+    """Read an IDX tensor as stored: a uint8 view of the file, or float32."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[0] != 0 or blob[1] != 0:
@@ -114,8 +114,7 @@ def load_idx_tensor(path, scale_bytes: bool = True) -> np.ndarray:
             f"IDX payload is {len(blob) - head} bytes but dims {dims} require {count * itemsize}"
         )
     if code == IDX_UBYTE:
-        data = np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(dims)
-        return data.astype(np.float32) / 255.0 if scale_bytes else data.copy()
+        return np.frombuffer(blob, dtype=np.uint8, offset=head).reshape(dims)
     return np.frombuffer(blob, dtype=">f4", offset=head).reshape(dims).astype(np.float32)
 
 
@@ -333,7 +332,7 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
         return load_cifar10_binary(_require_file(o["data"], "dataset"))
     if fmt == "idx":
         images = load_idx_tensor(_require_file(o["data"], "dataset"))
-        labels = load_idx_tensor(_require_file(o["labels"], "labels"), scale_bytes=False)
+        labels = load_idx_tensor(_require_file(o["labels"], "labels"))
         if labels.dtype != np.uint8:  # a float label would be truncated to some class
             raise FormatError(
                 f"labels file {o['labels']} has IDX type 0x{IDX_FLOAT32:02x} (float32); "
@@ -346,11 +345,13 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
             raise FormatError(
                 f"IDX images file {o['data']} holds {len(images)} images but labels file "
                 f"{o['labels']} holds {len(labels)} labels")
+        if images.dtype == np.uint8:  # one float32 copy, scaled to [0, 1]
+            images = np.divide(images, 255, dtype=np.float32)
         if images.ndim == 3:
             images = images[..., None]
         labels = labels.astype(np.int64)
         k = int(labels.max()) + 1 if labels.size else 2
-        return _file_records(images.astype(np.float32), labels, max(k, 2))
+        return _file_records(images, labels, max(k, 2))
     return make_stripe_dataset(
         n=o["stripe_n"], h=o["stripe_h"], w=o["stripe_w"], k=o["stripe_k"],
         noise=o["stripe_noise"], seed=seed,
@@ -430,8 +431,9 @@ def cmd_train(args) -> int:
         if n < 2:
             raise ParameterError(f"training needs at least 2 records for train and val, got {n}")
         val = np.random.default_rng(args.seed).permutation(n)[:max(1, VAL_PERCENT * n // 100)]
-        data.splits[:] = "train"
-        data.splits[val] = "val"
+        splits = np.full(n, "train")
+        splits[val] = "val"
+        data = replace(data, splits=splits)
     h, w, c = data.images.shape[1:]
     vit_cfg = ViTConfig(h=int(h), w=int(w), c=int(c), k=data.k,
                         **{f.name: o[f.name] for f in fields(ViTConfig) if f.name in o})

@@ -83,7 +83,10 @@ class LabeledDataset:
         return len(self.labels)
 
     def subset(self, tag: str) -> "LabeledDataset":
+        """The records tagged tag: the dataset itself when every record is, else a copy."""
         sel = self.splits == tag
+        if sel.all():
+            return self
         return LabeledDataset(
             images=self.images[sel], labels=self.labels[sel], splits=self.splits[sel], k=self.k
         )

@@ -249,7 +249,7 @@ def _encoder_core(x, params, cfg, record=False):
     """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
 
     Weight products run once over all B*n rows; attention runs per set
-    and head, one BLAS call each: a 2-D nx.matmul per (set, head) in
+    and head, one BLAS call each: _per_head's 2-D nx.matmul calls in
     inference, one matmul_stacked over the (B, heads) stack in record
     mode. The readout is the class token, row 0 of every set, so the
     last layer computes only that row past its keys and values: LN1 and
@@ -261,8 +261,8 @@ def _encoder_core(x, params, cfg, record=False):
     activations the backward pass needs.
     """
     bsz, n, d = x.shape
-    heads, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / math.sqrt(dh)  # python float: keeps float32 inputs float32
+    product = nx.matmul_stacked if record else _per_head
+    scale = 1.0 / math.sqrt(cfg.head_dim)  # python float: keeps float32 inputs float32
     ctx = {"layers": [], "n": n} if record else None
     x = x.reshape(bsz * n, d)
 
@@ -277,25 +277,13 @@ def _encoder_core(x, params, cfg, record=False):
         # q has n rows per set, or 1 in the class-only layer
         q_h, v_h = (_by_head(t, bsz, cfg) for t in (q, v))
         k_t = np.ascontiguousarray(_by_head(kk, bsz, cfg).swapaxes(2, 3))
-        # inference stays one 2-D nx.matmul per (set, head): certbench stages
-        # forward MACs from those calls (ROADMAP item 1)
-        if record:
-            scores = nx.matmul_stacked(q_h, k_t)
-        else:
-            scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
-            for b in range(bsz):
-                for hd in range(heads):
-                    scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
+        # inference stays _per_head, one 2-D nx.matmul per (set, head): certbench
+        # stages forward MACs from those calls (ROADMAP item 1a)
+        scores = product(q_h, k_t)
         scores *= scale
         attn = nx.softmax_last_dim(scores)
         o = np.empty_like(q)
-        o_h = _by_head(o, bsz, cfg)
-        if record:
-            o_h[...] = nx.matmul_stacked(attn, v_h)
-        else:
-            for b in range(bsz):
-                for hd in range(heads):
-                    o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
+        _by_head(o, bsz, cfg)[...] = product(attn, v_h)
         x_mid = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
         x_mid += x  # the residual, summed into the fresh branch output
         h2, ln2_ctx = nx.layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
@@ -329,6 +317,15 @@ def _encoder_core(x, params, cfg, record=False):
 def _by_head(t, bsz, cfg):
     """(B, heads, n, dh) view of a (B*n, d) array: [b, hd] is head hd's column slice of set b."""
     return t.reshape(bsz, -1, cfg.heads, cfg.head_dim).transpose(0, 2, 1, 3)
+
+
+def _per_head(a, b):
+    """a (B, heads, m, k) x b (B, heads, k, n) as one 2-D nx.matmul per (set, head)."""
+    out = np.empty((*a.shape[:3], b.shape[3]), dtype=a.dtype)
+    for s in range(a.shape[0]):
+        for hd in range(a.shape[1]):
+            out[s, hd] = nx.matmul(a[s, hd], b[s, hd])
+    return out
 
 
 def _weight_product(x, w, per_set):

@@ -1,10 +1,11 @@
 """Vote math, certification thresholds, and the exhaustive adversary."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patchcert import certify, vit
@@ -391,6 +392,49 @@ def test_hit_tables_match_the_mask_reference(case):
     assert found == _reference_flip_search(preds, spec, h, w, m, k)
     assert type(found.changed) is bool
     assert all(type(v) is int for v in found.placement + found.post_counts)
+
+
+@st.composite
+def _tiny_case(draw):
+    # few enough ablations (at most 7) and classes (at most 3) to enumerate every vote
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["column", "block"]))
+    b = draw(st.integers(1, w if kind == "column" else min(h, w)))
+    s = draw(st.integers(1, w))
+    offset = draw(st.integers(0, (min(s, h) if kind == "block" else s) - 1))  # an anchor row
+    spec = AblationSpec(kind, b, s, offset)
+    q = len(ablation_anchors(h, w, spec))
+    assume(q <= 7)
+    m = draw(st.integers(1, min(h, w)))
+    k = draw(st.integers(2, 3))
+    # skewed votes: most of them on one class, so that a flip is not a foregone conclusion
+    favored = draw(st.integers(0, k - 1))
+    skew = draw(st.sampled_from([0.75, 0.9, 1.0]))
+    draws = draw(st.lists(st.tuples(st.floats(0, 1), st.integers(0, k - 1)), min_size=q,
+                          max_size=q))
+    return h, w, spec, m, k, [favored if u < skew else c for u, c in draws]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_tiny_case())
+@example((6, 6, AblationSpec("column", 2, 1), 1, 2, [0] * 6))  # 6 to 0, two hit: holds
+@example((6, 6, AblationSpec("column", 2, 1), 1, 2, [0, 0, 0, 1, 1, 1]))  # a tie: flips
+def test_flip_search_flips_exactly_when_some_reassignment_of_the_hit_votes_does(case):
+    # the search moves every hit ablation onto one rival; here every placement tries every
+    # reassignment of its hit ablations' votes, read under smoothed_predict's tie rule
+    h, w, spec, m, k, preds = case
+    preds = np.asarray(preds, dtype=np.int64)
+    base = aggregate_votes(preds, k)
+    g0 = smoothed_predict(base)
+    hits, _ = _reference_intersection_matrix(h, w, spec, m)
+    flips = False
+    for hit in {tuple(np.nonzero(placement)[0]) for placement in hits.T}:
+        votes = np.array(list(itertools.product(range(k), repeat=len(hit))), dtype=np.int64)
+        counts = (votes[..., None] == np.arange(k)).sum(axis=1)  # one row per reassignment
+        post = base - aggregate_votes(preds[list(hit)], k) + counts
+        flips |= any(smoothed_predict(row) != g0 for row in np.unique(post, axis=0))
+    found = adversarial_flip_search(preds, spec, h, w, m, g0, k)
+    assert found.changed == flips
 
 
 @pytest.mark.parametrize("m", [16, 32, 64])

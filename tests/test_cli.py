@@ -5,6 +5,7 @@ columns count, and ablate holds one ablation at a time."""
 import hashlib
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,11 @@ WIDE = ViTConfig(h=8, w=16, c=1, p=4, d=8, heads=2, layers=1, k=4)
 def _idx_float32(pixels):
     head = b"\0\0\x0d" + bytes([pixels.ndim]) + struct.pack(f">{pixels.ndim}I", *pixels.shape)
     return head + pixels.astype(">f4").tobytes()
+
+
+def _idx_ubyte(array):
+    head = b"\0\0\x08" + bytes([array.ndim]) + struct.pack(f">{array.ndim}I", *array.shape)
+    return head + array.tobytes()
 
 
 def _save_reshaped(path, **tensors):
@@ -429,6 +435,39 @@ def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
             "--labels", "labels.idx", "--out", "out"]
     assert cli.main(argv) == 0
     assert "standard accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["idx", "cifar10"])
+def test_a_byte_dataset_decodes_into_one_float32_copy(tmp_path, fmt):
+    # loading a uint8 file and taking certify's default test split holds the file's bytes and
+    # one float32 copy of the images at most; the pixels are the bits u8 / 255 had in float32
+    rng = np.random.default_rng(0)
+    u8 = rng.integers(0, 256, (256, 32, 32, 3), dtype=np.uint8)
+    u8.flat[:256] = np.arange(256)  # every byte value
+    labels = rng.integers(0, 10, len(u8), dtype=np.uint8)
+    if fmt == "idx":
+        (tmp_path / "x.idx").write_bytes(_idx_ubyte(u8))
+        (tmp_path / "y.idx").write_bytes(_idx_ubyte(labels))
+        o = {"data_format": "idx", "data": str(tmp_path / "x.idx"),
+             "labels": str(tmp_path / "y.idx")}
+    else:
+        planes = u8.transpose(0, 3, 1, 2).reshape(len(u8), -1)
+        (tmp_path / "x.bin").write_bytes(np.column_stack([labels, planes]).tobytes())
+        o = {"data_format": "cifar10", "data": str(tmp_path / "x.bin")}
+    file_bytes = sum(path.stat().st_size for path in tmp_path.iterdir())
+    tracemalloc.start()
+    try:
+        data = cli._load_dataset(o, seed=0)
+        test = data.subset("test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.05 * (file_bytes + 4 * u8.size)
+    assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
+    assert test is data
+    want = u8.astype(np.float32) / 255.0
+    assert data.images.dtype == np.float32 and data.images.tobytes() == want.tobytes()
+    assert data.labels.tolist() == labels.tolist()
 
 
 def test_train_splits_a_file_without_splits_deterministically(files, monkeypatch, capsys):
