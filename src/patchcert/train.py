@@ -1,11 +1,13 @@
 """Training on randomly ablated images, plus the synthetic stripe task.
 
-Each epoch applies one uniformly random ablation to every training
-image and updates once per batch with momentum SGD:
+Each epoch checks every pixel, then draws one uniformly random anchor of
+the stride-1 set AblationSpec(kind, b_train) for every training image
+and updates once per batch with momentum SGD:
 v <- momentum*v + g + weight_decay*theta, theta -= lr*v, where g is the
-batch mean gradient. One ``loss_and_gradients`` call per batch runs the
-batch's reduced-token ablations as stacks of equal token count, and
-returns the same bits as summing per-ablation gradients in batch order.
+batch mean gradient. One ``loss_and_gradients`` call per batch gathers
+the ablations' cells from the stack plan certification reads, runs them
+as stacks of equal token count, and returns the same bits as summing
+per-ablation gradients in batch order.
 Training steps are single-threaded, and runs are bit-deterministic for a
 given seed; validation classifies through per_ablation_predictions, whose
 stacks may overlap on a thread pool with the same bits.
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import KINDS, AblationSpec, block_ablation, column_ablation
+# column_ablation and block_ablation are unused here, but certbench's traced run
+# wraps them under the names train.column_ablation and train.block_ablation.
+from .ablation import AblationSpec, block_ablation, column_ablation, validate_image  # noqa: F401
 from .errors import DivergenceError, NonFiniteError, ParameterError
 from .vit import Model, loss_and_gradients, per_ablation_predictions
 
@@ -52,16 +56,18 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.b_train, self.patience) < 1:
-            raise ParameterError("epochs, batch size, b_train and patience must be positive")
+        AblationSpec(self.kind, self.b_train)  # a known kind and an integer b_train >= 1
+        counts = (self.epochs, self.batch_size, self.patience)
+        if not all(type(v) is int for v in (*counts, self.seed)):  # not a bool, not a float
+            raise ParameterError(f"epochs, batch size, patience and seed must be integers: {self}")
+        if min(counts) < 1 or self.seed < 0:
+            raise ParameterError(f"epochs, batch size and patience must be >= 1, seed >= 0: {self}")
         if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
             raise ParameterError(
                 f"lr and weight decay must be finite and nonnegative, got {self.lr} and "
                 f"{self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown ablation kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -148,31 +154,30 @@ class OptState:
         )
 
 
-def _random_ablation(x: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
-    h, w = x.shape[0], x.shape[1]
-    if cfg.kind == "column":
-        return column_ablation(x, int(rng.integers(0, w)), cfg.b_train)
-    return block_ablation(x, int(rng.integers(0, h)), int(rng.integers(0, w)), cfg.b_train)
-
-
 @np.errstate(all="ignore")  # no raw warning: a non-finite loss raises DivergenceError
 def train_epoch(model: Model, data: LabeledDataset, cfg: TrainConfig, state: OptState | None = None):
     """One pass over the data with fresh random ablations, one gradient call per batch.
 
     Updates model.params in place and returns (model, epoch_loss, state),
-    where epoch_loss is the mean per-sample loss. A batch whose loss is
+    where epoch_loss is the mean per-sample loss. A pixel outside [0, 1]
+    raises ParameterError before the first step; a batch whose loss is
     not finite raises DivergenceError.
     """
+    # the images stacked as one tall image: one scan of every pixel before any step
+    validate_image(data.images.reshape(-1, *data.images.shape[2:]))
     if state is None:
         state = OptState.fresh(model, cfg)
     rng = state.rng
     order = rng.permutation(len(data))
+    spec = AblationSpec(cfg.kind, cfg.b_train)
+    # a draw per sample and axis of the anchors, row-major (top, left) or a column's start
+    grid = data.images.shape[2:3] if cfg.kind == "column" else data.images.shape[1:3]
     total_loss = 0.0
     for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
-        ablations = [_random_ablation(data.images[i], cfg, rng) for i in idx]
+        anchors = np.ravel_multi_index(rng.integers(0, grid, size=(len(idx), len(grid))).T, grid)
         batch_loss, grads = loss_and_gradients(
-            ablations, data.labels[idx].tolist(), model.params, model.cfg)
+            data.images[idx], spec, anchors, data.labels[idx], model.params, model.cfg)
         if not np.isfinite(batch_loss):
             raise DivergenceError(
                 f"non-finite loss in batch {batch_index}", batch_index=batch_index

@@ -5,10 +5,11 @@ patch tokens plus a class token, whose final state is the readout:
 attention sees exactly the tokens present, so grid cells whose entire
 p*p region is masked can be removed before the encoder without changing
 what the surviving tokens compute. The one production forward shrinks
-the token sequence physically. masked_attention_oracle_forward is a
-separate float64 reference: it runs the full grid with the masked
-cells blocked as attention keys, and shares no arithmetic with the
-production forward.
+the token sequence physically; certification and training both cut
+each ablation's surviving cells from one cached plan of its set
+(_stack_plan). masked_attention_oracle_forward is a separate float64
+reference: it runs the full grid with the masked cells blocked as
+attention keys, and shares no arithmetic with the production forward.
 
 Parameters live in a flat name->array dict (float32) whose insertion
 order doubles as the checkpoint manifest order.
@@ -190,36 +191,24 @@ class Model:
         return Model(cfg=self.cfg, params={k: v.copy() for k, v in self.params.items()})
 
 
-def _check_shape(z_m: AblatedImage, cfg: ViTConfig) -> None:
+def _patch_matrix(pixels: np.ndarray, cfg: ViTConfig) -> np.ndarray:
+    """Grid patches, row-major, of one image or a stack of them: (images*grid_tokens, p*p*c)."""
+    gh, gw, p, c = cfg.grid_h, cfg.grid_w, cfg.p, cfg.c
+    blocks = pixels.reshape(-1, gh, p, gw, p, c).transpose(0, 1, 3, 2, 4, 5)
+    return np.ascontiguousarray(blocks.reshape(-1, p * p * c))
+
+
+def _surviving_cells(z_m: AblatedImage, cfg: ViTConfig) -> np.ndarray:
+    """Boolean (grid_tokens,): the cells of one ablation whose p*p block keeps a pixel."""
     if z_m.pixels.shape != (cfg.h, cfg.w, cfg.c):
-        raise DimensionError(
-            f"ablated image shape {z_m.pixels.shape} does not match config "
-            f"({cfg.h}, {cfg.w}, {cfg.c})"
-        )
+        raise DimensionError(f"ablated image shape {z_m.pixels.shape} does not match config "
+                             f"({cfg.h}, {cfg.w}, {cfg.c})")
     if z_m.mask.shape != (cfg.h, cfg.w):
         raise DimensionError(f"mask shape {z_m.mask.shape} != ({cfg.h}, {cfg.w})")
-
-
-def _patch_matrix(pixels: np.ndarray, cfg: ViTConfig) -> np.ndarray:
-    """All grid patches flattened row-major: (grid_tokens, p*p*c)."""
-    gh, gw, p, c = cfg.grid_h, cfg.grid_w, cfg.p, cfg.c
-    blocks = pixels.reshape(gh, p, gw, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(blocks.reshape(gh * gw, p * p * c))
-
-
-def _surviving_cells(mask: np.ndarray, cfg: ViTConfig) -> np.ndarray:
-    """Boolean (grid_h, grid_w): cells whose p*p block keeps any pixel."""
-    gh, gw, p = cfg.grid_h, cfg.grid_w, cfg.p
-    return mask.reshape(gh, p, gw, p).any(axis=(1, 3))
-
-
-def _reduced_cells(z_m: AblatedImage, cfg: ViTConfig):
-    """Patch rows and grid indices of the cells of one ablation that keep a pixel."""
-    _check_shape(z_m, cfg)
-    grid_idx = np.nonzero(_surviving_cells(z_m.mask, cfg).ravel())[0]
-    if grid_idx.size == 0:
+    alive = z_m.mask.reshape(cfg.grid_h, cfg.p, cfg.grid_w, cfg.p).any(axis=(1, 3)).ravel()
+    if not alive.any():
         raise InputError("ablation masks every token; nothing to classify")
-    return _patch_matrix(z_m.pixels, cfg)[grid_idx], grid_idx
+    return alive
 
 
 def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
@@ -339,7 +328,8 @@ def _weight_product(x, w, per_set):
 
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
     """Reduced-token logits of one ablation, for certbench's logit gate and the tests."""
-    patches, grid_idx = _reduced_cells(z_m, cfg)
+    grid_idx = np.nonzero(_surviving_cells(z_m, cfg))[0]
+    patches = _patch_matrix(z_m.pixels, cfg)[grid_idx]
     return _encoder_core(_embed(patches[None], grid_idx[None], params, cfg), params, cfg)[0]
 
 
@@ -371,11 +361,7 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
     numpy ops and the layer norm and tanh GELU written out: nothing but
     the parameter layout is shared with _encoder_core.
     """
-    _check_shape(z_m, cfg)
-    # the class token, then the grid cells
-    keys = np.concatenate([[True], _surviving_cells(z_m.mask, cfg).ravel()])
-    if not keys[1:].any():
-        raise InputError("ablation masks every token; nothing to classify")
+    keys = np.concatenate([[True], _surviving_cells(z_m, cfg)])  # the class token, then the grid
     p64 = {name: np.asarray(params[name], dtype=np.float64) for name in _param_table(cfg)}
 
     def norm(x, gamma, beta):
@@ -404,7 +390,7 @@ def masked_attention_oracle_forward(z_m: AblatedImage, params: dict, cfg: ViTCon
 
 @dataclass(frozen=True)
 class _Stack:
-    """One stacked forward of per_ablation_predictions: B ablations of n cells each."""
+    """B ablations of n cells each: a stacked forward, or a training group of them."""
 
     ids: np.ndarray  # (B,) anchor indices
     grid_idx: np.ndarray  # (B, n) grid cells the ablations keep
@@ -414,9 +400,11 @@ class _Stack:
 
 @dataclass(frozen=True)
 class _StackPlan:
-    """The image-independent half of per_ablation_predictions for one (cfg, spec)."""
+    """The image-independent half of per_ablation_predictions and loss_and_gradients."""
 
-    size: int  # ablations in the set
+    counts: np.ndarray  # (size,) cells each ablation keeps, in anchor order
+    alive: np.ndarray  # (size, grid_tokens) the cells each ablation keeps
+    q_cols: int  # column intervals: ablation j keeps row interval j // q_cols, column j % q_cols
     stacks: tuple  # of _Stack, grouped by token count, then in anchor order
     row_masks: np.ndarray  # (q_rows*grid_h, p) 0/1: the pixel rows a row interval keeps of a cell row
     col_masks: np.ndarray  # (q_cols*grid_w, p*c) 0/1: the same for pixel columns, at pixel-row width
@@ -426,6 +414,15 @@ class _StackPlan:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _stack(ids: np.ndarray, alive: np.ndarray, q_cols: int, column: bool, cfg: ViTConfig) -> _Stack:
+    """The stack of ablations ids (repeats allowed), which keep equally many cells."""
+    grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, -1)
+    # a column set keeps every pixel row, and x*1 is x bitwise
+    row_key = None if column else (ids[:, None] // q_cols) * cfg.grid_h + grid_idx // cfg.grid_w
+    col_key = (ids[:, None] % q_cols) * cfg.grid_w + grid_idx % cfg.grid_w
+    return _Stack(*(a if a is None else _read_only(a) for a in (ids, grid_idx, row_key, col_key)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -449,19 +446,24 @@ def _stack_plan(cfg: ViTConfig, spec: AblationSpec, budget: int) -> _StackPlan:
         stack = max(1, budget // (n + 1))  # n cells plus the class token
         for start in range(0, members.size, stack):
             ids = members[start : start + stack]
-            grid_idx = np.nonzero(alive[ids])[1].reshape(ids.size, n)
-            # a column set keeps every pixel row, and x*1 is x bitwise
-            row_key = None if spec.kind == "column" else (ids[:, None] // q_cols) * gh + grid_idx // gw
-            col_key = (ids[:, None] % q_cols) * gw + grid_idx % gw
-            stacks.append(_Stack(*(a if a is None else _read_only(a)
-                                   for a in (ids, grid_idx, row_key, col_key))))
+            stacks.append(_stack(ids, alive, q_cols, spec.kind == "column", cfg))
     row_masks = row_cells.reshape(-1, p).astype(np.float32)
     col_masks = np.repeat(col_cells.reshape(-1, p), cfg.c, axis=1).astype(np.float32)
     # per set and layer: 12*(n+1)*d*d weight MACs (QKV, out-projection, MLP)
     # against 2*heads Python-level attention products
     macs_per_call = 6 * float(counts.mean() + 1) * cfg.d * cfg.d / cfg.heads
-    return _StackPlan(len(alive), tuple(stacks), _read_only(row_masks), _read_only(col_masks),
-                      macs_per_call)
+    return _StackPlan(_read_only(counts), _read_only(alive), q_cols, tuple(stacks),
+                      _read_only(row_masks), _read_only(col_masks), macs_per_call)
+
+
+def _ablated_cells(patches: np.ndarray, at: np.ndarray, stack: _Stack, plan: _StackPlan):
+    """The ablated pixels (B, n, p*p*c) of stack's cells, rows at (B, n) of patches (N, p, p*c);
+    0/1 masks in the pixels' dtype make (x*r)*c bitwise x*(r and c), negative zeros included."""
+    cells = patches[at]
+    if stack.row_key is not None:
+        cells *= plan.row_masks[stack.row_key].astype(cells.dtype, copy=False)[..., None]
+    cells *= plan.col_masks[stack.col_key].astype(cells.dtype, copy=False)[:, :, None]
+    return cells.reshape(*at.shape, -1)
 
 
 @functools.cache
@@ -532,16 +534,10 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
     patches = _patch_matrix(x, cfg).reshape(cfg.grid_tokens, cfg.p, cfg.p * cfg.c)
 
     def classify(stack: _Stack) -> np.ndarray:
-        # 0/1 masks in the pixels' dtype. Pixels are finite and >= 0, so
-        # (x*r)*c is bitwise x*(r and c), negative zeros included.
-        cells = patches[stack.grid_idx]
-        if stack.row_key is not None:
-            cells *= plan.row_masks[stack.row_key].astype(x.dtype, copy=False)[..., None]
-        cells *= plan.col_masks[stack.col_key].astype(x.dtype, copy=False)[:, :, None]
-        return process_ablation(cells.reshape(stack.ids.size, stack.grid_idx.shape[1], -1),
-                                stack.grid_idx, params, cfg)
+        cells = _ablated_cells(patches, stack.grid_idx, stack, plan)
+        return process_ablation(cells, stack.grid_idx, params, cfg)
 
-    preds = np.empty(plan.size, dtype=np.int64)
+    preds = np.empty(plan.counts.size, dtype=np.int64)
     for stack, classes in zip(plan.stacks, _run_each(classify, plan.stacks, _stack_pool(plan))):
         preds[stack.ids] = classes
     return preds
@@ -553,13 +549,15 @@ def smoothed_vit_forward(x, spec: AblationSpec, params: dict, cfg: ViTConfig):
     return smoothed_predict(votes), votes
 
 
-def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
+def loss_and_gradients(images, spec: AblationSpec, anchors, labels, params: dict, cfg: ViTConfig):
     """Summed cross-entropy loss of a batch of ablations and its summed exact gradients.
 
-    Returns (loss_sum, grads) where grads holds one fresh array per
-    parameter, in parameter order; pos_embed rows of dropped tokens
-    receive zero gradient. Both sums run in batch order from +0, over
-    per-ablation values that are bitwise those of a batch of one.
+    Sample i is ablation anchors[i] (an index into spec's set, in anchor
+    order) of images[i], cut from the cached ``_stack_plan`` as in
+    per_ablation_predictions. Returns (loss_sum, grads) where grads holds
+    one fresh array per parameter, in parameter order; pos_embed rows of
+    dropped tokens receive zero gradient. Both sums run in batch order
+    from +0, over per-ablation values that are bitwise those of a batch of one.
     Ablations with equal token counts share one recorded forward, one
     nx.cross_entropy call and one backward, whose every product runs per
     ablation (the recorded attention too, stacked over sets and heads).
@@ -567,23 +565,29 @@ def loss_and_gradients(ablations, labels, params: dict, cfg: ViTConfig):
     per-ablation gradients are alive at a time, and each parameter's
     batch sum adds those rows in place into one zero-filled array.
     """
-    if len(ablations) != len(labels) or not ablations:
-        raise ParameterError(
-            f"need equally many ablations and labels, got {len(ablations)} and {len(labels)}")
-    cells = [_reduced_cells(z_m, cfg) for z_m in ablations]
+    images, anchors, labels = np.asarray(images), np.asarray(anchors), np.asarray(labels)
+    if not len(images) == len(anchors) == len(labels) > 0:
+        raise ParameterError("need equally many images, anchors and labels, at least one each")
+    if images.shape[1:] != (cfg.h, cfg.w, cfg.c):
+        raise DimensionError(f"images {images.shape} do not match config {cfg.h, cfg.w, cfg.c}")
+    plan = _stack_plan(cfg, spec, ROW_BUDGET)
+    if not 0 <= anchors.min() <= anchors.max() < plan.counts.size:
+        raise ParameterError(f"anchors outside [0, {plan.counts.size})")
+    patches = _patch_matrix(images, cfg).reshape(-1, cfg.p, cfg.p * cfg.c)  # image after image
     by_count: dict[int, list[int]] = {}
-    for i, (_, grid_idx) in enumerate(cells):
-        by_count.setdefault(grid_idx.size, []).append(i)
+    for i, n in enumerate(plan.counts[anchors].tolist()):
+        by_count.setdefault(n, []).append(i)
     groups = list(by_count.values())
-    losses = np.empty(len(ablations))  # float64 holds each float32 loss exactly
+    losses = np.empty(len(images))  # float64 holds each float32 loss exactly
     streams = []
     for ids in groups:
-        patches = np.stack([cells[i][0] for i in ids])
-        grid_idx = np.stack([cells[i][1] for i in ids])
-        x = _embed(patches, grid_idx, params, cfg, record=True)
+        stack = _stack(anchors[ids], plan.alive, plan.q_cols, spec.kind == "column", cfg)
+        at = np.array(ids)[:, None] * cfg.grid_tokens + stack.grid_idx  # sample i's cells
+        cells = _ablated_cells(patches, at, stack, plan)
+        x = _embed(cells, stack.grid_idx, params, cfg, record=True)
         logits, ctx = _encoder_core(x, params, cfg, record=True)
-        losses[ids], dlogits = nx.cross_entropy(logits, [labels[i] for i in ids])
-        streams.append(_set_gradients(patches, grid_idx, dlogits, ctx, params, cfg))
+        losses[ids], dlogits = nx.cross_entropy(logits, labels[ids])
+        streams.append(_set_gradients(cells, stack.grid_idx, dlogits, ctx, params, cfg))
     loss_sum = 0.0  # Python floats in batch order: sum() compensates from 3.12, np.sum pairs
     for loss in losses.tolist():
         loss_sum += loss

@@ -1,7 +1,8 @@
 """Test-only reference implementations: a triple-loop matmul, a per-head
 attention product loop, the per-row cross-entropy pair, a central
-finite-difference gradient and a pixel-space patch search; and a switch
-that puts every smoothing pass on the stack pool."""
+finite-difference gradient, the pixel-space ablation and its reduced
+cells, and a pixel-space patch search; and a switch that puts every
+smoothing pass on the stack pool."""
 
 import contextlib
 from unittest import mock
@@ -92,6 +93,21 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def pixel_ablation(x: np.ndarray, spec, anchor: int):
+    """Ablation anchor (an index into spec's set, in anchor order) of x, built in pixel space."""
+    (z,) = ablation_set(x, spec, [ablation_anchors(x.shape[0], x.shape[1], spec)[anchor]])
+    return z
+
+
+def ablated_cells_reference(z, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel path's reduced cells of one ablation z: the patch rows (n, p*p*c)
+    of the cells whose p*p block keeps a pixel of z.mask, and their grid indices (n,)."""
+    gh, gw, p = cfg.grid_h, cfg.grid_w, cfg.p
+    grid_idx = np.nonzero(z.mask.reshape(gh, p, gw, p).any(axis=(1, 3)).ravel())[0]
+    patches = z.pixels.reshape(gh, p, gw, p, cfg.c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, -1)
+    return patches[grid_idx], grid_idx
 
 
 def strongest_patches(x: np.ndarray, spec, model, m: int, rng, restarts: int = 3) -> list:

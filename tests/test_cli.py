@@ -188,6 +188,7 @@ CASES = [
     # NaN pixels are outside [0, 1]: 3
     (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "nan.idx",
       "--labels", "labels.idx"], 3),
+    (["train", "--data-format", "idx", "--data", "nan.idx", "--labels", "labels.idx"], 3),
     # an empty integer list: 3
     (["certify", "--ckpt", "good.svit", "--patch-sizes", ","], 3),
     (["certify", "--ckpt", "good.svit", "--config", "sizes_empty.json"], 3),
@@ -340,6 +341,7 @@ NAMED = {
     "ablate --data-format idx --data two_channel.idx --labels labels.idx":
         "bad image dimensions (16, 16, 2); channels must be 1 or 3",
     "train --stripe-n 6 --epochs 1": "fit needs nonempty train and val splits",
+    "train --data-format idx --data nan.idx --labels labels.idx": "pixel values must lie in [0, 1]",
 }
 
 

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from patchcert import vit
-from patchcert.ablation import (AblatedImage, AblationSpec, ablation_set, block_ablation,
-                                column_ablation)
+from patchcert import ablation, vit
+from patchcert.ablation import (AblatedImage, AblationSpec, ablation_anchors, ablation_set,
+                                block_ablation, column_ablation)
 from patchcert.bench import CostModel, smoothing_cost
 from patchcert import cli, train
 from patchcert import numerics as nx
@@ -36,7 +36,8 @@ from patchcert.vit import (
     per_ablation_predictions,
     save_checkpoint,
 )
-from references import finite_difference_gradient, forced_stack_pool, matmul_per_head
+from references import (ablated_cells_reference, finite_difference_gradient, forced_stack_pool,
+                        matmul_per_head, pixel_ablation)
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
@@ -120,10 +121,47 @@ def test_engine_cells_equal_the_ablated_cells_bytewise(case, budget, zeros, pool
     ablations = ablation_set(x, spec)
     assert sorted(position) == list(range(len(ablations)))
     for z, at in zip(ablations, position):
-        want, want_idx = vit._reduced_cells(z, cfg)
+        want, want_idx = ablated_cells_reference(z, cfg)
         got, got_idx = handed[at]
         assert got_idx.tolist() == want_idx.tolist()
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [ViTConfig(h=8, w=12, c=3, p=4, d=4, heads=1, layers=1, k=2),
+                                 ViTConfig(h=9, w=6, c=1, p=3, d=4, heads=1, layers=1, k=2)],
+                         ids=["c3", "c1"])
+@pytest.mark.parametrize("kind", ["column", "block"])
+def test_training_cells_equal_the_pixel_path_bytewise(monkeypatch, cfg, kind):
+    # every anchor of the stride-1 set, for b from a single pixel to the whole image
+    # (wrapped and single-cell ablations among them): the cells and grid indices a
+    # training batch hands the encoder are the pixel ablation's, negative zeros included
+    embed, handed = vit._embed, []
+
+    def capture(patches, grid_idx, params, cfg, record=False):
+        handed.append((patches.copy(), grid_idx.copy()))
+        return embed(patches, grid_idx, params, cfg, record)
+
+    monkeypatch.setattr(vit, "_embed", capture)
+    params = Model.init(cfg, seed=0).params
+    rng = np.random.default_rng(cfg.c)
+    for b in sorted({1, 2, cfg.p + 1, cfg.w if kind == "column" else min(cfg.h, cfg.w)}):
+        spec = AblationSpec(kind, b)
+        size = len(ablation_anchors(cfg.h, cfg.w, spec))
+        images = rng.uniform(size=(size, cfg.h, cfg.w, cfg.c)).astype(np.float32)
+        images[rng.uniform(size=images.shape) < 0.2] = 0.0
+        images[rng.uniform(size=images.shape) < 0.2] = -0.0
+        anchors = rng.permutation(size)
+        handed.clear()
+        loss_and_gradients(images, spec, anchors, np.zeros(size, np.int64), params, cfg)
+        want = {}  # the pixel path's cells, one group per token count, in batch order
+        for x, anchor in zip(images, anchors):
+            cells, grid_idx = ablated_cells_reference(pixel_ablation(x, spec, anchor), cfg)
+            want.setdefault(grid_idx.size, []).append((cells, grid_idx))
+        assert len(handed) == len(want)
+        for (got, got_idx), group in zip(handed, want.values()):
+            assert got_idx.tolist() == [grid_idx.tolist() for _, grid_idx in group]
+            want_cells = np.stack([cells for cells, _ in group])
+            assert got.dtype == want_cells.dtype and got.tobytes() == want_cells.tobytes()
 
 
 def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
@@ -267,7 +305,7 @@ def test_the_stack_plan_is_built_once_and_read_only(spec):
     plan = vit._stack_plan(cfg, spec, 7)
     assert vit._stack_plan(ViTConfig(**vars(cfg)), AblationSpec(**spec.to_dict()), 7) is plan
     ids = np.concatenate([stack.ids for stack in plan.stacks])
-    assert sorted(ids.tolist()) == list(range(plan.size))
+    assert sorted(ids.tolist()) == list(range(plan.counts.size))
     for stack in plan.stacks:
         assert (stack.row_key is None) == (spec.kind == "column")
         n = stack.grid_idx.shape[1]
@@ -276,7 +314,7 @@ def test_the_stack_plan_is_built_once_and_read_only(spec):
             if a is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     a.flat[0] = 0
-    for a in (plan.row_masks, plan.col_masks):
+    for a in (plan.counts, plan.alive, plan.row_masks, plan.col_masks):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
     hits = vit._stack_plan.cache_info().hits
@@ -346,8 +384,8 @@ def _cost_case(draw):
 def test_cost_tokens_are_the_surviving_cells_of_every_ablation(case):
     # the reference: each ablation_set mask's cells that keep a pixel, plus the class token
     cfg, spec = case
-    masks = [z.mask for z in ablation_set(np.zeros((cfg.h, cfg.w, 1), np.float32), spec)]
-    want = [int(vit._surviving_cells(mask, cfg).sum()) + 1 for mask in masks]
+    ablations = ablation_set(np.zeros((cfg.h, cfg.w, 1), np.float32), spec)
+    want = [int(vit._surviving_cells(z, cfg).sum()) + 1 for z in ablations]
     cost = smoothing_cost(cfg, spec)
     assert cost["tokens"] == want
     model = CostModel.for_config(cfg)
@@ -360,13 +398,13 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     for k, v in params.items():  # move off the initial zeros and ones
         v += rng.normal(0.0, 0.3, size=v.shape)
-    z = ablation_set(_image(cfg, 2), AblationSpec("column", 3))[4]  # two of four cells survive
+    x, spec = _image(cfg, 2), AblationSpec("column", 3)  # ablation 4 keeps two of four cells
     label = 1
-    _, grads = loss_and_gradients([z], [label], params, cfg)
+    _, grads = loss_and_gradients([x], spec, [4], [label], params, cfg)
     for name, value in params.items():
 
         def loss_at(theta, name=name):
-            return loss_and_gradients([z], [label], dict(params, **{name: theta}), cfg)[0]
+            return loss_and_gradients([x], spec, [4], [label], dict(params, **{name: theta}), cfg)[0]
 
         numeric = finite_difference_gradient(loss_at, value, h=1e-5)
         np.testing.assert_allclose(grads[name], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
@@ -608,6 +646,12 @@ def test_recorded_attention_equals_the_per_head_loop(grid, heads, dh, layers, bs
     _assert_same_bytes(logits, want)
 
 
+# (spec, anchor) of three ablations of a 16x16 image with p=4, which keep 8, 1 and 4
+# cells: the column b=4 from 2, the block b=4 at (0, 0) and the block b=5 at (1, 1)
+_THREE_COUNTS = [(AblationSpec("column", 4), 2), (AblationSpec("block", 4), 0),
+                 (AblationSpec("block", 5), 1 * 16 + 1)]
+
+
 def test_only_inference_attention_runs_through_nx_matmul(monkeypatch):
     # certbench stages forward MACs from nx.matmul: a product whose right operand is a
     # parameter array is a weight product, any other is attention
@@ -625,8 +669,8 @@ def test_only_inference_attention_runs_through_nx_matmul(monkeypatch):
     def is_param(b):
         return any(b is w for w in params.values())
 
-    ablations = [column_ablation(x, 2, 4), block_ablation(x, 0, 0, 4), block_ablation(x, 1, 1, 5)]
-    loss_and_gradients(ablations, [0, 1, 2], params, cfg)
+    for label, (spec, anchor) in enumerate(_THREE_COUNTS):
+        loss_and_gradients([x], spec, [anchor], [label], params, cfg)
     assert calls and all(is_param(b) for _, b in calls)
 
     calls.clear()
@@ -658,9 +702,8 @@ def test_training_weight_products_take_the_parameters_themselves(monkeypatch):
         return stacked(a, b)
 
     monkeypatch.setattr(nx, "matmul_stacked", spying)
-    # survivors 8, 1 and 4 cells: three recorded stacks
-    ablations = [column_ablation(x, 2, 4), block_ablation(x, 0, 0, 4), block_ablation(x, 1, 1, 5)]
-    loss_and_gradients(ablations, [0, 1, 2], params, cfg)
+    for label, (spec, anchor) in enumerate(_THREE_COUNTS):  # three recorded stacks
+        loss_and_gradients([x], spec, [anchor], [label], params, cfg)
     layer_weights = [f"layers.{i}.{w}" for i in range(cfg.layers)
                      for w in ("mlp.w2", "mlp.w1", "attn.wo", "attn.wq", "attn.wk", "attn.wv")]
     assert sorted(plain) == sorted(["patch_embed.weight", "head.weight"] * 3)
@@ -686,7 +729,7 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
     """The per-head backward loss_and_gradients replaced: one head at a time,
     every gradient accumulated into a zero-filled dict. (Layer norm's
     equality with its ndarray.mean formulation is checked in test_numerics.)"""
-    patches, grid_idx = vit._reduced_cells(z_m, cfg)
+    patches, grid_idx = ablated_cells_reference(z_m, cfg)
     x = vit._embed(patches[None], grid_idx[None], params, cfg)
     logits, ctx = vit._encoder_core(x, params, cfg, record=True)
     (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
@@ -755,15 +798,16 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
     params = Model.init(cfg, seed=heads).params
     x = _image(cfg, heads)
     h, w = cfg.h, cfg.w
-    ablations = [  # an unwrapped and a wrapped ablation of each kind
-        column_ablation(x, 3, b_col), column_ablation(x, w - 2, b_col),
-        block_ablation(x, 5, 1, b_block), block_ablation(x, h - 3, w - b_block // 2, b_block),
+    column, block = AblationSpec("column", b_col), AblationSpec("block", b_block)
+    samples = [  # an unwrapped and a wrapped ablation of each kind; a block anchor is top * w + left
+        (column, 3), (column, w - 2), (block, 5 * w + 1), (block, (h - 3) * w + w - b_block // 2),
     ]
-    for j, z in enumerate(ablations):
+    for j, (spec, anchor) in enumerate(samples):
         with count_macs() as macs:
-            loss, grads = loss_and_gradients([z], [j], params, cfg)
+            loss, grads = loss_and_gradients([x], spec, [anchor], [j], params, cfg)
         with count_macs() as ref_macs:
-            ref_loss, ref = _reference_loss_and_gradients(z, j, params, cfg)
+            ref_loss, ref = _reference_loss_and_gradients(pixel_ablation(x, spec, anchor), j, params,
+                                                          cfg)
         assert macs.total == ref_macs.total
         assert loss == ref_loss
         assert list(grads) == list(params)
@@ -777,7 +821,7 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
 def _per_sample_loss_and_gradients(z_m, label, params, cfg):
     """The per-ablation loss_and_gradients the batched step replaced: one
     recorded set, all heads at once, 2-D products for every weight."""
-    patches, grid_idx = vit._reduced_cells(z_m, cfg)
+    patches, grid_idx = ablated_cells_reference(z_m, cfg)
     x = vit._embed(patches[None], grid_idx[None], params, cfg)
     logits, ctx = vit._encoder_core(x, params, cfg, record=True)
     (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
@@ -833,10 +877,12 @@ def _per_sample_loss_and_gradients(z_m, label, params, cfg):
     return loss, grads
 
 
-def _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg):
-    """loss_and_gradients over a batch vs the per-sample path summed with acc += g."""
+def _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, cfg):
+    """loss_and_gradients over a batch vs the per-sample path on pixel ablations, summed
+    with acc += g."""
     with count_macs() as macs:
-        loss, grads = loss_and_gradients(ablations, labels, params, cfg)
+        loss, grads = loss_and_gradients(images, spec, anchors, labels, params, cfg)
+    ablations = [pixel_ablation(x, spec, anchor) for x, anchor in zip(images, anchors)]
     with count_macs() as ref_macs:
         ref_loss = 0.0
         ref = {k: np.zeros_like(v) for k, v in params.items()}
@@ -858,23 +904,32 @@ def _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg):
 def test_batched_step_equals_the_per_sample_sum():
     cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=2, k=5)
     params = Model.init(cfg, seed=11).params
-    x = _image(cfg, 11)
-    ablations = [  # survivors: cells of each ablation
-        column_ablation(x, 2, 4),  # 8: straddles two cell columns
-        block_ablation(x, 0, 0, 4),  # 1: one cell, aligned
-        column_ablation(x, 14, 4),  # 8: wrapped
-        block_ablation(x, 5, 6, 1),  # 1: one cell, one pixel
-        column_ablation(x, 4, 4),  # 4: one cell column
-        block_ablation(x, 14, 14, 4),  # 4: wrapped into all four corners
-        block_ablation(x, 2, 3, 8),  # 9
-        column_ablation(x, 0, 16),  # 16: nothing dropped
-        block_ablation(x, 1, 1, 5),  # 4
-    ]
-    labels = [j % cfg.k for j in range(len(ablations))]
-    _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg)
-    for z, label in zip(ablations, labels):  # batches of one
-        _assert_batch_equals_per_sample_sum([z], [label], params, cfg)
-    _assert_batch_equals_per_sample_sum(ablations[1::2], labels[1::2], params, cfg)
+    batches = {  # one call per spec; anchors, and the cells each ablation keeps
+        AblationSpec("column", 4): [
+            2,  # 8: straddles two cell columns
+            14,  # 8: wrapped
+            4,  # 4: one cell column
+        ],
+        AblationSpec("block", 4): [  # a block anchor is top * 16 + left
+            0,  # 1: one cell, aligned
+            14 * 16 + 14,  # 4: wrapped into all four corners
+            2,  # 2: one cell row, two cell columns
+            5 * 16 + 6,  # 4
+        ],
+        AblationSpec("block", 1): [5 * 16 + 6],  # 1: one cell, one pixel
+        AblationSpec("block", 8): [2 * 16 + 3, 0],  # 9, and 4
+        AblationSpec("column", 16): [0, 7],  # 16: nothing dropped
+        AblationSpec("block", 5): [1 * 16 + 1],  # 4
+    }
+    for seed, (spec, anchors) in enumerate(batches.items()):
+        images = [_image(cfg, 11 + 10 * seed + i) for i in range(len(anchors))]
+        labels = [j % cfg.k for j in range(len(anchors))]
+        _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, cfg)
+        for x, anchor, label in zip(images, anchors, labels):  # batches of one
+            _assert_batch_equals_per_sample_sum([x], spec, [anchor], [label], params, cfg)
+        if len(anchors) > 2:
+            _assert_batch_equals_per_sample_sum(images[1::2], spec, anchors[1::2], labels[1::2],
+                                                params, cfg)
 
 
 def test_batched_step_equals_the_per_sample_sum_at_the_cifar_recipe():
@@ -882,10 +937,9 @@ def test_batched_step_equals_the_per_sample_sum_at_the_cifar_recipe():
     cfg = ViTConfig(heads=4, **dict(_CIFAR, k=4))
     params = Model.init(cfg, seed=12).params
     data = make_stripe_dataset(32, cfg.h, cfg.w, cfg.k, 0.45, seed=12, channels=cfg.c)
-    tcfg = TrainConfig(batch_size=32, b_train=4, kind="column", seed=12)
-    rng = np.random.default_rng(12)
-    ablations = [train._random_ablation(x, tcfg, rng) for x in data.images]
-    _assert_batch_equals_per_sample_sum(ablations, data.labels.tolist(), params, cfg)
+    anchors = np.random.default_rng(12).integers(0, cfg.w, size=32)
+    _assert_batch_equals_per_sample_sum(data.images, AblationSpec("column", 4), anchors,
+                                        data.labels.tolist(), params, cfg)
 
 
 def test_batched_step_sums_from_positive_zero(monkeypatch):
@@ -899,8 +953,8 @@ def test_batched_step_sums_from_positive_zero(monkeypatch):
             yield name, np.full_like(stack, -0.0) if name == "head.bias" else stack
 
     monkeypatch.setattr(vit, "_set_gradients", negative_zero_bias)
-    z = column_ablation(_image(cfg, 13), 0, 3)
-    _, grads = loss_and_gradients([z, z], [1, 1], params, cfg)
+    x = _image(cfg, 13)
+    _, grads = loss_and_gradients([x, x], AblationSpec("column", 3), [0, 0], [1, 1], params, cfg)
     acc = np.zeros_like(params["head.bias"])
     acc += np.full_like(acc, -0.0)
     acc += np.full_like(acc, -0.0)
@@ -914,28 +968,30 @@ def test_batched_step_sums_from_positive_zero(monkeypatch):
 def test_batched_step_equals_the_per_sample_sum_on_random_batches(case, batch):
     cfg, spec, seed = case
     params = Model.init(cfg, seed=seed).params
-    family = ablation_set(_image(cfg, seed), spec)
-    assume(family)
+    size = len(ablation_anchors(cfg.h, cfg.w, spec))
+    assume(size)
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(family), size=batch)
+    anchors = rng.integers(0, size, size=batch)
     labels = rng.integers(0, cfg.k, size=batch).tolist()
-    _assert_batch_equals_per_sample_sum([family[i] for i in picks], labels, params, cfg)
+    images = [_image(cfg, seed + i) for i in range(batch)]
+    _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, cfg)
 
 
 def test_one_recorded_forward_per_token_count(monkeypatch):
     # single-cell ablations share one stack like any other token count
     cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=2, layers=1, k=5)
     params = Model.init(cfg, seed=14).params
-    x = _image(cfg, 14)
-    ablations = [  # survivors: cells of each ablation
-        block_ablation(x, 0, 0, 4),  # 1
-        column_ablation(x, 2, 4),  # 8
-        block_ablation(x, 5, 6, 1),  # 1
-        column_ablation(x, 4, 4),  # 4
-        block_ablation(x, 9, 1, 2),  # 1
-        block_ablation(x, 14, 14, 4),  # 4
-        block_ablation(x, 12, 8, 3),  # 1
+    spec = AblationSpec("block", 4)
+    anchors = [  # top * 16 + left, and the cells each ablation keeps
+        0,  # 1
+        5 * 16 + 6,  # 4
+        4 * 16 + 4,  # 1
+        2,  # 2
+        8 * 16,  # 1
+        14 * 16 + 14,  # 4
+        12 * 16 + 12,  # 1
     ]
+    images = [_image(cfg, 14 + i) for i in range(len(anchors))]
     core, loss = vit._encoder_core, nx.cross_entropy
     stacks, loss_rows = [], []
 
@@ -949,21 +1005,25 @@ def test_one_recorded_forward_per_token_count(monkeypatch):
 
     monkeypatch.setattr(vit, "_encoder_core", counting_core)
     monkeypatch.setattr(nx, "cross_entropy", counting_loss)
-    labels = [j % cfg.k for j in range(len(ablations))]
-    loss_and_gradients(ablations, labels, params, cfg)
-    assert sorted(stacks) == [(1, 4, True), (4, 2, True), (8, 1, True)]
+    labels = [j % cfg.k for j in range(len(anchors))]
+    loss_and_gradients(images, spec, anchors, labels, params, cfg)
+    assert sorted(stacks) == [(1, 4, True), (2, 1, True), (4, 2, True)]
     assert sorted(loss_rows) == [1, 2, 4]  # one loss call per stack, over all its rows
-    _assert_batch_equals_per_sample_sum(ablations, labels, params, cfg)
+    _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, cfg)
 
 
 def test_loss_and_gradients_rejects_mismatched_batches():
     cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=3)
     params = Model.init(cfg, seed=0).params
-    z = column_ablation(_image(cfg), 0, 3)
-    with pytest.raises(ParameterError):
-        loss_and_gradients([z, z], [1], params, cfg)
-    with pytest.raises(ParameterError):
-        loss_and_gradients([], [], params, cfg)
+    x, spec = _image(cfg), AblationSpec("column", 3)
+    for images, anchors, labels in (([x, x], [0, 0], [1]), ([x, x], [0], [1, 1]), ([], [], [])):
+        with pytest.raises(ParameterError, match="equally many images, anchors and labels"):
+            loss_and_gradients(images, spec, anchors, labels, params, cfg)
+    for anchor in (-1, 8):
+        with pytest.raises(ParameterError, match=r"anchors outside \[0, 8\)"):
+            loss_and_gradients([x], spec, [anchor], [1], params, cfg)
+    with pytest.raises(DimensionError, match=r"do not match config \(8, 8, 1\)"):
+        loss_and_gradients([np.zeros((8, 12, 1), np.float32)], spec, [0], [1], params, cfg)
 
 
 def test_train_epoch_equals_the_reference_update():
@@ -982,8 +1042,9 @@ def test_train_epoch_equals_the_reference_update():
         for start in range(0, len(order), tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
             acc = {k: np.zeros_like(v) for k, v in ref_params.items()}
-            for i in idx:
-                z = train._random_ablation(data.images[i], tcfg, ref_state.rng)
+            for i in idx:  # the pixel ablation at a (top, left) drawn per sample
+                top, left = (int(ref_state.rng.integers(0, size)) for size in (cfg.h, cfg.w))
+                z = block_ablation(data.images[i], top, left, tcfg.b_train)
                 label = int(data.labels[i])
                 sample_loss, g = _reference_loss_and_gradients(z, label, ref_params, cfg)
                 ref_loss += sample_loss
@@ -999,6 +1060,36 @@ def test_train_epoch_equals_the_reference_update():
         for k in ref_params:
             assert model.params[k].tobytes() == ref_params[k].tobytes(), k
             assert state.velocity[k].tobytes() == ref_state.velocity[k].tobytes(), k
+
+
+def test_a_pixel_outside_the_unit_interval_stops_training_before_any_step():
+    cfg = ViTConfig(h=8, w=8, c=1, p=2, d=8, heads=2, layers=1, k=2)
+    data = make_stripe_dataset(24, 8, 8, 2, 0.2, seed=3)
+    tcfg = TrainConfig(batch_size=8, b_train=3, kind="column", seed=5)
+    model = Model.init(cfg, seed=5)
+    before = {k: v.copy() for k, v in model.params.items()}
+    # the record the epoch reaches last, in its third batch
+    last = OptState.fresh(model, tcfg).rng.permutation(len(data))[-1]
+    data.images[last, 3, 4, 0] = 1.5
+    with pytest.raises(ParameterError, match=r"pixel values must lie in \[0, 1\]"):
+        train_epoch(model, data, tcfg)
+    for name, value in model.params.items():
+        assert value.tobytes() == before[name].tobytes(), name
+
+
+def test_training_builds_no_pixel_ablation(monkeypatch, tmp_path):
+    # training and its validation read the stack plan; the pixel builders are
+    # left for ablate, the logit gate and the oracle
+    def refuse(*args):
+        raise AssertionError("training built a pixel ablation")
+
+    monkeypatch.setattr(ablation, "_ablated", refuse)
+    cfg = ViTConfig(h=8, w=8, c=1, p=2, d=8, heads=2, layers=1, k=3)
+    data = make_stripe_dataset(40, 8, 8, 3, 0.2, seed=9)
+    for kind in ("column", "block"):
+        tcfg = TrainConfig(epochs=2, batch_size=8, b_train=3, kind=kind, seed=9)
+        train_epoch(Model.init(cfg, seed=9), data.subset("train"), tcfg)
+        fit(Model.init(cfg, seed=9), data, tcfg, log_path=tmp_path / f"{kind}.jsonl")
 
 
 def test_seeded_fit_is_byte_identical(tmp_path):
@@ -1242,3 +1333,12 @@ def test_forwards_refuse_a_misshaped_image_or_mask_and_an_empty_ablation():
 def test_train_config_rejects_an_unknown_kind():
     with pytest.raises(ParameterError, match="'diag'"):
         TrainConfig(kind="diag")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("b_train", 2.0), ("b_train", True), ("epochs", True), ("batch_size", 2.5), ("seed", 1.5),
+    ("seed", -1), ("patience", False),
+])
+def test_train_config_refuses_an_integer_field_that_is_no_valid_integer(field, value):
+    with pytest.raises(ParameterError):
+        TrainConfig(**{field: value})
