@@ -63,8 +63,6 @@ class FlipSearchResult:
     changed: bool
     worst_prediction: int
     placement: tuple
-    rival: int
-    original_prediction: int
     post_counts: tuple
     advantage: int
 
@@ -243,8 +241,6 @@ def adversarial_flip_search(
         changed=flips,
         worst_prediction=smoothed_predict(post),
         placement=(top, left),
-        rival=r,
-        original_prediction=g0,
         post_counts=tuple(int(c) for c in post),
         advantage=advantage,
     )

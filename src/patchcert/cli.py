@@ -89,8 +89,7 @@ def load_cifar10_binary(path) -> LabeledDataset:
             f"label byte {labels[bad[0]]} > 9 at byte offset {int(bad[0]) * _CIFAR_RECORD}"
         )
     planes = records[:, 1:].reshape(n, 3, 32, 32)
-    images = np.ascontiguousarray(planes.transpose(0, 2, 3, 1), dtype=np.float32)
-    images /= 255.0
+    images = np.divide(planes.transpose(0, 2, 3, 1), 255, dtype=np.float32, order="C")
     return _file_records(images, labels, 10)
 
 
@@ -126,11 +125,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         raise ParameterError(f"PPM writer expects h*w*{{1,3}}, got {arr.shape}")
     if arr.shape[2] == 1:
         arr = np.repeat(arr, 3, axis=2)
-    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_netpbm(path, "P6", np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8))
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -138,10 +133,14 @@ def write_pgm(path, gray: np.ndarray) -> None:
     arr = np.asarray(gray)
     if arr.ndim != 2:
         raise ParameterError(f"PGM writer expects a 2-D grid, got {arr.shape}")
-    data = arr.astype(np.uint8)
-    h, w = data.shape
+    _write_netpbm(path, "P5", arr.astype(np.uint8))
+
+
+def _write_netpbm(path, magic: str, data: np.ndarray) -> None:
+    """A binary Netpbm file: its magic, width, height and maxval 255, then data's uint8 bytes."""
+    h, w = data.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 

@@ -164,18 +164,17 @@ def layer_norm_fwd(x, gamma, beta, record=True):
     return y, ((xhat, inv, gamma) if record else None)
 
 
-def layer_norm_bwd(ctx, dy, axis=None):
+def layer_norm_bwd(ctx, dy):
     """Gradients (dx, dgamma, dbeta) for the stored layer_norm forward.
 
     dy may be the forward's rows in another shape, e.g. (B, n, d) for
-    (B*n, d). dgamma and dbeta sum over ``axis``, by default every axis
-    but the last; axis=1 gives one sum per set of a (B, n, d) stack.
+    (B*n, d). dgamma and dbeta sum over the row axis (-2): one sum per
+    set of a (B, n, d) stack, one over all rows of a 2-D dy.
     """
     xhat, inv, gamma = ctx
     xhat, inv = xhat.reshape(dy.shape), inv.reshape(*dy.shape[:-1], 1)
-    lead = tuple(range(dy.ndim - 1)) if axis is None else axis
-    dgamma = (dy * xhat).sum(axis=lead)
-    dbeta = dy.sum(axis=lead)
+    dgamma = (dy * xhat).sum(axis=-2)
+    dbeta = dy.sum(axis=-2)
     dxhat = dy * gamma
     d = dy.shape[-1]
     m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)

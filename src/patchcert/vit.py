@@ -223,47 +223,39 @@ def _layer_views(params: dict, cfg: ViTConfig) -> list[dict]:
     return [{n: params[f"layers.{i}.{n}"] for n in names} for i in range(cfg.layers)]
 
 
-def _embed(patches, grid_idx, params, cfg, record=False):
-    """Token stack (B, n+1, d) of B patch sets (B, n, p*p*c) at grid cells (B, n).
+def _encoder_core(cells, grid_idx, params, cfg, record=False):
+    """Logits (B, k) of the encoder over B sets of cells (B, n, p*p*c) at grid cells (B, n).
 
-    Projects the patches, adds their positional embeddings and puts the
-    class token in row 0 of every set, so the stack has n+1 rows per set.
-    record (training) projects each set alone (_weight_product), so its
-    tokens are bitwise those of a batch of one for every n, n = 1 included.
-    """
-    bsz, n, _ = patches.shape
-    t = nx.bias_add(
-        _weight_product(patches, params["patch_embed.weight"], record), params["patch_embed.bias"])
-    x = np.empty((bsz, n + 1, cfg.d), dtype=t.dtype)
-    x[:, 0] = params["cls_token"] + params["cls_pos"]
-    np.add(t, params["pos_embed"][grid_idx], out=x[:, 1:])
-    return x
-
-
-def _encoder_core(x, params, cfg, record=False):
-    """Logits (B, k) of the encoder over a stack x (B, n, d) of token sets.
-
-    Weight products run once over all B*n rows; attention runs per set
-    and head, one BLAS call each: _per_head's 2-D nx.matmul calls in
-    inference, one matmul_stacked over the (B, heads) stack in record
-    mode. The readout is the class token, row 0 of every set, so the
-    last layer computes only that row past its keys and values: LN1 and
-    the K/V projections run over all n rows, because the class token
-    attends to every key, while Q, the scores (B, heads, 1, n), the
-    weighted sum, the out-projection, the residual, LN2, the MLP and the
-    final layer norm run on the B class rows. record keeps every row,
-    computes the head per set (_weight_product) and also returns the
-    activations the backward pass needs.
+    Each set is a stack of n+1 token rows: the class token in row 0, then
+    the projected cells plus their positional embeddings. Weight products
+    run once over all rows; attention runs per set and head, one BLAS
+    call each: _per_head's 2-D nx.matmul calls in inference, one
+    matmul_stacked over the (B, heads) stack in record mode. The readout
+    is the class token, so the last layer computes only that row past its
+    keys and values: LN1 and the K/V projections run over all rows,
+    because the class token attends to every key, while Q, the scores
+    (B, heads, 1, n+1), the weighted sum, the out-projection, the
+    residual, LN2, the MLP and the final layer norm run on the B class
+    rows. record (training) keeps every row, projects the cells and
+    computes the head per set (_weight_product), so a set's values are
+    bitwise those of a batch of one for every n, n = 1 included, and also
+    returns the activations the backward pass needs.
 
     Inference keeps only what a later op reads: no layer-norm ctx, and
-    each activation (h1, K, k_t, Q, V, the scores, attn, o, the residual
-    input, h2 and the MLP hidden) is dropped after its last reader. The
-    layer norms' affine runs in their normalized buffer and the GELU tail
-    in its input's, with the bits record mode computes. The MLP then
-    peaks at nine (B*n, d) buffers: its input, the hidden and GELU's
-    scratch.
+    each activation (the projected cells, h1, K, k_t, Q, V, the scores,
+    attn, o, the residual input, h2 and the MLP hidden) is dropped after
+    its last reader. The layer norms' affine runs in their normalized
+    buffer and the GELU tail in its input's, with the bits record mode
+    computes. The MLP then peaks at nine (B*(n+1), d) buffers: its input,
+    the hidden and GELU's scratch.
     """
-    bsz, n, d = x.shape
+    bsz, n, d = len(grid_idx), grid_idx.shape[1] + 1, cfg.d  # n token rows per set
+    t = nx.bias_add(
+        _weight_product(cells, params["patch_embed.weight"], record), params["patch_embed.bias"])
+    x = np.empty((bsz, n, d), dtype=t.dtype)
+    x[:, 0] = params["cls_token"] + params["cls_pos"]
+    np.add(t, params["pos_embed"][grid_idx], out=x[:, 1:])
+    del t
     product = nx.matmul_stacked if record else _per_head
     scale = 1.0 / math.sqrt(cfg.head_dim)  # python float: keeps float32 inputs float32
     ctx = {"layers": [], "n": n} if record else None
@@ -355,7 +347,7 @@ def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarr
     """Reduced-token logits of one ablation, for certbench's logit gate and the tests."""
     grid_idx = np.nonzero(_surviving_cells(z_m, cfg))[0]
     patches = _patch_matrix(z_m.pixels, cfg)[grid_idx]
-    return _encoder_core(_embed(patches[None], grid_idx[None], params, cfg), params, cfg)[0]
+    return _encoder_core(patches[None], grid_idx[None], params, cfg)[0]
 
 
 def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cfg: ViTConfig):
@@ -369,7 +361,7 @@ def process_ablation(patches: np.ndarray, grid_idx: np.ndarray, params: dict, cf
     """
     stack = f"the forward of a stack of {len(patches)} ablations of {grid_idx.shape[1]} cells each"
     try:
-        logits = _encoder_core(_embed(patches, grid_idx, params, cfg), params, cfg)
+        logits = _encoder_core(patches, grid_idx, params, cfg)
     except FloatingPointError as exc:
         raise NonFiniteError(f"{stack} failed: {exc}") from exc
     if not np.isfinite(logits).all():
@@ -611,8 +603,7 @@ def loss_and_gradients(images, spec: AblationSpec, anchors, labels, params: dict
         stack = _stack(anchors[ids], plan.alive, plan.q_cols, spec.kind == "column", cfg)
         at = np.array(ids)[:, None] * cfg.grid_tokens + stack.grid_idx  # sample i's cells
         cells = _ablated_cells(patches, at, stack, plan)
-        x = _embed(cells, stack.grid_idx, params, cfg, record=True)
-        logits, ctx = _encoder_core(x, params, cfg, record=True)
+        logits, ctx = _encoder_core(cells, stack.grid_idx, params, cfg, record=True)
         losses[ids], dlogits = nx.cross_entropy(logits, labels[ids])
         streams.append(_set_gradients(cells, stack.grid_idx, dlogits, ctx, params, cfg))
     loss_sum = 0.0  # Python floats in batch order: sum() compensates from 3.12, np.sum pairs
@@ -655,7 +646,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
     dr = nx.matmul_stacked(dlogits[:, None, :], params["head.weight"].T)
     df = np.zeros_like(sets(ctx["f"]))
     df[:, 0] = dr[:, 0]
-    dx, dgamma, dbeta = nx.layer_norm_bwd(ctx["final_ln"], df, axis=1)
+    dx, dgamma, dbeta = nx.layer_norm_bwd(ctx["final_ln"], df)
     yield "final_ln.gamma", dgamma
     yield "final_ln.beta", dbeta
 
@@ -670,7 +661,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
         yield pre + "mlp.w1", weight_grad(lc["h2"], dm1)
         yield pre + "mlp.b1", dm1.sum(axis=1)
         dh2 = nx.matmul_stacked(dm1, lp["mlp.w1"].T)
-        dx_mid, dgamma, dbeta = nx.layer_norm_bwd(lc["ln2"], dh2, axis=1)
+        dx_mid, dgamma, dbeta = nx.layer_norm_bwd(lc["ln2"], dh2)
         yield pre + "ln2.gamma", dgamma
         yield pre + "ln2.beta", dbeta
         dx = dx + dx_mid
@@ -692,7 +683,7 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
             yield pre + "attn.b" + t, g.sum(axis=1)
         dh1 = (nx.matmul_stacked(dq, lp["attn.wq"].T) + nx.matmul_stacked(dk, lp["attn.wk"].T)
                + nx.matmul_stacked(dv, lp["attn.wv"].T))
-        dx_in, dgamma, dbeta = nx.layer_norm_bwd(lc["ln1"], dh1, axis=1)
+        dx_in, dgamma, dbeta = nx.layer_norm_bwd(lc["ln1"], dh1)
         yield pre + "ln1.gamma", dgamma
         yield pre + "ln1.beta", dbeta
         dx = dx + dx_in

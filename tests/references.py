@@ -1,8 +1,8 @@
 """Test-only reference implementations: a triple-loop matmul, a per-head
-attention product loop, the per-row cross-entropy pair, a central
-finite-difference gradient, the pixel-space ablation and its reduced
-cells, and a pixel-space patch search; and a switch that puts every
-smoothing pass on the stack pool."""
+attention product loop, the out-of-place softmax formula, the per-row
+cross-entropy pair, a central finite-difference gradient, the
+pixel-space ablation and its reduced cells, and a pixel-space patch
+search; and a switch that puts every smoothing pass on the stack pool."""
 
 import contextlib
 from unittest import mock
@@ -49,6 +49,14 @@ def matmul_per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for hd in range(a.shape[1]):
             out[s, hd] = nx.matmul(a[s, hd], b[s, hd])
     return out
+
+
+def formula_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, out of place in the formula's order: the
+    computation the one-buffer nx.softmax_last_dim replaced."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_row(logits: np.ndarray, target: int) -> float:

@@ -237,9 +237,10 @@ def test_flip_search_margin_survives_attack():
 def test_flip_search_finds_tie_break_flip():
     # rival class 0 sits below predicted class 1, so forcing a tie flips
     spec = AblationSpec("column", b=1)
-    res = adversarial_flip_search([1, 1, 1, 0, 0], spec, h=5, w=5, m=1, true_class=1, k=2)
+    votes = [1, 1, 1, 0, 0]
+    res = adversarial_flip_search(votes, spec, h=5, w=5, m=1, true_class=1, k=2)
     assert res.changed
-    assert res.original_prediction == 1
+    assert smoothed_predict(aggregate_votes(votes, 2)) == 1
     assert res.worst_prediction == 0
     assert res.post_counts == (3, 2)
 
@@ -319,8 +320,7 @@ def _reference_flip_search(preds, spec, h, w, m, k):
             key = (changed, int(adv[j]), -j, -r)
             if best is None or key > best[0]:
                 best = (key, FlipSearchResult(
-                    changed=changed, worst_prediction=int(pred_after[j]),
-                    placement=placements[j], rival=r, original_prediction=g0,
+                    changed=changed, worst_prediction=int(pred_after[j]), placement=placements[j],
                     post_counts=tuple(int(c) for c in post[j]), advantage=int(adv[j]),
                 ))
     return best[1]
@@ -473,8 +473,8 @@ def test_oracle_and_flip_search_run_at_the_imagenet_block_setting():
     assert delta_closed_form(spec, 32, "safe", dims=(224, 224)) == 2500
     found = adversarial_flip_search([0] * 224 * 224, spec, 224, 224, 32, 0, 2)
     assert found == FlipSearchResult(
-        changed=False, worst_prediction=0, placement=(0, 0), rival=1,
-        original_prediction=0, post_counts=(47676, 2500), advantage=-45176,
+        changed=False, worst_prediction=0, placement=(0, 0), post_counts=(47676, 2500),
+        advantage=-45176,
     )
 
 

@@ -38,7 +38,7 @@ from patchcert.vit import (
     save_checkpoint,
 )
 from references import (ablated_cells_reference, finite_difference_gradient, forced_stack_pool,
-                        matmul_per_head, pixel_ablation)
+                        formula_softmax, matmul_per_head, pixel_ablation)
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
@@ -136,13 +136,13 @@ def test_training_cells_equal_the_pixel_path_bytewise(monkeypatch, cfg, kind):
     # every anchor of the stride-1 set, for b from a single pixel to the whole image
     # (wrapped and single-cell ablations among them): the cells and grid indices a
     # training batch hands the encoder are the pixel ablation's, negative zeros included
-    embed, handed = vit._embed, []
+    core, handed = vit._encoder_core, []
 
-    def capture(patches, grid_idx, params, cfg, record=False):
-        handed.append((patches.copy(), grid_idx.copy()))
-        return embed(patches, grid_idx, params, cfg, record)
+    def capture(cells, grid_idx, params, cfg, record=False):
+        handed.append((cells.copy(), grid_idx.copy()))
+        return core(cells, grid_idx, params, cfg, record)
 
-    monkeypatch.setattr(vit, "_embed", capture)
+    monkeypatch.setattr(vit, "_encoder_core", capture)
     params = Model.init(cfg, seed=0).params
     rng = np.random.default_rng(cfg.c)
     for b in sorted({1, 2, cfg.p + 1, cfg.w if kind == "column" else min(cfg.h, cfg.w)}):
@@ -181,13 +181,13 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
 
 
 def _stack_logits(x, spec, params, cfg):
-    """Predictions, the logits bytes of every stack keyed by its token stack, and the
-    names of the threads that ran the stacks."""
+    """Predictions, the logits bytes of every stack keyed by its cells and grid indices,
+    and the names of the threads that ran the stacks."""
     core, logits, threads = vit._encoder_core, {}, set()
 
-    def recording(stack, params, cfg):
-        out = core(stack, params, cfg)
-        logits[stack.shape, stack.tobytes()] = out.tobytes()
+    def recording(cells, grid_idx, params, cfg):
+        out = core(cells, grid_idx, params, cfg)
+        logits[cells.shape, cells.tobytes(), grid_idx.tobytes()] = out.tobytes()
         threads.add(threading.current_thread().name)
         return out
 
@@ -449,7 +449,7 @@ def test_gradients_match_finite_differences():
         np.testing.assert_allclose(grads[name], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
-# The elementwise code _encoder_core and _embed ran before they summed
+# The elementwise code _encoder_core ran before it summed
 # biases, residuals and the layer-norm affine into fresh buffers: each op
 # out of place, in the formula's order. Products and GELU are unchanged.
 def _out_of_place_layer_norm(x, gamma, beta):
@@ -463,26 +463,22 @@ def _out_of_place_layer_norm(x, gamma, beta):
     return xhat * gamma + beta, xhat
 
 
-def _out_of_place_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_row=False):
     """Logits and recorded activations of the out-of-place forward.
 
     Like _encoder_core, the inference path (no record) runs the last
-    layer past K and V on the class rows only, unless every_row.
+    layer past K and V on the class rows only, unless every_row, and
+    record embeds and reads out each set alone.
     """
     bsz, n, pdim = patches.shape
-    t = nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"]) \
-        + params["patch_embed.bias"]
-    t = t.reshape(bsz, n, cfg.d) + params["pos_embed"][grid_idx]
+    if record:
+        t = nx.matmul_stacked(patches, params["patch_embed.weight"])
+    else:
+        t = nx.matmul(patches.reshape(bsz * n, pdim), params["patch_embed.weight"])
+    t = t.reshape(bsz, n, cfg.d) + params["patch_embed.bias"] + params["pos_embed"][grid_idx]
     cls = (params["cls_token"] + params["cls_pos"]).astype(t.dtype)
     x = np.concatenate([np.broadcast_to(cls, (bsz, 1, cfg.d)), t], axis=1)
     n += 1
-    heads, dh = cfg.heads, cfg.head_dim
     x = x.reshape(bsz * n, cfg.d)
     acts = []
     for i, lp in enumerate(vit._layer_views(params, cfg)):
@@ -495,17 +491,11 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
         q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
         q_h, v_h = (vit._by_head(a, bsz, cfg) for a in (q, v))
         k_t = np.ascontiguousarray(vit._by_head(kk, bsz, cfg).swapaxes(2, 3))
-        scores = np.empty((bsz, heads, q.shape[0] // bsz, n), dtype=q.dtype)
-        for b in range(bsz):
-            for hd in range(heads):
-                scores[b, hd] = nx.matmul(q_h[b, hd], k_t[b, hd])
-        scores *= 1.0 / math.sqrt(dh)
-        attn = _out_of_place_softmax(scores)
+        scores = matmul_per_head(q_h, k_t)
+        scores *= 1.0 / math.sqrt(cfg.head_dim)
+        attn = formula_softmax(scores)
         o = np.empty_like(q)
-        o_h = vit._by_head(o, bsz, cfg)
-        for b in range(bsz):
-            for hd in range(heads):
-                o_h[b, hd] = nx.matmul(attn[b, hd], v_h[b, hd])
+        vit._by_head(o, bsz, cfg)[...] = matmul_per_head(attn, v_h)
         x_mid = x + (nx.matmul(o, lp["attn.wo"]) + lp["attn.bo"])
         h2, xhat2 = _out_of_place_layer_norm(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
         m1 = nx.matmul(h2, lp["mlp.w1"]) + lp["mlp.b1"]
@@ -547,10 +537,9 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
     grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
                          for _ in range(bsz)])
     patches = rng.uniform(0.0, 1.0, (bsz, n, cfg.p * cfg.p * cfg.c)).astype(np.float32)
-    x = vit._embed(patches, grid_idx, params, cfg)
     want, acts = _out_of_place_forward(patches, grid_idx, params, cfg, path == "record")
     if path == "record":
-        logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+        logits, ctx = vit._encoder_core(patches, grid_idx, params, cfg, record=True)
         got = []
         for lc in ctx["layers"]:
             got += [lc["ln1"][0], lc["h1"], lc["q"], lc["k"], lc["v"], lc["attn"], lc["o"],
@@ -558,8 +547,44 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
         for g, w in zip(got + [ctx["final_ln"][0], ctx["f"], ctx["r"]], acts, strict=True):
             _assert_same_bytes(g, w)
     else:
-        logits = vit._encoder_core(x, params, cfg)
+        logits = vit._encoder_core(patches, grid_idx, params, cfg)
     _assert_same_bytes(logits, want)
+
+
+@pytest.mark.parametrize("budget", [7, vit.ROW_BUDGET])
+@pytest.mark.parametrize("config,spec", [("cifar", AblationSpec("block", 8)),
+                                         ("imagenet", AblationSpec("column", 19))],
+                         ids=["cifar-block", "imagenet-column"])
+def test_the_logits_that_vote_equal_the_ablation_logits(config, spec, budget):
+    # the logits each stack votes with, ablation by ablation, serial and on the stack
+    # pool, lie within ORACLE_TOLERANCE of the one-ablation forward, not only its argmax
+    cfg = _BYTEWISE_CONFIGS[config]
+    params = Model.init(cfg, seed=21).params
+    x = _image(cfg, 21)
+    ablations = ablation_set(x, spec)
+    picked = np.random.default_rng(21).choice(len(ablations), 64, replace=False)
+    core, voted = vit._encoder_core, []
+
+    def recording(cells, grid_idx, params, cfg):
+        out = core(cells, grid_idx, params, cfg)
+        voted.extend(zip(grid_idx, cells, out))
+        return out
+
+    with mock.patch.object(vit, "ROW_BUDGET", budget), \
+            mock.patch.object(vit, "_encoder_core", recording):
+        for pool in (mock.patch.object(vit, "_pool_workers", lambda: 1), forced_stack_pool()):
+            voted.clear()
+            with pool:
+                per_ablation_predictions(x, spec, params, cfg)
+            assert len(voted) == len(ablations)
+            logits = {}  # an ablation's logits, keyed by the grid indices and cells it keeps
+            for grid_idx, cells, out in voted:
+                logits.setdefault((grid_idx.tobytes(), cells.tobytes()), []).append(out)
+            for j in picked:
+                cells, grid_idx = ablated_cells_reference(ablations[j], cfg)
+                want = ablation_logits(ablations[j], params, cfg)
+                for got in logits[grid_idx.tobytes(), cells.tobytes()]:
+                    assert np.max(np.abs(got - want)) <= ORACLE_TOLERANCE
 
 
 def _float64(params):
@@ -611,7 +636,6 @@ def test_the_oracle_shares_no_code_with_the_production_forward(monkeypatch):
         raise AssertionError("production code was called")
 
     monkeypatch.setattr(vit, "_encoder_core", refuse)
-    monkeypatch.setattr(vit, "_embed", refuse)
     for name, value in vars(nx).copy().items():
         if inspect.isfunction(value) and value.__module__ == nx.__name__:
             monkeypatch.setattr(nx, name, refuse)
@@ -637,7 +661,7 @@ def test_class_row_only_last_layer_equals_every_row(p, grid, c, d_heads, layers,
     grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
                          for _ in range(bsz)])
     patches = rng.uniform(0.0, 1.0, (bsz, n, p * p * c)).astype(np.float32)
-    logits = vit._encoder_core(vit._embed(patches, grid_idx, params, cfg), params, cfg)
+    logits = vit._encoder_core(patches, grid_idx, params, cfg)
     want, _ = _out_of_place_forward(patches, grid_idx, params, cfg, every_row=True)
     assert logits.shape == want.shape == (bsz, k)
     assert np.max(np.abs(logits - want)) <= ORACLE_TOLERANCE
@@ -664,9 +688,8 @@ def test_recorded_attention_equals_the_per_head_loop(grid, heads, dh, layers, bs
     grid_idx = np.stack([np.sort(rng.choice(cfg.grid_tokens, n, replace=False))
                          for _ in range(bsz)])
     patches = rng.uniform(0.0, 1.0, (bsz, n, 4)).astype(np.float32)
-    x = vit._embed(patches, grid_idx, params, cfg, record=True)
     with count_macs() as macs:
-        logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+        logits, ctx = vit._encoder_core(patches, grid_idx, params, cfg, record=True)
     stacked, loop_calls = nx.matmul_stacked, []
 
     def attention_by_loop(a, b):
@@ -676,7 +699,7 @@ def test_recorded_attention_equals_the_per_head_loop(grid, heads, dh, layers, bs
         return stacked(a, b)
 
     with mock.patch.object(nx, "matmul_stacked", attention_by_loop), count_macs() as loop_macs:
-        want, want_ctx = vit._encoder_core(x, params, cfg, record=True)
+        want, want_ctx = vit._encoder_core(patches, grid_idx, params, cfg, record=True)
     assert loop_calls == [(bsz, heads)] * 2 * layers
     assert macs.total == loop_macs.total
     for lc, wc in zip(ctx["layers"], want_ctx["layers"], strict=True):
@@ -769,8 +792,7 @@ def _reference_loss_and_gradients(z_m, label, params, cfg):
     every gradient accumulated into a zero-filled dict. (Layer norm's
     equality with its ndarray.mean formulation is checked in test_numerics.)"""
     patches, grid_idx = ablated_cells_reference(z_m, cfg)
-    x = vit._embed(patches[None], grid_idx[None], params, cfg)
-    logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+    logits, ctx = vit._encoder_core(patches[None], grid_idx[None], params, cfg, record=True)
     (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
     loss = float(loss)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -861,8 +883,7 @@ def _per_sample_loss_and_gradients(z_m, label, params, cfg):
     """The per-ablation loss_and_gradients the batched step replaced: one
     recorded set, all heads at once, 2-D products for every weight."""
     patches, grid_idx = ablated_cells_reference(z_m, cfg)
-    x = vit._embed(patches[None], grid_idx[None], params, cfg)
-    logits, ctx = vit._encoder_core(x, params, cfg, record=True)
+    logits, ctx = vit._encoder_core(patches[None], grid_idx[None], params, cfg, record=True)
     (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
     loss = float(loss)
     grads = {}
@@ -1034,9 +1055,9 @@ def test_one_recorded_forward_per_token_count(monkeypatch):
     core, loss = vit._encoder_core, nx.cross_entropy
     stacks, loss_rows = [], []
 
-    def counting_core(x, params, cfg, record=False):
-        stacks.append((x.shape[1] - 1, x.shape[0], record))  # (cells, sets, record)
-        return core(x, params, cfg, record)
+    def counting_core(cells, grid_idx, params, cfg, record=False):
+        stacks.append((grid_idx.shape[1], len(grid_idx), record))  # (cells, sets, record)
+        return core(cells, grid_idx, params, cfg, record)
 
     def counting_loss(logits, targets):
         loss_rows.append(len(logits))
