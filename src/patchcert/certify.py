@@ -206,9 +206,9 @@ def adversarial_flip_search(
     preds = np.asarray(per_ablation_predictions, dtype=np.int64)
     if preds.size == 0:
         raise InputError("need at least one per-ablation prediction")
-    base = aggregate_votes(preds, k)
     if k < 2:
         raise ParameterError("flip search needs at least two classes")
+    base = aggregate_votes(preds, k)
     rowhit, colhit = _axis_hits(h, w, spec, m)
     if preds.size != len(rowhit) * len(colhit):
         raise InputError(f"{preds.size} predictions but the ablation set has "
@@ -257,8 +257,8 @@ def certified_accuracy(
 
     Returns the report record emitted by the CLI: one certified-accuracy
     entry per distinct requested patch size, in first-seen order, plus a
-    per-image certificate list, whose runner-up and margin come from the
-    first patch size.
+    per-image certificate list, whose runner-up and margin are the image's
+    own: they come from its votes alone, whatever the patch size.
 
     Every Delta is exact. ``delta_mode`` says how it is counted, ``safe``
     (closed form) or ``oracle``; the two agree, and both stay because

@@ -296,18 +296,22 @@ def _options(args) -> tuple[dict, dict]:
 
 
 def _require_file(path, what: str) -> str:
-    """path, if it names a regular file; a directory or any other kind is missing input."""
+    """path, if it names a regular file the process can read; a directory, any other
+    kind or a file it may not read is missing input."""
     if path is None:
         raise ParameterError(f"{what} path is required")
     if not os.path.isfile(path):
         problem = "is not a regular file" if os.path.exists(path) else "not found"
         raise FileNotFoundError(f"{what} {problem}: {path}")
+    if not os.access(path, os.R_OK):
+        raise InputError(f"{what} is not readable: {path}")
     return path
 
 
 def _check_out(out: str) -> None:
     """Refuse, creating nothing, an --out that cannot name a directory: an empty
-    path, one under an existing non-directory, or one with a name too long."""
+    path, one under an existing non-directory or a directory the process may not
+    write into, or one with a name too long."""
     if not out:
         raise ParameterError("--out is empty; it must name a directory")
     path, missing = os.path.abspath(out), []
@@ -322,6 +326,8 @@ def _check_out(out: str) -> None:
             raise ParameterError(f"--out {out} cannot name a directory: {exc.strerror}") from exc
     if not os.path.isdir(path):
         raise ParameterError(f"--out {out}: {path} exists and is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ParameterError(f"--out {out}: directory {path} is not writable")
     if any(len(os.fsencode(name)) > os.pathconf(path, "PC_NAME_MAX") for name in missing):
         raise ParameterError(f"--out {out} has a name longer than its file system allows")
 
@@ -366,7 +372,7 @@ def _certify_each(o: dict, seed: int, grid):
     """Yield (spec, certified_accuracy report) per distinct (b, stride) of grid, one at a time.
 
     The checkpoint, the split and every grid point are checked against
-    each other before the first point is certified.
+    each other, and every pixel of the split once, before the first point is certified.
     """
     model = load_checkpoint(_require_file(o["ckpt"], "checkpoint"))
     data = _load_dataset(o, seed)
@@ -380,6 +386,7 @@ def _certify_each(o: dict, seed: int, grid):
     want = (model.cfg.h, model.cfg.w, model.cfg.c)
     if shape != want:
         raise ParameterError(f"checkpoint expects images {want}, dataset has {shape}")
+    validate_image(sub.images.reshape(-1, *shape[1:]))  # the split stacked as one tall image
     if sub.k > model.cfg.k:
         raise ParameterError(f"dataset has {sub.k} classes, checkpoint only {model.cfg.k}")
     specs = []

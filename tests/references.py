@@ -1,8 +1,9 @@
-"""Test-only reference implementations: a triple-loop matmul, a per-head
-attention product loop, the out-of-place softmax formula, the per-row
-cross-entropy pair, a central finite-difference gradient, the
-pixel-space ablation and its reduced cells, and a pixel-space patch
-search; and a switch that puts every smoothing pass on the stack pool."""
+"""Test-only reference implementations, each written once: a triple-loop
+matmul, a per-head attention product loop, the out-of-place softmax
+formula, the ndarray.mean layer norm pair, the per-row cross-entropy pair,
+a finite-difference gradient, the pixel-space ablation, its reduced cells
+and their per-head backward, and a pixel-space patch search; and a switch
+that puts every smoothing pass on the stack pool."""
 
 import contextlib
 from unittest import mock
@@ -57,6 +58,26 @@ def formula_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def mean_layer_norm_fwd(x, gamma, beta, eps=1e-5):
+    """The ndarray.mean formulation nx.layer_norm_fwd replaced, with its out-of-place
+    affine: (y, ctx), ctx = (xhat, inv, gamma) as mean_layer_norm_bwd reads it."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv, gamma)
+
+
+def mean_layer_norm_bwd(ctx, dy):
+    """(dx, dgamma, dbeta) of mean_layer_norm_fwd, summed over the row axis."""
+    xhat, inv, gamma = ctx
+    dxhat = dy * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), (dy * xhat).sum(axis=-2), dy.sum(axis=-2)
 
 
 def cross_entropy_row(logits: np.ndarray, target: int) -> float:
@@ -116,6 +137,66 @@ def ablated_cells_reference(z, cfg) -> tuple[np.ndarray, np.ndarray]:
     grid_idx = np.nonzero(z.mask.reshape(gh, p, gw, p).any(axis=(1, 3)).ravel())[0]
     patches = z.pixels.reshape(gh, p, gw, p, cfg.c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, -1)
     return patches[grid_idx], grid_idx
+
+
+def per_sample_loss_and_gradients(z, label, params, cfg):
+    """Loss and gradients of one pixel-space ablation z: the per-head backward that
+    loss_and_gradients replaced, a 2-D nx.matmul per head where the production backward
+    stacks the heads, each gradient summed into a zero-filled array."""
+    patches, grid_idx = ablated_cells_reference(z, cfg)
+    logits, ctx = vit._encoder_core(patches[None], grid_idx[None], params, cfg, record=True)
+    (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
+    loss = float(loss)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads["head.weight"] += nx.matmul(ctx["r"].T, dlogits[None, :])
+    grads["head.bias"] += dlogits
+    dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
+    df = np.zeros_like(ctx["f"])
+    df[0] = dr[0]
+    dx, dgf, dbf = nx.layer_norm_bwd(ctx["final_ln"], df)
+    grads["final_ln.gamma"] += dgf
+    grads["final_ln.beta"] += dbf
+    dh, scale = cfg.head_dim, ctx["scale"]
+    layers = vit._layer_views(params, cfg)
+    for i in reversed(range(cfg.layers)):
+        lc, lp, pre = ctx["layers"][i], layers[i], f"layers.{i}."
+        grads[pre + "mlp.w2"] += nx.matmul(lc["act"].T, dx)
+        grads[pre + "mlp.b2"] += dx.sum(axis=0)
+        dm1 = nx.gelu_backward(lc["m1"], nx.matmul(dx, lp["mlp.w2"].T))
+        grads[pre + "mlp.w1"] += nx.matmul(lc["h2"].T, dm1)
+        grads[pre + "mlp.b1"] += dm1.sum(axis=0)
+        dx_mid, dg2, db2 = nx.layer_norm_bwd(lc["ln2"], nx.matmul(dm1, lp["mlp.w1"].T))
+        grads[pre + "ln2.gamma"] += dg2
+        grads[pre + "ln2.beta"] += db2
+        dx = dx + dx_mid
+        grads[pre + "attn.wo"] += nx.matmul(lc["o"].T, dx)
+        grads[pre + "attn.bo"] += dx.sum(axis=0)
+        do = nx.matmul(dx, lp["attn.wo"].T)
+        dq, dk, dv = (np.empty_like(lc[t]) for t in ("q", "k", "v"))
+        for hd in range(cfg.heads):
+            sl = slice(hd * dh, (hd + 1) * dh)
+            a, doh = lc["attn"][0, hd], do[:, sl]
+            da = nx.matmul(doh, np.ascontiguousarray(lc["v"][:, sl].T))
+            dv[:, sl] = nx.matmul(a.T, doh)
+            ds = nx.softmax_backward(a, da)
+            dq[:, sl] = nx.matmul(ds, lc["k"][:, sl]) * scale
+            dk[:, sl] = nx.matmul(ds.T, lc["q"][:, sl]) * scale
+        for name, g in (("q", dq), ("k", dk), ("v", dv)):
+            grads[pre + "attn.w" + name] += nx.matmul(lc["h1"].T, g)
+            grads[pre + "attn.b" + name] += g.sum(axis=0)
+        dh1 = (nx.matmul(dq, lp["attn.wq"].T) + nx.matmul(dk, lp["attn.wk"].T)
+               + nx.matmul(dv, lp["attn.wv"].T))
+        dx_in, dg1, db1 = nx.layer_norm_bwd(lc["ln1"], dh1)
+        grads[pre + "ln1.gamma"] += dg1
+        grads[pre + "ln1.beta"] += db1
+        dx = dx + dx_in
+    grads["cls_token"] += dx[0]
+    grads["cls_pos"] += dx[0]
+    dgrid = dx[1:]
+    grads["patch_embed.weight"] += nx.matmul(patches.T, dgrid)
+    grads["patch_embed.bias"] += dgrid.sum(axis=0)
+    np.add.at(grads["pos_embed"], grid_idx, dgrid)
+    return loss, grads
 
 
 def strongest_patches(x: np.ndarray, spec, model, m: int, rng, restarts: int = 3) -> list:

@@ -256,6 +256,10 @@ def test_flip_search_needs_predictions_and_two_classes():
         adversarial_flip_search([], spec, 4, 4, m=1, true_class=0, k=2)
     with pytest.raises(ParameterError, match="at least two classes"):
         adversarial_flip_search([0] * 4, spec, 4, 4, m=1, true_class=0, k=1)
+    # a prediction at or past k names the two-class rule, not the vote range
+    for k, pred in ((1, 1), (0, 0), (1, 3)):
+        with pytest.raises(ParameterError, match="at least two classes"):
+            adversarial_flip_search([pred] * 4, spec, 4, 4, m=1, true_class=0, k=k)
 
 
 def test_flip_search_prediction_count_mismatch():

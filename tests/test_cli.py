@@ -4,6 +4,7 @@ columns count, and ablate holds one ablation at a time."""
 
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 import weakref
@@ -373,16 +374,21 @@ WRITING_COMMANDS = [
 ]
 
 
-# an empty path, and names longer than the system allows, here or under a directory to make
-@pytest.mark.parametrize("out", ["good.svit", "good.svit/sub", "", "a" * 300, "new/" + "a" * 300],
-                         ids=["good.svit", "good.svit/sub", "empty", "a*300", "new/a*300"])
-@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
-def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypatch, capsys, argv, out):
+def _forbid_work(monkeypatch):
+    """Any ablation, training, certification or timed pass the CLI starts fails the test."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
     for name in ("ablation_set", "fit", "certified_accuracy", "per_ablation_predictions"):
         monkeypatch.setattr(cli, name, no_work)
+
+
+# an empty path, and names longer than the system allows, here or under a directory to make
+@pytest.mark.parametrize("out", ["good.svit", "good.svit/sub", "", "a" * 300, "new/" + "a" * 300],
+                         ids=["good.svit", "good.svit/sub", "empty", "a*300", "new/a*300"])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
+def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypatch, capsys, argv, out):
+    _forbid_work(monkeypatch)
     monkeypatch.chdir(files)
     before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
     assert cli.main(argv + ["--out", out]) == 3
@@ -403,11 +409,7 @@ SPECS_BEFORE_WORK = [
 @pytest.mark.parametrize("argv", SPECS_BEFORE_WORK, ids=" ".join)
 def test_every_spec_is_checked_before_any_work(files, monkeypatch, capsys, argv):
     # a bad grid point or training strip exits 3 before the first point is certified or timed
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    for name in ("fit", "certified_accuracy", "per_ablation_predictions"):
-        monkeypatch.setattr(cli, name, no_work)
+    _forbid_work(monkeypatch)
     monkeypatch.chdir(files)
     assert cli.main(argv + ["--out", "out"]) == 3
     captured = capsys.readouterr()
@@ -437,6 +439,87 @@ def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
             "--labels", "labels.idx", "--out", "out"]
     assert cli.main(argv) == 0
     assert "standard accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_a_pixel_outside_the_unit_interval_is_refused_before_any_image_is_classified(
+        files, monkeypatch, capsys, command):
+    # the 8th image holds a NaN: the split's pixels are scanned once, as train_epoch scans
+    # its data, so none of the seven before it is classified first
+    pixels = np.full((8, 16, 16), 0.5, np.float32)
+    pixels[7, 3, 5] = np.nan
+    (files / "nan8.idx").write_bytes(_idx_float32(pixels))
+    (files / "labels8.idx").write_bytes(_idx_ubyte(np.arange(8, dtype=np.uint8) % 4))
+    forward, calls = vit.per_ablation_predictions, []
+
+    def counting(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(vit, "per_ablation_predictions", counting)
+    monkeypatch.chdir(files)
+    argv = [command, "--ckpt", "good.svit", "--data-format", "idx", "--data", "nan8.idx",
+            "--labels", "labels8.idx", "--out", "out"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert "pixel values must lie in [0, 1]" in json.loads(captured.err)["error"]
+    assert calls == [] and captured.out == "" and not (files / "out").exists()
+
+
+def _refuse_access(monkeypatch, name, mode):
+    """os.access denies mode on every path whose last part is name. The suite may run as
+    root, whom permission bits never refuse, so the test sets what os.access answers."""
+    access = os.access
+
+    def refusing(path, want, *args, **kwargs):
+        if os.path.basename(os.path.abspath(path)) == name and want & mode:
+            return False
+        return access(path, want, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", refusing)
+
+
+UNREADABLE = [
+    (["certify", "--ckpt", "good.svit"], "good.svit"),
+    (["sweep", "--ckpt", "good.svit"], "good.svit"),
+    (["certify", "--ckpt", "good.svit", "--config", "b4.json"], "b4.json"),
+    (["delta", "--config", "b4.json"], "b4.json"),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+      "--labels", "labels.idx"], "half.idx"),
+    (["certify", "--ckpt", "good.svit", "--data-format", "idx", "--data", "half.idx",
+      "--labels", "labels.idx"], "labels.idx"),
+    (["ablate", "--data-format", "cifar10", "--data", "cifar1.bin"], "cifar1.bin"),
+]
+
+
+@pytest.mark.parametrize("argv,name", UNREADABLE, ids=[f"{a[0]}-{n}" for a, n in UNREADABLE])
+def test_an_input_the_process_cannot_read_exits_2_before_any_work(files, monkeypatch, capsys,
+                                                                  argv, name):
+    _refuse_access(monkeypatch, name, os.R_OK)
+    monkeypatch.chdir(files)
+    assert cli.main(argv + ([] if argv[0] == "delta" else ["--out", "out"])) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()  # one JSON record, no traceback
+    record = json.loads(line)
+    assert record["exit_code"] == 2 and f"is not readable: {name}" in record["error"]
+    assert captured.out == "" and not (files / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["out", "out/sub", "."])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
+def test_an_out_the_process_cannot_write_into_exits_3_before_any_work(files, monkeypatch, capsys,
+                                                                      argv, out):
+    _forbid_work(monkeypatch)
+    _refuse_access(monkeypatch, files.name, os.W_OK)  # out's nearest existing directory
+    monkeypatch.chdir(files)
+    before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
+    assert cli.main(argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["exit_code"] == 3 and f"directory {files} is not writable" in record["error"]
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()} == before
 
 
 @pytest.mark.parametrize("fmt", ["idx", "cifar10"])

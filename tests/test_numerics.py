@@ -18,6 +18,8 @@ from references import (
     finite_difference_gradient,
     formula_softmax,
     matmul_reference,
+    mean_layer_norm_bwd,
+    mean_layer_norm_fwd,
 )
 
 
@@ -259,24 +261,6 @@ def test_layer_norm_rejects_empty_last_dim():
         nx.layer_norm_fwd(np.zeros((2, 0), np.float32), np.ones(0), np.zeros(0))
 
 
-def _mean_layer_norm_fwd(x, gamma, beta, eps=1e-5):
-    """The ndarray.mean formulation layer_norm_fwd replaced, with its out-of-place affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv, gamma)
-
-
-def _mean_layer_norm_bwd(ctx, dy):
-    xhat, inv, gamma = ctx
-    dxhat = dy * gamma
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - m1 - xhat * m2), (dy * xhat).sum(axis=-2), dy.sum(axis=-2)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     lead=st.lists(st.integers(1, 9), min_size=1, max_size=2), d=st.integers(1, 300),
@@ -290,12 +274,12 @@ def test_layer_norm_equals_the_mean_formulation_bit_for_bit(lead, d, dtype, loc,
     gamma, beta = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
     dy = rng.normal(size=shape).astype(dtype)
     y, ctx = nx.layer_norm_fwd(x, gamma, beta)
-    y_ref, ctx_ref = _mean_layer_norm_fwd(x, gamma, beta)
+    y_ref, ctx_ref = mean_layer_norm_fwd(x, gamma, beta)
     assert y.dtype == y_ref.dtype
     assert y.tobytes() == y_ref.tobytes()
     for got, want in zip(ctx, ctx_ref):
         assert got.tobytes() == want.tobytes()
-    for got, want in zip(nx.layer_norm_bwd(ctx, dy), _mean_layer_norm_bwd(ctx_ref, dy)):
+    for got, want in zip(nx.layer_norm_bwd(ctx, dy), mean_layer_norm_bwd(ctx_ref, dy)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 

@@ -38,7 +38,8 @@ from patchcert.vit import (
     save_checkpoint,
 )
 from references import (ablated_cells_reference, finite_difference_gradient, forced_stack_pool,
-                        formula_softmax, matmul_per_head, pixel_ablation)
+                        formula_softmax, matmul_per_head, mean_layer_norm_fwd,
+                        per_sample_loss_and_gradients, pixel_ablation)
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
@@ -452,17 +453,6 @@ def test_gradients_match_finite_differences():
 # The elementwise code _encoder_core ran before it summed
 # biases, residuals and the layer-norm affine into fresh buffers: each op
 # out of place, in the formula's order. Products and GELU are unchanged.
-def _out_of_place_layer_norm(x, gamma, beta):
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
-    mu /= x.shape[-1]
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
-    var /= x.shape[-1]
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    return xhat * gamma + beta, xhat
-
-
 def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_row=False):
     """Logits and recorded activations of the out-of-place forward.
 
@@ -482,7 +472,7 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
     x = x.reshape(bsz * n, cfg.d)
     acts = []
     for i, lp in enumerate(vit._layer_views(params, cfg)):
-        h1, xhat1 = _out_of_place_layer_norm(x, lp["ln1.gamma"], lp["ln1.beta"])
+        h1, (xhat1, *_) = mean_layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"])
         kk = nx.matmul(h1, lp["attn.wk"]) + lp["attn.bk"]
         v = nx.matmul(h1, lp["attn.wv"]) + lp["attn.bv"]
         if not (record or every_row) and i == cfg.layers - 1:
@@ -497,12 +487,12 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
         o = np.empty_like(q)
         vit._by_head(o, bsz, cfg)[...] = matmul_per_head(attn, v_h)
         x_mid = x + (nx.matmul(o, lp["attn.wo"]) + lp["attn.bo"])
-        h2, xhat2 = _out_of_place_layer_norm(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
+        h2, (xhat2, *_) = mean_layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
         m1 = nx.matmul(h2, lp["mlp.w1"]) + lp["mlp.b1"]
         act = nx.gelu(m1)
         x = x_mid + (nx.matmul(act, lp["mlp.w2"]) + lp["mlp.b2"])
         acts += [xhat1, h1, q, kk, v, attn, o, xhat2, h2, m1, act]
-    f, xhatf = _out_of_place_layer_norm(x, params["final_ln.gamma"], params["final_ln.beta"])
+    f, (xhatf, *_) = mean_layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
     r = f.reshape(bsz, -1, cfg.d)[:, 0]
     if record:
         logits = nx.matmul_stacked(r[:, None], params["head.weight"])[:, 0]
@@ -787,66 +777,6 @@ def test_seeded_training_is_byte_identical():
         assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
 
 
-def _reference_loss_and_gradients(z_m, label, params, cfg):
-    """The per-head backward loss_and_gradients replaced: one head at a time,
-    every gradient accumulated into a zero-filled dict. (Layer norm's
-    equality with its ndarray.mean formulation is checked in test_numerics.)"""
-    patches, grid_idx = ablated_cells_reference(z_m, cfg)
-    logits, ctx = vit._encoder_core(patches[None], grid_idx[None], params, cfg, record=True)
-    (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
-    loss = float(loss)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    grads["head.weight"] += nx.matmul(ctx["r"].T, dlogits[None, :])
-    grads["head.bias"] += dlogits
-    dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
-    df = np.zeros_like(ctx["f"])
-    df[0] = dr[0]
-    dx, dgf, dbf = nx.layer_norm_bwd(ctx["final_ln"], df)
-    grads["final_ln.gamma"] += dgf
-    grads["final_ln.beta"] += dbf
-    dh, scale = cfg.head_dim, ctx["scale"]
-    layers = vit._layer_views(params, cfg)
-    for i in reversed(range(cfg.layers)):
-        lc, lp, pre = ctx["layers"][i], layers[i], f"layers.{i}."
-        grads[pre + "mlp.w2"] += nx.matmul(lc["act"].T, dx)
-        grads[pre + "mlp.b2"] += dx.sum(axis=0)
-        dm1 = nx.gelu_backward(lc["m1"], nx.matmul(dx, lp["mlp.w2"].T))
-        grads[pre + "mlp.w1"] += nx.matmul(lc["h2"].T, dm1)
-        grads[pre + "mlp.b1"] += dm1.sum(axis=0)
-        dx_mid, dg2, db2 = nx.layer_norm_bwd(lc["ln2"], nx.matmul(dm1, lp["mlp.w1"].T))
-        grads[pre + "ln2.gamma"] += dg2
-        grads[pre + "ln2.beta"] += db2
-        dx = dx + dx_mid
-        grads[pre + "attn.wo"] += nx.matmul(lc["o"].T, dx)
-        grads[pre + "attn.bo"] += dx.sum(axis=0)
-        do = nx.matmul(dx, lp["attn.wo"].T)
-        dq, dk, dv = (np.empty_like(lc[t]) for t in ("q", "k", "v"))
-        for hd in range(cfg.heads):
-            sl = slice(hd * dh, (hd + 1) * dh)
-            a, doh = lc["attn"][0, hd], do[:, sl]
-            da = nx.matmul(doh, np.ascontiguousarray(lc["v"][:, sl].T))
-            dv[:, sl] = nx.matmul(a.T, doh)
-            ds = nx.softmax_backward(a, da)
-            dq[:, sl] = nx.matmul(ds, lc["k"][:, sl]) * scale
-            dk[:, sl] = nx.matmul(ds.T, lc["q"][:, sl]) * scale
-        for name, g in (("q", dq), ("k", dk), ("v", dv)):
-            grads[pre + "attn.w" + name] += nx.matmul(lc["h1"].T, g)
-            grads[pre + "attn.b" + name] += g.sum(axis=0)
-        dh1 = (nx.matmul(dq, lp["attn.wq"].T) + nx.matmul(dk, lp["attn.wk"].T)
-               + nx.matmul(dv, lp["attn.wv"].T))
-        dx_in, dg1, db1 = nx.layer_norm_bwd(lc["ln1"], dh1)
-        grads[pre + "ln1.gamma"] += dg1
-        grads[pre + "ln1.beta"] += db1
-        dx = dx + dx_in
-    grads["cls_token"] += dx[0]
-    grads["cls_pos"] += dx[0]
-    dgrid = dx[1:]
-    grads["patch_embed.weight"] += nx.matmul(patches.T, dgrid)
-    grads["patch_embed.bias"] += dgrid.sum(axis=0)
-    np.add.at(grads["pos_embed"], grid_idx, dgrid)
-    return loss, grads
-
-
 _CIFAR = dict(h=32, w=32, c=3, p=4, d=64, layers=4, k=10)
 _IMAGENET = dict(h=224, w=224, c=3, p=16, d=128, layers=3, k=10)
 
@@ -867,8 +797,8 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
         with count_macs() as macs:
             loss, grads = loss_and_gradients([x], spec, [anchor], [j], params, cfg)
         with count_macs() as ref_macs:
-            ref_loss, ref = _reference_loss_and_gradients(pixel_ablation(x, spec, anchor), j, params,
-                                                          cfg)
+            ref_loss, ref = per_sample_loss_and_gradients(pixel_ablation(x, spec, anchor), j,
+                                                          params, cfg)
         assert macs.total == ref_macs.total
         assert loss == ref_loss
         assert list(grads) == list(params)
@@ -877,64 +807,6 @@ def test_batched_head_backward_equals_the_per_head_reference(dims, b_col, b_bloc
             assert np.array_equal(g, ref[name]), name
             assert not np.shares_memory(g, params[name]), name
         assert not np.shares_memory(grads["cls_token"], grads["cls_pos"])
-
-
-def _per_sample_loss_and_gradients(z_m, label, params, cfg):
-    """The per-ablation loss_and_gradients the batched step replaced: one
-    recorded set, all heads at once, 2-D products for every weight."""
-    patches, grid_idx = ablated_cells_reference(z_m, cfg)
-    logits, ctx = vit._encoder_core(patches[None], grid_idx[None], params, cfg, record=True)
-    (loss,), (dlogits,) = nx.cross_entropy(logits, [label])  # a batch of one
-    loss = float(loss)
-    grads = {}
-    grads["head.weight"] = nx.matmul(ctx["r"].T, dlogits[None, :])
-    grads["head.bias"] = dlogits
-    dr = nx.matmul(dlogits[None, :], params["head.weight"].T)
-    n, heads, dh, scale = ctx["n"], cfg.heads, cfg.head_dim, ctx["scale"]
-    df = np.zeros_like(ctx["f"])
-    df[0] = dr[0]
-    dx, grads["final_ln.gamma"], grads["final_ln.beta"] = nx.layer_norm_bwd(ctx["final_ln"], df)
-
-    def by_head(t):
-        return t.reshape(n, heads, dh).transpose(1, 0, 2)
-
-    layers = vit._layer_views(params, cfg)
-    for i in reversed(range(cfg.layers)):
-        lc, lp, pre = ctx["layers"][i], layers[i], f"layers.{i}."
-        grads[pre + "mlp.w2"] = nx.matmul(lc["act"].T, dx)
-        grads[pre + "mlp.b2"] = dx.sum(axis=0)
-        dm1 = nx.gelu_backward(lc["m1"], nx.matmul(dx, lp["mlp.w2"].T))
-        grads[pre + "mlp.w1"] = nx.matmul(lc["h2"].T, dm1)
-        grads[pre + "mlp.b1"] = dm1.sum(axis=0)
-        dx_mid, grads[pre + "ln2.gamma"], grads[pre + "ln2.beta"] = nx.layer_norm_bwd(
-            lc["ln2"], nx.matmul(dm1, lp["mlp.w1"].T))
-        dx = dx + dx_mid
-        grads[pre + "attn.wo"] = nx.matmul(lc["o"].T, dx)
-        grads[pre + "attn.bo"] = dx.sum(axis=0)
-        do = by_head(nx.matmul(dx, lp["attn.wo"].T))
-        a = lc["attn"][0]
-        q_h, k_h, v_h = by_head(lc["q"]), by_head(lc["k"]), by_head(lc["v"])
-        da = nx.matmul_stacked(do, np.ascontiguousarray(v_h.transpose(0, 2, 1)))
-        ds = nx.softmax_backward(a, da)
-        dq, dk, dv = (np.empty_like(lc[t]) for t in ("q", "k", "v"))
-        by_head(dv)[...] = nx.matmul_stacked(a.transpose(0, 2, 1), do)
-        by_head(dq)[...] = nx.matmul_stacked(ds, k_h) * scale
-        by_head(dk)[...] = nx.matmul_stacked(ds.transpose(0, 2, 1), q_h) * scale
-        for t, g in (("q", dq), ("k", dk), ("v", dv)):
-            grads[pre + "attn.w" + t] = nx.matmul(lc["h1"].T, g)
-            grads[pre + "attn.b" + t] = g.sum(axis=0)
-        dh1 = (nx.matmul(dq, lp["attn.wq"].T) + nx.matmul(dk, lp["attn.wk"].T)
-               + nx.matmul(dv, lp["attn.wv"].T))
-        dx_in, grads[pre + "ln1.gamma"], grads[pre + "ln1.beta"] = nx.layer_norm_bwd(lc["ln1"], dh1)
-        dx = dx + dx_in
-    grads["cls_token"] = dx[0].copy()
-    grads["cls_pos"] = dx[0].copy()
-    dgrid = dx[1:]
-    grads["patch_embed.weight"] = nx.matmul(patches.T, dgrid)
-    grads["patch_embed.bias"] = dgrid.sum(axis=0)
-    grads["pos_embed"] = np.zeros_like(params["pos_embed"])
-    np.add.at(grads["pos_embed"], grid_idx, dgrid)
-    return loss, grads
 
 
 def _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, cfg):
@@ -947,7 +819,7 @@ def _assert_batch_equals_per_sample_sum(images, spec, anchors, labels, params, c
         ref_loss = 0.0
         ref = {k: np.zeros_like(v) for k, v in params.items()}
         for z, label in zip(ablations, labels):
-            sample_loss, g = _per_sample_loss_and_gradients(z, label, params, cfg)
+            sample_loss, g = per_sample_loss_and_gradients(z, label, params, cfg)
             ref_loss += sample_loss
             for k in ref:
                 ref[k] += g[k]
@@ -1106,7 +978,7 @@ def test_train_epoch_equals_the_reference_update():
                 top, left = (int(ref_state.rng.integers(0, size)) for size in (cfg.h, cfg.w))
                 z = block_ablation(data.images[i], top, left, tcfg.b_train)
                 label = int(data.labels[i])
-                sample_loss, g = _reference_loss_and_gradients(z, label, ref_params, cfg)
+                sample_loss, g = per_sample_loss_and_gradients(z, label, ref_params, cfg)
                 ref_loss += sample_loss
                 for k in acc:
                     acc[k] += g[k]
