@@ -10,10 +10,11 @@ columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
 regenerate the same file and sweeps never clobber unrelated results.
 
-Exit codes: 0 success, 1 internal error, 2 missing/corrupt input (a
-checkpoint whose forward is not finite too), 3 invalid parameters (a
-training run that diverges too). Set PATCHCERT_LOG={error,info,debug}
-for logging: one JSON object per line on standard error.
+Exit codes: 0 success, 1 internal error or an output that cannot be
+written, 2 missing/corrupt input (a checkpoint whose forward is not
+finite too), 3 invalid parameters (a training run that diverges too).
+Set PATCHCERT_LOG={error,info,debug} for logging: one JSON object per
+line on standard error.
 
 certify, sweep and bench overlap an ImageNet-sized image's stacks on threads
 only when BLAS runs one thread (OPENBLAS_NUM_THREADS=1). On 2 CPUs, certify of
@@ -192,16 +193,16 @@ class _Parser(argparse.ArgumentParser):
 # options: one table per command, key -> (kind, default)
 #
 # kind is int, float, a tuple of choices, _int_list (one or more
-# comma-separated integers, or a nonempty JSON list) or _path (a file
-# path, used as given). Each key is both a config-file key and the flag
-# --key-with-dashes.
+# comma-separated integers, or a nonempty JSON list; a repeated value
+# counts once, in the order first given) or _path (a file path, used as
+# given). Each key is both a config-file key and the flag --key-with-dashes.
 
 
 def _int_list(value) -> list[int]:
     tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty integer list")
-    return [int(str(tok)) for tok in tokens]  # via str, as in _convert
+    return list(dict.fromkeys(int(str(tok)) for tok in tokens))  # via str, as in _convert
 
 
 def _path(value):
@@ -369,7 +370,7 @@ def _spec_from(o: dict) -> AblationSpec:
 
 
 def _certify_each(o: dict, seed: int, grid):
-    """Yield (spec, certified_accuracy report) per distinct (b, stride) of grid, one at a time.
+    """Yield (spec, certified_accuracy report) per (b, stride) of grid, one at a time.
 
     The checkpoint, the split and every grid point are checked against
     each other, and every pixel of the split once, before the first point is certified.
@@ -389,14 +390,9 @@ def _certify_each(o: dict, seed: int, grid):
     validate_image(sub.images.reshape(-1, *shape[1:]))  # the split stacked as one tall image
     if sub.k > model.cfg.k:
         raise ParameterError(f"dataset has {sub.k} classes, checkpoint only {model.cfg.k}")
-    specs = []
-    for b, s in grid:
-        spec = AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"])
-        if spec in specs:
-            log.warning("duplicate sweep point b=%d s=%d skipped", b, s)
-            continue
+    specs = [AblationSpec(kind=o["ablation"], b=b, s=s, offset=o["offset"]) for b, s in grid]
+    for spec in specs:
         spec.validate_for(model.cfg.h, model.cfg.w)
-        specs.append(spec)
     for spec in specs:
         yield spec, certified_accuracy(sub, model, spec, o["patch_sizes"])
 
@@ -528,7 +524,7 @@ def cmd_bench(args) -> int:
     if trials < 3:
         raise ParameterError(f"need at least 3 trials, got {trials}")
     specs = [AblationSpec(kind=o["ablation"], b=b, s=o["stride"], offset=o["offset"])
-             for b in sorted(set(o["b_grid"]))]
+             for b in o["b_grid"]]
     costs = [smoothing_cost(vit_cfg, spec) for spec in specs]  # every spec checked before timing
     # the full-grid baseline: every column kept, so every cell survives, at
     # the same column anchors; all its ablations cost alike, so it is timed
@@ -667,7 +663,7 @@ def main(argv=None) -> int:
     except (ParameterError, DivergenceError) as exc:
         _emit_error(exc, EXIT_INVALID)
         return EXIT_INVALID
-    except PatchcertError as exc:
+    except (PatchcertError, OSError) as exc:  # an output path that cannot be written, say
         _emit_error(exc, EXIT_INTERNAL)
         return EXIT_INTERNAL
     finally:

@@ -432,6 +432,28 @@ def test_a_rerun_that_would_overwrite_a_different_report_exits_1(files, monkeypa
     assert report.read_text() == "{}\n"
 
 
+# each writing command's first output, named as a re-run names it again
+TAKEN = {"ablate": "abl_0.ppm", "train": "ckpt-*.svit", "certify": "certify-*.json",
+         "sweep": "sweep-*.csv", "bench": "bench-????????????.csv"}
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
+def test_an_output_name_taken_by_a_directory_exits_1(files, monkeypatch, capsys, argv):
+    monkeypatch.chdir(files)
+    argv = argv + ["--out", "out"]
+    assert cli.main(argv) == 0
+    (taken,) = (files / "out").glob(TAKEN[argv[0]])
+    taken.unlink()
+    taken.mkdir()
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()  # the error record, and no traceback
+    record = json.loads(line)
+    assert record["exit_code"] == 1 and record["type"] == "IsADirectoryError"
+    assert captured.out == ""
+
+
 def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
     # the control for the NaN case: the same files with finite pixels certify
     monkeypatch.chdir(files)
@@ -659,6 +681,19 @@ DELTA_TABLES = [
 def test_delta_prints_the_paper_imagenet_settings(capsys, argv, lines):
     assert cli.main(["delta", "--h", "224", "--w", "224"] + argv) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_delta_flags_a_safe_count_that_disagrees_with_the_oracle(monkeypatch, capsys):
+    # the closed form and the oracle agree on every pinned row: an oracle one above stands in
+    monkeypatch.setattr(cli, "delta_oracle",
+                        lambda h, w, spec, m: cli.delta_closed_form(spec, m, "safe", dims=(h, w)) + 1)
+    assert cli.main(["delta", "--ablation", "block", "--b", "19", "--patch-sizes", "32"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "image 224x224, block b=19 s=1 offset=0",
+        "    m       safe      paper     oracle  note",
+        "   32       2500       2500       2501  PAPER-UNDERCOUNTS,SAFE-MISMATCH",
+        "note: flagged rows mark thresholds below the exact intersection count",
+    ]
 
 
 def test_identical_bench_runs_both_succeed(tmp_path, monkeypatch, capsys):
@@ -907,3 +942,39 @@ def test_bench_times_the_passes_its_mac_columns_count(tmp_path, monkeypatch, arg
         assert macs[spec] == {int(macs_drop)}
         anchor_rows = len(ablation.retained_axes(16, 24, spec)[0])
         assert {total * anchor_rows for total in macs[full]} == {int(macs_full)}
+
+
+# a list option whose values repeat, out of ascending order: (command, key, values)
+REPEATS = [
+    (["certify", "--ckpt", "good.svit"], "patch_sizes", [3, 2, 3]),
+    (["delta"], "patch_sizes", [32, 16, 32]),
+    (["sweep", "--ckpt", "good.svit"], "patch_sizes", [3, 2, 3]),
+    (["sweep", "--ckpt", "good.svit"], "b_grid", [5, 2, 5]),
+    (["sweep", "--ckpt", "good.svit"], "stride_grid", [3, 1, 3]),
+    (SMALL_BENCH, "b_grid", [5, 3, 5]),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv,key,values", REPEATS, ids=[f"{a[0]}-{k}" for a, k, _ in REPEATS])
+def test_a_repeated_list_value_counts_once_in_the_order_given(files, monkeypatch, capsys,
+                                                             argv, key, values, source):
+    monkeypatch.chdir(files)
+
+    def output(given, out):
+        """delta's table, or the reports named by config hash, keyed by suffix."""
+        if source == "flag":
+            option = ["--" + key.replace("_", "-"), ",".join(map(str, given))]
+        else:
+            (files / f"{out}.json").write_text(json.dumps({key: given}))
+            option = ["--config", f"{out}.json"]
+        assert cli.main(argv + option + ([] if argv[0] == "delta" else ["--out", out])) == 0
+        printed = capsys.readouterr().out
+        if argv[0] == "delta":
+            return printed
+        return {p.suffix: p.read_text() for p in (files / out).iterdir() if p.name.count("-") == 1}
+
+    once = list(dict.fromkeys(values))
+    first_seen = output(once, "once")
+    assert output(values, "repeated") == first_seen
+    assert output(sorted(once), "sorted") != first_seen  # the rows follow the given order

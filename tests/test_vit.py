@@ -37,6 +37,7 @@ from patchcert.vit import (
     per_ablation_predictions,
     save_checkpoint,
 )
+from certbench import harness, tracing
 from references import (ablated_cells_reference, finite_difference_gradient, forced_stack_pool,
                         formula_softmax, matmul_per_head, mean_layer_norm_fwd,
                         per_sample_loss_and_gradients, pixel_ablation)
@@ -363,10 +364,8 @@ def test_taller_stacks_peak_below_the_former_256_row_forward(monkeypatch):
     assert peak <= FORMER_PEAK_AT_256_ROWS, f"peak {peak} B"
 
 
-_STAGE_OF = {"patch_embed.weight": "tokenization", "head.weight": "head",
-             "attn.wq": "projections_linear", "attn.wk": "projections_linear",
-             "attn.wv": "projections_linear", "attn.wo": "projections_linear",
-             "mlp.w1": "mlp_linear", "mlp.w2": "mlp_linear"}
+# certbench's staging: each weight's stage, keyed as CostModel.breakdown keys it
+_STAGE_OF = {name: harness.STAGE_KEYS[stage] for name, stage in tracing._WEIGHT_STAGES.items()}
 
 
 @pytest.mark.parametrize(
