@@ -4,7 +4,9 @@ Commands: ablate, train, certify, delta, sweep, bench. Each command
 declares its options once, in OPTIONS: every key there is both a
 JSON config-file key and the flag --key-with-dashes, explicit flags
 override the config file, and a command has no flag or config key it
-does not read.
+does not read. main parses a command's options once, after --out is
+checked and before the command runs, and a writing command checks every
+output name before any work.
 Every command is deterministic given (config, seed) except for measured wall-clock
 columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -154,21 +157,38 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def write_report(out_dir, name: str, text: str) -> str:
-    """Write a report exactly once; identical re-runs are no-ops."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    payload = text.encode("utf-8")
-    if os.path.exists(path):
+def write_reports(reports: dict) -> None:
+    """Write each report (path -> text) exactly once; identical re-runs are no-ops.
+
+    Every path is checked against the file already there before any
+    report is written, so a refused report leaves no new one beside it.
+    """
+    new = {}
+    for path, text in reports.items():
+        payload = text.encode("utf-8")
+        if not os.path.exists(path):
+            new[path] = payload
+            continue
         with open(path, "rb") as fh:
-            if fh.read() == payload:
-                log.info("report %s unchanged", path)
-                return path
-        raise PatchcertError(f"refusing to clobber existing report {path} with new content")
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    log.info("wrote %s", path)
-    return path
+            if fh.read() != payload:
+                raise PatchcertError(f"refusing to clobber existing report {path} with new content")
+        log.info("report %s unchanged", path)
+    for path, payload in new.items():
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        log.info("wrote %s", path)
+
+
+def _output_paths(out: str, *names: str) -> list[str]:
+    """out/name for each name; one that exists and is not a regular file is
+    refused, before any work, as opening it to write would refuse it after."""
+    paths = [os.path.join(out, name) for name in names]
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            code = errno.EISDIR if os.path.isdir(path) else errno.EEXIST
+            raise OSError(code, os.strerror(code), path)  # IsADirectoryError or FileExistsError
+    return paths
 
 
 def _csv_text(rows, fieldnames, comment: str | None = None) -> str:
@@ -267,9 +287,10 @@ def _convert(key: str, kind, value):
 def _options(args) -> tuple[dict, dict]:
     """(raw, o): the JSON config overlaid with explicit flags, and the command's options.
 
-    raw is hashed, exactly as given, into report names; o holds every
-    option of the command converted, with its default where unset. A
-    config key the command does not declare is a ParameterError.
+    main calls this once, after --out is checked, and passes both to the
+    command. raw is hashed, exactly as given, into report names; o holds
+    every option of the command converted, with its default where unset.
+    A config key the command does not declare is a ParameterError.
     """
     raw = {}
     if args.config:
@@ -408,8 +429,7 @@ def _report_rows(spec: AblationSpec, report: dict) -> list[dict]:
 # commands
 
 
-def cmd_ablate(args) -> int:
-    _, o = _options(args)
+def cmd_ablate(args, raw: dict, o: dict) -> int:
     data = _load_dataset(o, args.seed)
     index = o["index"]
     if not 0 <= index < len(data):
@@ -417,17 +437,18 @@ def cmd_ablate(args) -> int:
     x = validate_image(data.images[index])  # checked, like the spec, before any file is made
     spec = _spec_from(o)
     anchors = ablation_anchors(x.shape[0], x.shape[1], spec)
+    paths = _output_paths(args.out, *(name for i in range(len(anchors))
+                                      for name in (f"abl_{i}.ppm", f"mask_{i}.pgm")))
     os.makedirs(args.out, exist_ok=True)
-    for i, anchor in enumerate(anchors):  # one ablation alive at a time, not the whole set
+    for anchor, ppm, pgm in zip(anchors, paths[::2], paths[1::2]):  # one ablation alive at a time
         (abl,) = ablation_set(x, spec, [anchor])
-        write_ppm(os.path.join(args.out, f"abl_{i}.ppm"), abl.pixels)
-        write_pgm(os.path.join(args.out, f"mask_{i}.pgm"), abl.mask * 255)
+        write_ppm(ppm, abl.pixels)
+        write_pgm(pgm, abl.mask * 255)
     print(f"wrote {len(anchors)} ablations to {args.out}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    raw, o = _options(args)
+def cmd_train(args, raw: dict, o: dict) -> int:
     data = _load_dataset(o, args.seed)
     if not (data.splits == "train").any():  # CIFAR-10 and IDX files carry no split
         n = len(data)
@@ -442,11 +463,11 @@ def cmd_train(args) -> int:
                         **{f.name: o[f.name] for f in fields(ViTConfig) if f.name in o})
     train_cfg = TrainConfig(seed=args.seed, **{key: o[key] for key in _TRAINING})
     AblationSpec(train_cfg.kind, train_cfg.b_train).validate_for(vit_cfg.h, vit_cfg.w)
-    os.makedirs(args.out, exist_ok=True)
     stamp = config_hash({"cfg": raw, "seed": args.seed, "vit": vit_cfg.to_dict()})
+    log_path, ckpt = _output_paths(args.out, f"train-{stamp}.jsonl", f"ckpt-{stamp}.svit")
+    os.makedirs(args.out, exist_ok=True)
     model = Model.init(vit_cfg, seed=args.seed)
-    result = fit(model, data, train_cfg, log_path=os.path.join(args.out, f"train-{stamp}.jsonl"))
-    ckpt = os.path.join(args.out, f"ckpt-{stamp}.svit")
+    result = fit(model, data, train_cfg, log_path=log_path)
     save_checkpoint(result["model"], ckpt)
     print(f"best epoch {result['best_epoch']} "
           f"val_ablation_acc {result['val_history'][result['best_epoch']]:.4f}")
@@ -454,15 +475,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    raw, o = _options(args)
-    ((spec, report),) = _certify_each(o, args.seed, [(o["b"], o["stride"])])
+def cmd_certify(args, raw: dict, o: dict) -> int:
     stamp = config_hash({"command": "certify", "cfg": raw, "seed": args.seed})
+    jpath, cpath = _output_paths(args.out, f"certify-{stamp}.json", f"certify-{stamp}.csv")
+    ((spec, report),) = _certify_each(o, args.seed, [(o["b"], o["stride"])])
     json_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     csv_text = _csv_text(_report_rows(spec, report),
                          ["m", "delta", "certified_accuracy", "standard_accuracy"])
-    jpath = write_report(args.out, f"certify-{stamp}.json", json_text)
-    write_report(args.out, f"certify-{stamp}.csv", csv_text)
+    write_reports({jpath: json_text, cpath: csv_text})
     print(f"standard accuracy {report['standard_accuracy']:.4f}")
     for entry in report["certified"]:
         print(f"m={entry['m']} delta={entry['delta']} certified {entry['accuracy']:.4f}")
@@ -470,8 +490,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def cmd_delta(args) -> int:
-    _, o = _options(args)
+def cmd_delta(args, raw: dict, o: dict) -> int:
     h, w = o["h"], o["w"]
     spec = _spec_from(o)
     # every row is computed before any is printed, so a failed run prints nothing
@@ -501,24 +520,23 @@ def cmd_delta(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    raw, o = _options(args)
+def cmd_sweep(args, raw: dict, o: dict) -> int:
     grid = [(b, s) for b in o["b_grid"] for s in o["stride_grid"]]
+    stamp = config_hash({"command": "sweep", "cfg": raw, "seed": args.seed})
+    (path,) = _output_paths(args.out, f"sweep-{stamp}.csv")
     rows, points = [], 0
     for spec, report in _certify_each(o, args.seed, grid):
         rows += _report_rows(spec, report)
         points += 1
-    stamp = config_hash({"command": "sweep", "cfg": raw, "seed": args.seed})
     csv_text = _csv_text(
         rows, ["b", "s", "m", "delta", "standard_accuracy", "certified_accuracy"]
     )
-    path = write_report(args.out, f"sweep-{stamp}.csv", csv_text)
+    write_reports({path: csv_text})
     print(f"swept {points} grid points; report: {path}")
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    raw, o = _options(args)
+def cmd_bench(args, raw: dict, o: dict) -> int:
     vit_cfg = ViTConfig(**{f.name: o[f.name] for f in fields(ViTConfig)})
     trials = o["trials"]
     if trials < 3:
@@ -531,6 +549,11 @@ def cmd_bench(args) -> int:
     # once per run and charged per ablation of each set
     full_spec = AblationSpec(kind="column", b=vit_cfg.w, s=o["stride"], offset=o["offset"])
     full_count = len(ablation_anchors(vit_cfg.h, vit_cfg.w, full_spec))
+    # the MAC model is deterministic and named by config hash; measured
+    # times differ per run, so they go to a file beside it stamped with the run's start
+    stamp = config_hash({"command": "bench", "cfg": raw, "seed": args.seed})
+    run = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
+    path, time_path = _output_paths(args.out, f"bench-{stamp}.csv", f"bench-{stamp}-{run}.csv")
     model = Model.init(vit_cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     image = rng.uniform(0.0, 1.0, size=(vit_cfg.h, vit_cfg.w, vit_cfg.c)).astype(np.float32)
@@ -562,10 +585,6 @@ def cmd_bench(args) -> int:
             }
         )
         log.info("bench b=%d speedup %.2fx", spec.b, rows[-1]["speedup"])
-    # the MAC model is deterministic and named by config hash; measured
-    # times differ per run, so they go to a run-stamped file beside it
-    stamp = config_hash({"command": "bench", "cfg": raw, "seed": args.seed})
-    run = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     mac_text = _csv_text(
         rows, ["b", "stride", "n_tokens_mean", "macs_drop", "macs_full", "mac_ratio"],
         comment="MAC columns cover one full smoothed pass",
@@ -575,8 +594,7 @@ def cmd_bench(args) -> int:
         comment=(f"mean seconds of one smoothed pass per row over {trials} trials; the full-grid "
                  "pass is timed once and scaled to each row's ablation count"),
     )
-    path = write_report(args.out, f"bench-{stamp}.csv", mac_text)
-    time_path = write_report(args.out, f"bench-{stamp}-{run}.csv", time_text)
+    write_reports({path: mac_text, time_path: time_text})
     print(f"bench report: {path}")
     print(f"timing report: {time_path}")
     return EXIT_OK
@@ -656,7 +674,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "out" in args:
             _check_out(args.out)
-        return args.func(args)
+        return args.func(args, *_options(args))
     except (FileNotFoundError, InputError) as exc:
         _emit_error(exc, EXIT_MISSING)
         return EXIT_MISSING

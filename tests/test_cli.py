@@ -5,6 +5,7 @@ columns count, and ablate holds one ablation at a time."""
 import hashlib
 import json
 import os
+import socket
 import struct
 import tracemalloc
 import weakref
@@ -374,6 +375,10 @@ WRITING_COMMANDS = [
 ]
 
 
+def _listing(directory):
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
 def _forbid_work(monkeypatch):
     """Any ablation, training, certification or timed pass the CLI starts fails the test."""
     def no_work(*args, **kwargs):
@@ -390,12 +395,12 @@ def _forbid_work(monkeypatch):
 def test_an_out_that_is_not_a_directory_exits_3_before_any_work(files, monkeypatch, capsys, argv, out):
     _forbid_work(monkeypatch)
     monkeypatch.chdir(files)
-    before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
+    before = _listing(files)
     assert cli.main(argv + ["--out", out]) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.err.strip().splitlines()[-1])["exit_code"] == 3
     assert captured.out == ""
-    assert {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()} == before
+    assert _listing(files) == before
 
 
 SPECS_BEFORE_WORK = [
@@ -432,26 +437,63 @@ def test_a_rerun_that_would_overwrite_a_different_report_exits_1(files, monkeypa
     assert report.read_text() == "{}\n"
 
 
-# each writing command's first output, named as a re-run names it again
-TAKEN = {"ablate": "abl_0.ppm", "train": "ckpt-*.svit", "certify": "certify-*.json",
-         "sweep": "sweep-*.csv", "bench": "bench-????????????.csv"}
-
-
-@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=[a[0] for a in WRITING_COMMANDS])
-def test_an_output_name_taken_by_a_directory_exits_1(files, monkeypatch, capsys, argv):
+def test_a_refused_report_leaves_no_new_report_beside_it(files, monkeypatch, capsys):
+    # certify checks both its reports against the files there before it writes either
     monkeypatch.chdir(files)
-    argv = argv + ["--out", "out"]
+    argv = ["certify", "--ckpt", "good.svit", "--stripe-n", "2", "--out", "out"]
     assert cli.main(argv) == 0
-    (taken,) = (files / "out").glob(TAKEN[argv[0]])
+    (report,) = (files / "out").glob("certify-*.json")
+    report.unlink()
+    (files / "out" / report.name.replace(".json", ".csv")).write_text("m\n")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "refusing to clobber" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert not report.exists()
+
+
+# each writing command's outputs, named as a re-run names them again: the
+# first, and for ablate, train and certify a later one
+TAKEN = {
+    "ablate": "abl_0.ppm", "ablate-mask": "mask_3.pgm", "train": "ckpt-*.svit",
+    "train-log": "train-*.jsonl", "certify": "certify-*.json", "certify-csv": "certify-*.csv",
+    "sweep": "sweep-*.csv", "bench": "bench-????????????.csv",
+}
+
+
+@pytest.mark.parametrize("case,name", TAKEN.items(), ids=list(TAKEN))
+def test_an_output_name_taken_by_a_directory_exits_1(files, monkeypatch, capsys, case, name):
+    monkeypatch.chdir(files)
+    (argv,) = [a + ["--out", "out"] for a in WRITING_COMMANDS if a[0] == case.split("-")[0]]
+    assert cli.main(argv) == 0
+    (taken,) = (files / "out").glob(name)
     taken.unlink()
     taken.mkdir()
+    before = _listing(files / "out")
     capsys.readouterr()
+    _forbid_work(monkeypatch)  # the name is refused before any work
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()  # the error record, and no traceback
     record = json.loads(line)
     assert record["exit_code"] == 1 and record["type"] == "IsADirectoryError"
     assert captured.out == ""
+    assert _listing(files / "out") == before
+
+
+def test_an_output_name_taken_by_another_kind_of_file_exits_1(files, monkeypatch, capsys):
+    # a socket at the report's name: opening it would fail after the work, so it is refused before
+    monkeypatch.chdir(files)
+    argv = ["sweep", "--ckpt", "good.svit", "--out", "out"]
+    assert cli.main(argv) == 0
+    (taken,) = (files / "out").glob("sweep-*.csv")
+    taken.unlink()
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(os.path.relpath(taken))  # short: a socket path holds at most 108 bytes
+    capsys.readouterr()
+    _forbid_work(monkeypatch)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["type"] == "FileExistsError" and captured.out == ""
 
 
 def test_idx_images_certify_when_finite(files, monkeypatch, capsys):
@@ -534,14 +576,14 @@ def test_an_out_the_process_cannot_write_into_exits_3_before_any_work(files, mon
     _forbid_work(monkeypatch)
     _refuse_access(monkeypatch, files.name, os.W_OK)  # out's nearest existing directory
     monkeypatch.chdir(files)
-    before = {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()}
+    before = _listing(files)
     assert cli.main(argv + ["--out", out]) == 3
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     record = json.loads(line)
     assert record["exit_code"] == 3 and f"directory {files} is not writable" in record["error"]
     assert captured.out == ""
-    assert {p.name: p.read_bytes() if p.is_file() else None for p in files.iterdir()} == before
+    assert _listing(files) == before
 
 
 @pytest.mark.parametrize("fmt", ["idx", "cifar10"])

@@ -378,9 +378,10 @@ _STAGE_OF = {name: harness.STAGE_KEYS[stage] for name, stage in tracing._WEIGHT_
     ],
 )
 def test_engine_macs_equal_the_cost_model(monkeypatch, cfg, spec):
-    # stage every product by its right operand, as certbench does: a
-    # weight's identity gives its stage, anything else is attention; on
-    # the calling thread and on the stack pool alike
+    # stage every product, 2-D or stacked, by its right operand, as certbench
+    # does: a weight's identity, or that of the array it views (a weight's
+    # transpose), gives its stage, anything else is attention; on the
+    # calling thread and on the stack pool alike
     model = Model.init(cfg, seed=1)
     stage_of = {id(model.params[name]): stage for name in model.params
                 for suffix, stage in _STAGE_OF.items() if name.endswith(suffix)}
@@ -388,14 +389,18 @@ def test_engine_macs_equal_the_cost_model(monkeypatch, cfg, spec):
     tokens = smoothing_cost(cfg, spec)["tokens"]
     want = {stage: sum(cost.breakdown(n)[stage] for n in tokens)
             for stage in ["attention_quadratic", *set(_STAGE_OF.values())]}
-    matmul, lock = nx.matmul, threading.Lock()
+    lock = threading.Lock()
 
-    def staged_matmul(a, b):
-        with lock:
-            staged[stage_of.get(id(b), "attention_quadratic")] += a.shape[0] * a.shape[1] * b.shape[1]
-        return matmul(a, b)
+    def staging(product):
+        def staged_product(a, b):
+            stage = stage_of.get(id(b)) or stage_of.get(id(b.base), "attention_quadratic")
+            with lock:
+                staged[stage] += a.size * b.shape[-1]
+            return product(a, b)
+        return staged_product
 
-    monkeypatch.setattr(nx, "matmul", staged_matmul)
+    for name in ("matmul", "matmul_stacked"):
+        monkeypatch.setattr(nx, name, staging(getattr(nx, name)))
     for pool in (contextlib.nullcontext(), forced_stack_pool()):
         staged = dict.fromkeys(want, 0)
         with pool, count_macs() as counter:
@@ -1236,13 +1241,6 @@ def test_a_labeled_dataset_refuses_unequal_lengths_and_labels_out_of_range():
     for bad in (-1, 2):
         with pytest.raises(ParameterError, match=r"labels outside \[0, 2\)"):
             train.LabeledDataset(images=images, labels=np.array([0, bad, 1]), splits=splits, k=2)
-
-
-def test_ablation_accuracy_refuses_an_empty_set():
-    cfg = ViTConfig(h=8, w=8, c=1, p=4, d=4, heads=2, layers=1, k=2)
-    empty = make_stripe_dataset(0, 8, 8, 2, 0.0, seed=0)
-    with pytest.raises(ParameterError, match="empty dataset"):
-        train._ablation_accuracy(Model.init(cfg), empty, 3, "column")
 
 
 def test_cost_model_refuses_a_stack_without_tokens():
