@@ -18,10 +18,12 @@ finite too), 3 invalid parameters (a training run that diverges too).
 Set PATCHCERT_LOG={error,info,debug} for logging: one JSON object per
 line on standard error.
 
-certify, sweep and bench overlap an ImageNet-sized image's stacks on threads
-only when BLAS runs one thread (OPENBLAS_NUM_THREADS=1). On 2 CPUs, certify of
-24 images at 224x224x3, column b=19, took a median 3.29 s with it, 4.21 s unset
-(process start included, 5 runs each).
+certify, sweep and bench overlap an image's stacks on threads when the first
+of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive
+count leaves at least two CPUs per BLAS thread and the stacks pass
+vit.POOL_MACS_PER_CALL, as an ImageNet-sized image's do. On 2 CPUs, certify of
+24 images at 224x224x3, column b=19, took a median 3.29 s with
+OPENBLAS_NUM_THREADS=1, 4.21 s unset (process start included, 5 runs each).
 """
 
 from __future__ import annotations
@@ -70,13 +72,8 @@ IDX_FLOAT32 = 0x0D
 # binary formats
 
 
-def _file_records(images, labels, k: int) -> LabeledDataset:
-    """A dataset read from a file, which carries no split: every record is tagged test."""
-    return LabeledDataset(images=images, labels=labels, splits=np.full(len(labels), "test"), k=k)
-
-
-def load_cifar10_binary(path) -> LabeledDataset:
-    """Parse the standard CIFAR-10 binary batch layout into a dataset."""
+def load_cifar10_binary(path) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) of a CIFAR-10 binary batch, pixels as stored: (n, 32, 32, 3) uint8."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) % _CIFAR_RECORD:
@@ -92,9 +89,7 @@ def load_cifar10_binary(path) -> LabeledDataset:
         raise FormatError(
             f"label byte {labels[bad[0]]} > 9 at byte offset {int(bad[0]) * _CIFAR_RECORD}"
         )
-    planes = records[:, 1:].reshape(n, 3, 32, 32)
-    images = np.divide(planes.transpose(0, 2, 3, 1), 255, dtype=np.float32, order="C")
-    return _file_records(images, labels, 10)
+    return records[:, 1:].reshape(n, 3, 32, 32).transpose(0, 2, 3, 1), labels
 
 
 def load_idx_tensor(path) -> np.ndarray:
@@ -122,30 +117,11 @@ def load_idx_tensor(path) -> np.ndarray:
     return np.frombuffer(blob, dtype=">f4", offset=head).reshape(dims).astype(np.float32)
 
 
-def write_ppm(path, pixels: np.ndarray) -> None:
-    """Binary PPM (P6) from float pixels in [0,1]; grayscale is replicated."""
-    arr = np.asarray(pixels)
-    if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-        raise ParameterError(f"PPM writer expects h*w*{{1,3}}, got {arr.shape}")
-    if arr.shape[2] == 1:
-        arr = np.repeat(arr, 3, axis=2)
-    _write_netpbm(path, "P6", np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8))
-
-
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Binary PGM (P5) from a 2-D uint8 grid (masks use 0 and 255)."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2:
-        raise ParameterError(f"PGM writer expects a 2-D grid, got {arr.shape}")
-    _write_netpbm(path, "P5", arr.astype(np.uint8))
-
-
-def _write_netpbm(path, magic: str, data: np.ndarray) -> None:
-    """A binary Netpbm file: its magic, width, height and maxval 255, then data's uint8 bytes."""
+def _write_netpbm(path, data: np.ndarray) -> None:
+    """A binary Netpbm file of a uint8 grid: PPM (P6) for h*w*3, PGM (P5) for h*w."""
     h, w = data.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    header = f"{'P6' if data.ndim == 3 else 'P5'}\n{w} {h}\n255\n"
+    _write_whole(path, header.encode("ascii") + data.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +131,21 @@ def _write_netpbm(path, magic: str, data: np.ndarray) -> None:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+def _write_whole(path, payload: bytes) -> None:
+    """Write payload to path whole or not at all: to a temporary name in path's
+    directory, then renamed over path. A write or rename that fails removes the
+    temporary file. open, unlike mkstemp, gives the file the umask's mode bits."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_reports(reports: dict) -> None:
@@ -175,14 +166,13 @@ def write_reports(reports: dict) -> None:
         log.info("report %s unchanged", path)
     for path, payload in new.items():
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        _write_whole(path, payload)
         log.info("wrote %s", path)
 
 
 def _output_paths(out: str, *names: str) -> list[str]:
     """out/name for each name; one that exists and is not a regular file is
-    refused, before any work, as opening it to write would refuse it after."""
+    refused, before any work, as writing it would fail after."""
     paths = [os.path.join(out, name) for name in names]
     for path in paths:
         if os.path.exists(path) and not os.path.isfile(path):
@@ -355,10 +345,18 @@ def _check_out(out: str) -> None:
 
 
 def _load_dataset(o: dict, seed: int) -> LabeledDataset:
+    """The configured dataset. A file carries no split, so every record of one is tagged
+    test, and its uint8 pixels decode here, once, into one float32 copy scaled to [0, 1]."""
     fmt = o["data_format"]
+    if fmt == "stripe":
+        return make_stripe_dataset(
+            n=o["stripe_n"], h=o["stripe_h"], w=o["stripe_w"], k=o["stripe_k"],
+            noise=o["stripe_noise"], seed=seed,
+        )
     if fmt == "cifar10":
-        return load_cifar10_binary(_require_file(o["data"], "dataset"))
-    if fmt == "idx":
+        images, labels = load_cifar10_binary(_require_file(o["data"], "dataset"))
+        k = 10
+    else:
         images = load_idx_tensor(_require_file(o["data"], "dataset"))
         labels = load_idx_tensor(_require_file(o["labels"], "labels"))
         if labels.dtype != np.uint8:  # a float label would be truncated to some class
@@ -373,17 +371,13 @@ def _load_dataset(o: dict, seed: int) -> LabeledDataset:
             raise FormatError(
                 f"IDX images file {o['data']} holds {len(images)} images but labels file "
                 f"{o['labels']} holds {len(labels)} labels")
-        if images.dtype == np.uint8:  # one float32 copy, scaled to [0, 1]
-            images = np.divide(images, 255, dtype=np.float32)
         if images.ndim == 3:
             images = images[..., None]
         labels = labels.astype(np.int64)
-        k = int(labels.max()) + 1 if labels.size else 2
-        return _file_records(images, labels, max(k, 2))
-    return make_stripe_dataset(
-        n=o["stripe_n"], h=o["stripe_h"], w=o["stripe_w"], k=o["stripe_k"],
-        noise=o["stripe_noise"], seed=seed,
-    )
+        k = max(int(labels.max()) + 1, 2) if labels.size else 2
+    if images.dtype == np.uint8:
+        images = np.divide(images, 255, dtype=np.float32, order="C")
+    return LabeledDataset(images=images, labels=labels, splits=np.full(len(labels), "test"), k=k)
 
 
 def _spec_from(o: dict) -> AblationSpec:
@@ -442,8 +436,9 @@ def cmd_ablate(args, raw: dict, o: dict) -> int:
     os.makedirs(args.out, exist_ok=True)
     for anchor, ppm, pgm in zip(anchors, paths[::2], paths[1::2]):  # one ablation alive at a time
         (abl,) = ablation_set(x, spec, [anchor])
-        write_ppm(ppm, abl.pixels)
-        write_pgm(pgm, abl.mask * 255)
+        rgb = np.broadcast_to(abl.pixels, (*x.shape[:2], 3))  # gray replicated
+        _write_netpbm(ppm, np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8))
+        _write_netpbm(pgm, abl.mask * 255)
     print(f"wrote {len(anchors)} ablations to {args.out}")
     return EXIT_OK
 

@@ -1,7 +1,9 @@
 """CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
-write nothing; report names stay pinned; bench times the engine on the passes its MAC
-columns count, and ablate holds one ablation at a time."""
+write nothing; reports are written whole or not at all, and their names and ablate's
+files stay pinned; bench times the engine on the passes its MAC columns count, and
+ablate holds one ablation at a time."""
 
+import errno
 import hashlib
 import json
 import os
@@ -451,6 +453,50 @@ def test_a_refused_report_leaves_no_new_report_beside_it(files, monkeypatch, cap
     assert not report.exists()
 
 
+class _HalfWriter:
+    """A file opened to write whose write stores half its bytes, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _half_writing_open(file, mode="r", *args, **kwargs):
+    fh = open(file, mode, *args, **kwargs)
+    return _HalfWriter(fh) if "w" in mode else fh
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EIO, os.strerror(errno.EIO), dst)
+
+
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_a_report_whose_write_fails_leaves_no_file_and_a_rerun_succeeds(files, monkeypatch,
+                                                                        capsys, fails):
+    monkeypatch.chdir(files)
+    argv = ["certify", "--ckpt", "good.svit", "--stripe-n", "2"]
+    assert cli.main(argv + ["--out", "ref"]) == 0
+    with monkeypatch.context() as patch:
+        if fails == "write":
+            patch.setattr(cli, "open", _half_writing_open, raising=False)
+        else:
+            patch.setattr(os, "replace", _failing_replace)
+        assert cli.main(argv + ["--out", "out"]) == 1
+    assert os.listdir(files / "out") == []  # no partial report, no temporary file
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", "out"]) == 0
+    assert _listing(files / "out") == _listing(files / "ref")
+
+
 # each writing command's outputs, named as a re-run names them again: the
 # first, and for ablate, train and certify a later one
 TAKEN = {
@@ -586,12 +632,14 @@ def test_an_out_the_process_cannot_write_into_exits_3_before_any_work(files, mon
     assert _listing(files) == before
 
 
-@pytest.mark.parametrize("fmt", ["idx", "cifar10"])
-def test_a_byte_dataset_decodes_into_one_float32_copy(tmp_path, fmt):
+@pytest.mark.parametrize("fmt,shape", [
+    ("idx", (256, 32, 32, 3)), ("idx", (256, 32, 32)), ("cifar10", (256, 32, 32, 3)),
+], ids=["idx", "idx-3d", "cifar10"])
+def test_a_byte_dataset_decodes_into_one_float32_copy(tmp_path, fmt, shape):
     # loading a uint8 file and taking certify's default test split holds the file's bytes and
     # one float32 copy of the images at most; the pixels are the bits u8 / 255 had in float32
     rng = np.random.default_rng(0)
-    u8 = rng.integers(0, 256, (256, 32, 32, 3), dtype=np.uint8)
+    u8 = rng.integers(0, 256, shape, dtype=np.uint8)
     u8.flat[:256] = np.arange(256)  # every byte value
     labels = rng.integers(0, 10, len(u8), dtype=np.uint8)
     if fmt == "idx":
@@ -614,7 +662,8 @@ def test_a_byte_dataset_decodes_into_one_float32_copy(tmp_path, fmt):
     bound = 1.05 * (file_bytes + 4 * u8.size)
     assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
     assert test is data
-    want = u8.astype(np.float32) / 255.0
+    want = u8.reshape(*u8.shape[:3], -1).astype(np.float32) / 255.0  # (n, h, w) gains c=1
+    assert data.images.shape == want.shape
     assert data.images.dtype == np.float32 and data.images.tobytes() == want.tobytes()
     assert data.labels.tolist() == labels.tolist()
 
@@ -916,13 +965,33 @@ def test_bench_mac_report_is_pinned(tmp_path, monkeypatch, argv, lines):
     assert mac.read_text() == "\n".join(["# MAC columns cover one full smoothed pass", *lines, ""])
 
 
-@pytest.mark.parametrize("write,shape", [
-    (cli.write_ppm, (4, 4)), (cli.write_ppm, (4, 4, 2)), (cli.write_pgm, (4, 4, 1)),
-])
-def test_image_writers_refuse_a_grid_of_the_wrong_shape(tmp_path, write, shape):
-    with pytest.raises(ParameterError, match="writer expects"):
-        write(tmp_path / "img", np.zeros(shape, np.uint8))
-    assert not (tmp_path / "img").exists()
+# every file ablate writes, as it has always written them: the file count and the
+# sha256 over each file's name and sha256, for a stripe column set, a 3-channel
+# CIFAR-10 block set with stride and offset, and a 3-D uint8 IDX column set
+ABLATE_OUTPUTS = [
+    ([], 32, "fefab7308387b3197d254fb9c03b4e61dc4ed787fa948b0053028fd90ec5ae10"),
+    (["--data-format", "cifar10", "--data", "x.bin", "--index", "1", "--ablation", "block",
+      "--b", "5", "--stride", "4", "--offset", "1"], 128,
+     "8d39e4bfbba7e0415bffbd01ae4b68eaaafb7a29e25bd9db5a960cc71318d4e0"),
+    (["--data-format", "idx", "--data", "x.idx", "--labels", "y.idx", "--index", "2",
+      "--b", "4", "--stride", "2"], 20,
+     "6779d2640f28ca4386b4089fcc51a84dd3ecb30648ec015d4223f82a36721425"),
+]
+
+
+@pytest.mark.parametrize("argv,count,digest", ABLATE_OUTPUTS, ids=["stripe", "cifar10", "idx"])
+def test_ablate_outputs_are_pinned(tmp_path, monkeypatch, argv, count, digest):
+    rng = np.random.default_rng(0)
+    planes = rng.integers(0, 256, (2, 3 * 32 * 32), dtype=np.uint8)
+    (tmp_path / "x.bin").write_bytes(np.column_stack([[3, 7], planes]).astype(np.uint8).tobytes())
+    (tmp_path / "x.idx").write_bytes(_idx_ubyte(rng.integers(0, 256, (3, 12, 20), dtype=np.uint8)))
+    (tmp_path / "y.idx").write_bytes(_idx_ubyte(np.array([0, 1, 2], np.uint8)))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ablate", *argv, "--out", "out"]) == 0
+    written = sorted((tmp_path / "out").iterdir())
+    manifest = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in written)
+    assert len(written) == count
+    assert hashlib.sha256(manifest.encode()).hexdigest() == digest
 
 
 def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypatch):
@@ -933,16 +1002,16 @@ def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypa
             super().__init__(*args, **kwargs)
             built.append(weakref.ref(self))
 
-    def ppm(path, pixels):
+    def netpbm(path, data):
         written.append(sum(ref() is not None for ref in built))
-        write_ppm(path, pixels)
+        write_netpbm(path, data)
 
-    write_ppm = cli.write_ppm
+    write_netpbm = cli._write_netpbm
     monkeypatch.setattr(ablation, "AblatedImage", Tracked)
-    monkeypatch.setattr(cli, "write_ppm", ppm)
+    monkeypatch.setattr(cli, "_write_netpbm", netpbm)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["ablate", "--ablation", "block", "--b", "4", "--out", "out"]) == 0
-    assert written == [1] * 256  # one 16x16 block ablation alive per file, not the set
+    assert written == [1] * 512  # one 16x16 block ablation alive per file, not the set
 
 
 def test_bench_builds_no_ablated_image(tmp_path, monkeypatch):
