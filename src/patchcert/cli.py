@@ -11,6 +11,8 @@ Every command is deterministic given (config, seed) except for measured wall-clo
 columns, which bench writes to a separate run-stamped file. Reports are
 named by a content hash of the resolved run config, so re-runs
 regenerate the same file and sweeps never clobber unrelated results.
+Every file is written whole or not at all (vit.write_whole), and --out is
+made when the first file is written, so a command that fails sooner makes none.
 
 Exit codes: 0 success, 1 internal error or an output that cannot be
 written, 2 missing/corrupt input (a checkpoint whose forward is not
@@ -53,7 +55,8 @@ from .certify import certified_accuracy, delta_closed_form, delta_oracle
 from .errors import (BudgetError, DivergenceError, FormatError, InputError, ParameterError,
                      PatchcertError)
 from .train import VAL_PERCENT, LabeledDataset, TrainConfig, fit, make_stripe_dataset
-from .vit import Model, ViTConfig, load_checkpoint, per_ablation_predictions, save_checkpoint
+from .vit import (Model, ViTConfig, load_checkpoint, per_ablation_predictions, save_checkpoint,
+                  write_whole)
 
 log = logging.getLogger("patchcert")
 
@@ -121,7 +124,7 @@ def _write_netpbm(path, data: np.ndarray) -> None:
     """A binary Netpbm file of a uint8 grid: PPM (P6) for h*w*3, PGM (P5) for h*w."""
     h, w = data.shape[:2]
     header = f"{'P6' if data.ndim == 3 else 'P5'}\n{w} {h}\n255\n"
-    _write_whole(path, header.encode("ascii") + data.tobytes())
+    write_whole(path, header.encode("ascii") + data.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +134,6 @@ def _write_netpbm(path, data: np.ndarray) -> None:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-
-
-def _write_whole(path, payload: bytes) -> None:
-    """Write payload to path whole or not at all: to a temporary name in path's
-    directory, then renamed over path. A write or rename that fails removes the
-    temporary file. open, unlike mkstemp, gives the file the umask's mode bits."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def write_reports(reports: dict) -> None:
@@ -165,8 +153,7 @@ def write_reports(reports: dict) -> None:
                 raise PatchcertError(f"refusing to clobber existing report {path} with new content")
         log.info("report %s unchanged", path)
     for path, payload in new.items():
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _write_whole(path, payload)
+        write_whole(path, payload)
         log.info("wrote %s", path)
 
 
@@ -433,7 +420,6 @@ def cmd_ablate(args, raw: dict, o: dict) -> int:
     anchors = ablation_anchors(x.shape[0], x.shape[1], spec)
     paths = _output_paths(args.out, *(name for i in range(len(anchors))
                                       for name in (f"abl_{i}.ppm", f"mask_{i}.pgm")))
-    os.makedirs(args.out, exist_ok=True)
     for anchor, ppm, pgm in zip(anchors, paths[::2], paths[1::2]):  # one ablation alive at a time
         (abl,) = ablation_set(x, spec, [anchor])
         rgb = np.broadcast_to(abl.pixels, (*x.shape[:2], 3))  # gray replicated
@@ -460,7 +446,6 @@ def cmd_train(args, raw: dict, o: dict) -> int:
     AblationSpec(train_cfg.kind, train_cfg.b_train).validate_for(vit_cfg.h, vit_cfg.w)
     stamp = config_hash({"cfg": raw, "seed": args.seed, "vit": vit_cfg.to_dict()})
     log_path, ckpt = _output_paths(args.out, f"train-{stamp}.jsonl", f"ckpt-{stamp}.svit")
-    os.makedirs(args.out, exist_ok=True)
     model = Model.init(vit_cfg, seed=args.seed)
     result = fit(model, data, train_cfg, log_path=log_path)
     save_checkpoint(result["model"], ckpt)

@@ -30,7 +30,7 @@ import numpy as np
 # wraps them under the names train.column_ablation and train.block_ablation.
 from .ablation import AblationSpec, block_ablation, column_ablation, validate_image  # noqa: F401
 from .errors import DivergenceError, NonFiniteError, ParameterError
-from .vit import Model, loss_and_gradients, per_ablation_predictions
+from .vit import Model, loss_and_gradients, per_ablation_predictions, write_whole
 
 __all__ = [
     "TrainConfig",
@@ -219,9 +219,10 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
     """Train with per-epoch validation and early stopping.
 
     Keeps the parameter snapshot of the best validation epoch and stops
-    after ``patience`` epochs without improvement. Writes one JSONL line
-    per epoch to ``log_path`` and returns a record with the best model,
-    the best epoch and the per-epoch validation history.
+    after ``patience`` epochs without improvement. After the last epoch it writes
+    one JSONL line per epoch to ``log_path``, whole or not at all (vit.write_whole:
+    its directory is made, and a symlink there replaced), and returns a record with
+    the best model, the best epoch and the per-epoch validation history.
     """
     train_split = data.subset("train")
     val_split = data.subset("val")
@@ -247,6 +248,5 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
         if epoch - best_epoch >= cfg.patience:
             break
     model.params = best.params
-    with open(log_path, "w") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+    write_whole(log_path, ("\n".join(log_lines) + "\n").encode("utf-8"))
     return {"model": model, "best_epoch": best_epoch, "val_history": history}

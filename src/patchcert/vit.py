@@ -55,6 +55,7 @@ __all__ = [
     "loss_and_gradients",
     "save_checkpoint",
     "load_checkpoint",
+    "write_whole",
 ]
 
 CHECKPOINT_MAGIC = b"SVIT"
@@ -699,20 +700,32 @@ def _set_gradients(patches, grid_idx, dlogits, ctx, params, cfg):
     yield "pos_embed", pos
 
 
+def write_whole(path, payload: bytes) -> None:
+    """Write payload to path whole or not at all, making path's directory: to
+    <path>.<pid>.tmp, then renamed over path, so a symlink at path is replaced, not
+    written through. open, unlike mkstemp, gives the file the umask's mode bits."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # left by a write or rename that failed
+            os.remove(tmp)
+
+
 def save_checkpoint(model: Model, path) -> None:
-    """Write magic, version, JSON header, then raw little-endian float32."""
+    """Write magic, version, JSON header, then raw little-endian float32, whole or not
+    at all (write_whole: the directory is made, and a symlink at path is replaced)."""
     names = list(_param_table(model.cfg))
     manifest = [{"name": n, "shape": list(model.params[n].shape)} for n in names]
     header = json.dumps(
         {"config": model.cfg.to_dict(), "manifest": manifest}, sort_keys=True
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes())
+    write_whole(path, b"".join([
+        CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header,
+        *(np.ascontiguousarray(model.params[n], dtype="<f4").tobytes() for n in names)]))
 
 
 def load_checkpoint(path) -> Model:

@@ -1,7 +1,7 @@
 """CLI exit-code contract: malformed inputs exit 2 or 3 with a JSON error record and
-write nothing; reports are written whole or not at all, and their names and ablate's
-files stay pinned; bench times the engine on the passes its MAC columns count, and
-ablate holds one ablation at a time."""
+write nothing; every output is written whole or not at all, and report names and
+ablate's and train's files stay pinned; bench times the engine on the passes its
+MAC columns count, and ablate holds one ablation at a time."""
 
 import errno
 import hashlib
@@ -362,7 +362,7 @@ def test_malformed_input_exit_code(files, monkeypatch, capsys, argv, code):
     assert record["exit_code"] == code
     assert NAMED.get(" ".join(argv), "") in record["error"]
     assert captured.out == ""
-    assert not (files / "out").exists() or not any((files / "out").iterdir())
+    assert not (files / "out").exists()
 
 
 BENCH = ["bench", "--h", "16", "--w", "16", "--c", "1", "--p", "4", "--d", "8", "--heads", "2",
@@ -479,19 +479,27 @@ def _failing_replace(src, dst):
     raise OSError(errno.EIO, os.strerror(errno.EIO), dst)
 
 
-@pytest.mark.parametrize("fails", ["write", "replace"])
+# a write that fails midway, or the rename, at each writing command's first file:
+# certify's reports (ids "write" and "replace"), train's log and ablate's first image
+WHOLE_WRITES = [pytest.param(argv, fails, id=prefix + fails)
+                for prefix, argv in (("", ["certify", "--ckpt", "good.svit", "--stripe-n", "2"]),
+                                     ("train-", ["train", "--stripe-n", "8", "--epochs", "1"]),
+                                     ("ablate-", ["ablate"]))
+                for fails in ("write", "replace")]
+
+
+@pytest.mark.parametrize("argv,fails", WHOLE_WRITES)
 def test_a_report_whose_write_fails_leaves_no_file_and_a_rerun_succeeds(files, monkeypatch,
-                                                                        capsys, fails):
+                                                                        capsys, argv, fails):
     monkeypatch.chdir(files)
-    argv = ["certify", "--ckpt", "good.svit", "--stripe-n", "2"]
     assert cli.main(argv + ["--out", "ref"]) == 0
     with monkeypatch.context() as patch:
         if fails == "write":
-            patch.setattr(cli, "open", _half_writing_open, raising=False)
+            patch.setattr(vit, "open", _half_writing_open, raising=False)
         else:
             patch.setattr(os, "replace", _failing_replace)
         assert cli.main(argv + ["--out", "out"]) == 1
-    assert os.listdir(files / "out") == []  # no partial report, no temporary file
+    assert os.listdir(files / "out") == []  # no partial file, no temporary file
     capsys.readouterr()
     assert cli.main(argv + ["--out", "out"]) == 0
     assert _listing(files / "out") == _listing(files / "ref")
@@ -992,6 +1000,32 @@ def test_ablate_outputs_are_pinned(tmp_path, monkeypatch, argv, count, digest):
     manifest = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in written)
     assert len(written) == count
     assert hashlib.sha256(manifest.encode()).hexdigest() == digest
+
+
+# every file a seeded stripe train writes, as it has always written them: each
+# file's name and sha256, for a column run at the default model and a block run
+TRAIN_OUTPUTS = [
+    (["--stripe-n", "64", "--epochs", "2", "--seed", "3", "--b-train", "3"], {
+        "ckpt-894d3ed6fac6.svit": "27635aaf4e2ac736abdc9413d7c6071547d7227d7d978e546b404524e7cf91d6",
+        "train-894d3ed6fac6.jsonl":
+            "bab4e9cd457c8ce39c7ff75add456dd992e09a97391e7b19e0c86441f9f60940",
+    }),
+    (["--stripe-n", "32", "--epochs", "3", "--seed", "1", "--kind", "block", "--b-train", "6",
+      "--d", "16", "--heads", "2"], {
+        "ckpt-1da450eed30e.svit": "72ec73fb8006855ec477c70a6106974ce90a0c5d16690c6c3428f5718fc82144",
+        "train-1da450eed30e.jsonl":
+            "969c679ffbcb0fc52789d4ce99fe77d85ccd5fa9c6353e47d16dfd34b1be86ad",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", TRAIN_OUTPUTS, ids=["column", "block"])
+def test_train_outputs_are_pinned(tmp_path, monkeypatch, capsys, argv, digests):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", *argv, "--out", "out"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == digests
 
 
 def test_ablate_writes_each_ablation_before_building_the_next(tmp_path, monkeypatch):
