@@ -447,8 +447,9 @@ def cmd_train(args, raw: dict, o: dict) -> int:
     stamp = config_hash({"cfg": raw, "seed": args.seed, "vit": vit_cfg.to_dict()})
     log_path, ckpt = _output_paths(args.out, f"train-{stamp}.jsonl", f"ckpt-{stamp}.svit")
     model = Model.init(vit_cfg, seed=args.seed)
-    result = fit(model, data, train_cfg, log_path=log_path)
-    save_checkpoint(result["model"], ckpt)
+    result = fit(model, data, train_cfg)
+    save_checkpoint(result["model"], ckpt)  # first: a log names a run whose checkpoint exists
+    write_whole(log_path, result["log"].encode("utf-8"))
     print(f"best epoch {result['best_epoch']} "
           f"val_ablation_acc {result['val_history'][result['best_epoch']]:.4f}")
     print(f"checkpoint: {ckpt}")

@@ -30,7 +30,7 @@ import numpy as np
 # wraps them under the names train.column_ablation and train.block_ablation.
 from .ablation import AblationSpec, block_ablation, column_ablation, validate_image  # noqa: F401
 from .errors import DivergenceError, NonFiniteError, ParameterError
-from .vit import Model, loss_and_gradients, per_ablation_predictions, write_whole
+from .vit import Model, loss_and_gradients, per_ablation_predictions
 
 __all__ = [
     "TrainConfig",
@@ -215,14 +215,13 @@ def _ablation_accuracy(model: Model, data: LabeledDataset, b_eval: int, kind: st
     return correct / total
 
 
-def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
+def fit(model: Model, data: LabeledDataset, cfg: TrainConfig) -> dict:
     """Train with per-epoch validation and early stopping.
 
     Keeps the parameter snapshot of the best validation epoch and stops
-    after ``patience`` epochs without improvement. After the last epoch it writes
-    one JSONL line per epoch to ``log_path``, whole or not at all (vit.write_whole:
-    its directory is made, and a symlink there replaced), and returns a record with
-    the best model, the best epoch and the per-epoch validation history.
+    after ``patience`` epochs without improvement. Returns a record with the
+    best model, the best epoch, the per-epoch validation history and the
+    training log: one JSONL line per epoch, as text; fit writes no file.
     """
     train_split = data.subset("train")
     val_split = data.subset("val")
@@ -248,5 +247,5 @@ def fit(model: Model, data: LabeledDataset, cfg: TrainConfig, log_path) -> dict:
         if epoch - best_epoch >= cfg.patience:
             break
     model.params = best.params
-    write_whole(log_path, ("\n".join(log_lines) + "\n").encode("utf-8"))
-    return {"model": model, "best_epoch": best_epoch, "val_history": history}
+    return {"model": model, "best_epoch": best_epoch, "val_history": history,
+            "log": "\n".join(log_lines) + "\n"}

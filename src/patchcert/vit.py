@@ -61,8 +61,9 @@ __all__ = [
 CHECKPOINT_MAGIC = b"SVIT"
 CHECKPOINT_VERSION = 1
 
-# Token rows per stacked forward in per_ablation_predictions. Taller stacks
-# raise peak memory; shorter ones pay more per-call overhead. Measured on 2
+# Token rows per stacked forward in per_ablation_predictions. No logit
+# depends on it (_encoder_core gives each set a batch of one's bits). Taller
+# stacks raise peak memory; shorter ones pay more per-call overhead. Measured on 2
 # CPUs with one BLAS thread and the stack pool (random-init ImageNet-like
 # model, interleaved images), ms per image at 256/384/512/640/768 rows:
 # column b=19 137.7/123.8/123.5/122.0/123.1, its s=10 set
@@ -229,18 +230,19 @@ def _encoder_core(cells, grid_idx, params, cfg, record=False):
 
     Each set is a stack of n+1 token rows: the class token in row 0, then
     the projected cells plus their positional embeddings. Weight products
-    run once over all rows; attention runs per set and head, one BLAS
-    call each: _per_head's 2-D nx.matmul calls in inference, one
-    matmul_stacked over the (B, heads) stack in record mode. The readout
-    is the class token, so the last layer computes only that row past its
-    keys and values: LN1 and the K/V projections run over all rows,
-    because the class token attends to every key, while Q, the scores
-    (B, heads, 1, n+1), the weighted sum, the out-projection, the
-    residual, LN2, the MLP and the final layer norm run on the B class
-    rows. record (training) keeps every row, projects the cells and
-    computes the head per set (_weight_product), so a set's values are
-    bitwise those of a batch of one for every n, n = 1 included, and also
-    returns the activations the backward pass needs.
+    over token rows run once over all rows (record mode embeds each set
+    alone); attention runs per set and head, one BLAS call each:
+    _per_head's 2-D nx.matmul calls in inference, one matmul_stacked over
+    the (B, heads) stack in record mode. The readout is the class token,
+    so the last layer computes only that row past its keys and values:
+    LN1 and the K/V projections run over all rows, because the class
+    token attends to every key, while Q, the scores (B, heads, 1, n+1),
+    the weighted sum, the out-projection, the residual, LN2, the MLP and
+    the final layer norm run on the B class rows. Each product over class
+    rows, the head's in both modes too, is a 2-D nx.matmul per set
+    (_per_row), so a set's logits are bitwise a batch of one's: B,
+    ROW_BUDGET and the plan move no bit. record (training) keeps every
+    row and also returns the activations the backward pass needs.
 
     Inference keeps only what a later op reads: no layer-norm ctx, and
     each activation (the projected cells, h1, K, k_t, Q, V, the scores,
@@ -251,8 +253,9 @@ def _encoder_core(cells, grid_idx, params, cfg, record=False):
     the hidden and GELU's scratch.
     """
     bsz, n, d = len(grid_idx), grid_idx.shape[1] + 1, cfg.d  # n token rows per set
-    t = nx.bias_add(
-        _weight_product(cells, params["patch_embed.weight"], record), params["patch_embed.bias"])
+    w = params["patch_embed.weight"]
+    t = nx.matmul_stacked(cells, w) if record else nx.matmul(cells.reshape(bsz * (n - 1), -1), w)
+    t = nx.bias_add(t.reshape(bsz, n - 1, d), params["patch_embed.bias"])
     x = np.empty((bsz, n, d), dtype=t.dtype)
     x[:, 0] = params["cls_token"] + params["cls_pos"]
     np.add(t, params["pos_embed"][grid_idx], out=x[:, 1:])
@@ -266,9 +269,11 @@ def _encoder_core(cells, grid_idx, params, cfg, record=False):
         h1, ln1 = nx.layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"], record)
         kk = nx.bias_add(nx.matmul(h1, lp["attn.wk"]), lp["attn.bk"])
         v = nx.bias_add(nx.matmul(h1, lp["attn.wv"]), lp["attn.bv"])
+        project = nx.matmul
         if not record and i == cfg.layers - 1:  # only the class rows are read out
             h1, x = (t.reshape(bsz, n, d)[:, 0] for t in (h1, x))
-        q = nx.bias_add(nx.matmul(h1, lp["attn.wq"]), lp["attn.bq"])
+            project = _per_row
+        q = nx.bias_add(project(h1, lp["attn.wq"]), lp["attn.bq"])
         # (B, heads, dh, n): [b, hd] is head hd's keys of set b, transposed
         k_t = np.ascontiguousarray(_by_head(kk, bsz, cfg).swapaxes(2, 3))
         # record mode keeps the activations in lc; the dels free them in inference
@@ -290,12 +295,12 @@ def _encoder_core(cells, grid_idx, params, cfg, record=False):
         if record:
             lc.update(attn=attn, o=o)
         del attn, v
-        x_mid = nx.bias_add(nx.matmul(o, lp["attn.wo"]), lp["attn.bo"])
+        x_mid = nx.bias_add(project(o, lp["attn.wo"]), lp["attn.bo"])
         del o
         x_mid += x  # the residual, summed into the fresh branch output
         del x
         h2, ln2 = nx.layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"], record)
-        m1 = nx.bias_add(nx.matmul(h2, lp["mlp.w1"]), lp["mlp.b1"])
+        m1 = nx.bias_add(project(h2, lp["mlp.w1"]), lp["mlp.b1"])
         if record:
             lc.update(ln2=ln2, h2=h2, m1=m1)
         del ln2, h2
@@ -303,15 +308,14 @@ def _encoder_core(cells, grid_idx, params, cfg, record=False):
         if record:
             lc["act"] = act
         del m1
-        x = nx.bias_add(nx.matmul(act, lp["mlp.w2"]), lp["mlp.b2"])
+        x = nx.bias_add(project(act, lp["mlp.w2"]), lp["mlp.b2"])
         del act
         x += x_mid
         del x_mid
 
     f, lnf_ctx = nx.layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"], record)
     r = f.reshape(bsz, -1, d)[:, 0]
-    logits = nx.bias_add(
-        _weight_product(r[:, None], params["head.weight"], record)[:, 0], params["head.bias"])
+    logits = nx.bias_add(_per_row(r, params["head.weight"]), params["head.bias"])
     if record:
         ctx["final_ln"] = lnf_ctx
         ctx["f"] = f
@@ -328,20 +332,14 @@ def _by_head(t, bsz, cfg):
 
 def _per_head(a, b):
     """a (B, heads, m, k) x b (B, heads, k, n) as one 2-D nx.matmul per (set, head)."""
-    out = np.empty((*a.shape[:3], b.shape[3]), dtype=a.dtype)
-    for s in range(a.shape[0]):
-        for hd in range(a.shape[1]):
-            out[s, hd] = nx.matmul(a[s, hd], b[s, hd])
-    return out
+    pairs = zip(*(np.ascontiguousarray(t).reshape(-1, *t.shape[2:]) for t in (a, b)))
+    return np.concatenate([nx.matmul(x, y) for x, y in pairs]).reshape(*a.shape[:3], b.shape[3])
 
 
-def _weight_product(x, w, per_set):
-    """x (B, rows, k) @ w: one 2-D product over all B*rows rows, or per set as a
-    batch of one computes it (a one-row product is a matrix-vector call, which
-    rounds differently from the rows of a stacked product)."""
-    if per_set:
-        return nx.matmul_stacked(x, w)
-    return nx.matmul(x.reshape(-1, x.shape[-1]), w).reshape(len(x), -1, w.shape[1])
+def _per_row(x, w):
+    """x (B, k) @ w as one 2-D nx.matmul per row: OpenBLAS rounds a short product's
+    rows by its row count, and a row alone has the bits of a batch of one."""
+    return np.concatenate([nx.matmul(row, w) for row in x[:, None]])
 
 
 def ablation_logits(z_m: AblatedImage, params: dict, cfg: ViTConfig) -> np.ndarray:
@@ -543,9 +541,9 @@ def per_ablation_predictions(x: np.ndarray, spec: AblationSpec, params: dict, cf
     The image is patchified once, and the stacks of the cached
     ``_stack_plan`` gather their cells from it and mask them. Where the
     stacks are large enough (POOL_MACS_PER_CALL) and BLAS leaves CPUs
-    free, the stacks overlap on a thread pool. Every stack computes
-    exactly what the serial loop computes, so the predictions are
-    bitwise the same either way.
+    free, the stacks overlap on a thread pool. Each ablation votes with
+    bitwise its ``ablation_logits``, whatever its stack, ROW_BUDGET or
+    thread, so the predictions are the same either way.
     """
     x = validate_image(x)
     if x.shape != (cfg.h, cfg.w, cfg.c):

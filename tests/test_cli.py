@@ -505,6 +505,20 @@ def test_a_report_whose_write_fails_leaves_no_file_and_a_rerun_succeeds(files, m
     assert _listing(files / "out") == _listing(files / "ref")
 
 
+def test_a_train_whose_checkpoint_write_fails_leaves_no_log(files, monkeypatch, capsys):
+    # the checkpoint is written before the log, so no log names a run without a checkpoint
+    monkeypatch.chdir(files)
+
+    def checkpoint_fails(file, mode="r", *args, **kwargs):
+        writer = _half_writing_open if "ckpt-" in os.fspath(file) else open
+        return writer(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(vit, "open", checkpoint_fails, raising=False)
+    assert cli.main(["train", "--stripe-n", "8", "--epochs", "1", "--out", "out"]) == 1
+    assert os.listdir(files / "out") == []
+    assert "No space left" in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+
+
 # each writing command's outputs, named as a re-run names them again: the
 # first, and for ablate, train and certify a later one
 TAKEN = {

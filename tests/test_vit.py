@@ -44,7 +44,7 @@ from references import (ablated_cells_reference, finite_difference_gradient, for
 
 ORACLE_TOLERANCE = 1e-5
 FLOAT64_TOLERANCE = 1e-12  # both forwards in float64: only rounding may differ
-TIE_TOLERANCE = 1e-5  # stacked and single-set products may round differently
+TIE_TOLERANCE = 1e-5  # the class-row-only and every-row forwards may round differently
 
 
 def _image(cfg, seed=0):
@@ -95,7 +95,8 @@ def test_stacked_engine_matches_per_ablation_path_and_oracle(case):
         slow = masked_attention_oracle_forward(z, model.params, cfg)
         assert np.max(np.abs(fast - slow)) <= ORACLE_TOLERANCE
         logits.append(fast)
-    _assert_argmax(per_ablation_predictions(x, spec, model.params, cfg), logits)
+    preds = per_ablation_predictions(x, spec, model.params, cfg)
+    assert preds.tolist() == [int(np.argmax(row)) for row in logits]
 
 
 @settings(deadline=None, max_examples=60)
@@ -175,11 +176,42 @@ def test_chunked_groups_match_the_per_ablation_path(monkeypatch):
     assert max(n * tokens.count(n) for n in set(tokens)) > vit.ROW_BUDGET
     model = Model.init(cfg, seed=4)
     x = _image(cfg, 4)
+    ablations = ablation_set(x, spec)
+    want = _ablation_logits_by_cells(ablations, model.params, cfg)
     preds = per_ablation_predictions(x, spec, model.params, cfg)
-    _assert_argmax(preds, [ablation_logits(z, model.params, cfg) for z in ablation_set(x, spec)])
-    for budget in (1, 7, 256):  # preds ran at the default, vit.ROW_BUDGET
+    assert preds.tolist() == [int(np.argmax(ablation_logits(z, model.params, cfg)))
+                              for z in ablations]
+    for budget in (1, 7, 256, vit.ROW_BUDGET):
         monkeypatch.setattr(vit, "ROW_BUDGET", budget)
-        assert np.array_equal(per_ablation_predictions(x, spec, model.params, cfg), preds)
+        got_preds, got = _voting_logits(x, spec, model.params, cfg)
+        assert np.array_equal(got_preds, preds)
+        assert got == want
+
+
+def _ablation_logits_by_cells(ablations, params, cfg):
+    """Sorted (grid indices and cells an ablation keeps, its ablation_logits bytes) pairs."""
+    keyed = []
+    for z in ablations:
+        cells, grid_idx = ablated_cells_reference(z, cfg)
+        keyed.append(((grid_idx.tobytes(), cells.tobytes()),
+                      ablation_logits(z, params, cfg).tobytes()))
+    return sorted(keyed)
+
+
+def _voting_logits(x, spec, params, cfg):
+    """Predictions, and sorted (grid indices and cells an ablation keeps, the logits bytes
+    it votes with) pairs, one per ablation of the set."""
+    core, voted = vit._encoder_core, []
+
+    def recording(cells, grid_idx, params, cfg):
+        out = core(cells, grid_idx, params, cfg)
+        voted.extend(((g.tobytes(), c.tobytes()), o.tobytes())
+                     for g, c, o in zip(grid_idx, cells, out))
+        return out
+
+    with mock.patch.object(vit, "_encoder_core", recording):
+        preds = per_ablation_predictions(x, spec, params, cfg)
+    return preds, sorted(voted)
 
 
 def _stack_logits(x, spec, params, cfg):
@@ -461,8 +493,9 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
     """Logits and recorded activations of the out-of-place forward.
 
     Like _encoder_core, the inference path (no record) runs the last
-    layer past K and V on the class rows only, unless every_row, and
-    record embeds and reads out each set alone.
+    layer past K and V on the class rows only, unless every_row, each
+    set's class row as a product of its own; both paths read out each
+    set alone, and record embeds each set alone.
     """
     bsz, n, pdim = patches.shape
     if record:
@@ -475,14 +508,20 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
     n += 1
     x = x.reshape(bsz * n, cfg.d)
     acts = []
+
+    def per_set(a, w):
+        return nx.matmul_stacked(a[:, None], w)[:, 0]
+
     for i, lp in enumerate(vit._layer_views(params, cfg)):
         h1, (xhat1, *_) = mean_layer_norm_fwd(x, lp["ln1.gamma"], lp["ln1.beta"])
         kk = nx.matmul(h1, lp["attn.wk"]) + lp["attn.bk"]
         v = nx.matmul(h1, lp["attn.wv"]) + lp["attn.bv"]
+        product = nx.matmul
         if not (record or every_row) and i == cfg.layers - 1:
             # the inference path's last layer: queries and everything after them on the class rows
             h1, x = (a.reshape(bsz, n, cfg.d)[:, 0] for a in (h1, x))
-        q = nx.matmul(h1, lp["attn.wq"]) + lp["attn.bq"]
+            product = per_set
+        q = product(h1, lp["attn.wq"]) + lp["attn.bq"]
         q_h, v_h = (vit._by_head(a, bsz, cfg) for a in (q, v))
         k_t = np.ascontiguousarray(vit._by_head(kk, bsz, cfg).swapaxes(2, 3))
         scores = matmul_per_head(q_h, k_t)
@@ -490,19 +529,15 @@ def _out_of_place_forward(patches, grid_idx, params, cfg, record=False, every_ro
         attn = formula_softmax(scores)
         o = np.empty_like(q)
         vit._by_head(o, bsz, cfg)[...] = matmul_per_head(attn, v_h)
-        x_mid = x + (nx.matmul(o, lp["attn.wo"]) + lp["attn.bo"])
+        x_mid = x + (product(o, lp["attn.wo"]) + lp["attn.bo"])
         h2, (xhat2, *_) = mean_layer_norm_fwd(x_mid, lp["ln2.gamma"], lp["ln2.beta"])
-        m1 = nx.matmul(h2, lp["mlp.w1"]) + lp["mlp.b1"]
+        m1 = product(h2, lp["mlp.w1"]) + lp["mlp.b1"]
         act = nx.gelu(m1)
-        x = x_mid + (nx.matmul(act, lp["mlp.w2"]) + lp["mlp.b2"])
+        x = x_mid + (product(act, lp["mlp.w2"]) + lp["mlp.b2"])
         acts += [xhat1, h1, q, kk, v, attn, o, xhat2, h2, m1, act]
     f, (xhatf, *_) = mean_layer_norm_fwd(x, params["final_ln.gamma"], params["final_ln.beta"])
     r = f.reshape(bsz, -1, cfg.d)[:, 0]
-    if record:
-        logits = nx.matmul_stacked(r[:, None], params["head.weight"])[:, 0]
-    else:
-        logits = nx.matmul(r, params["head.weight"])
-    return logits + params["head.bias"], acts + [xhatf, f, r]
+    return per_set(r, params["head.weight"]) + params["head.bias"], acts + [xhatf, f, r]
 
 
 _BYTEWISE_CONFIGS = {
@@ -545,40 +580,34 @@ def test_forward_equals_the_out_of_place_forward_bit_for_bit(config, path, bsz, 
     _assert_same_bytes(logits, want)
 
 
+def _assert_voting_logits_are_the_ablation_logits(config, spec, budgets, seed):
+    # the logits each stack votes with, ablation by ablation, serial and on the stack
+    # pool, are bitwise the one-ablation forward's, at every row budget
+    cfg = _BYTEWISE_CONFIGS[config]
+    params = Model.init(cfg, seed=seed).params
+    x = _image(cfg, seed)
+    want = _ablation_logits_by_cells(ablation_set(x, spec), params, cfg)
+    for budget in budgets:
+        for pool in (mock.patch.object(vit, "_pool_workers", lambda: 1), forced_stack_pool()):
+            with mock.patch.object(vit, "ROW_BUDGET", budget), pool:
+                assert _voting_logits(x, spec, params, cfg)[1] == want
+
+
 @pytest.mark.parametrize("budget", [7, vit.ROW_BUDGET])
 @pytest.mark.parametrize("config,spec", [("cifar", AblationSpec("block", 8)),
                                          ("imagenet", AblationSpec("column", 19))],
                          ids=["cifar-block", "imagenet-column"])
 def test_the_logits_that_vote_equal_the_ablation_logits(config, spec, budget):
-    # the logits each stack votes with, ablation by ablation, serial and on the stack
-    # pool, lie within ORACLE_TOLERANCE of the one-ablation forward, not only its argmax
-    cfg = _BYTEWISE_CONFIGS[config]
-    params = Model.init(cfg, seed=21).params
-    x = _image(cfg, 21)
-    ablations = ablation_set(x, spec)
-    picked = np.random.default_rng(21).choice(len(ablations), 64, replace=False)
-    core, voted = vit._encoder_core, []
+    _assert_voting_logits_are_the_ablation_logits(config, spec, [budget], 21)
 
-    def recording(cells, grid_idx, params, cfg):
-        out = core(cells, grid_idx, params, cfg)
-        voted.extend(zip(grid_idx, cells, out))
-        return out
 
-    with mock.patch.object(vit, "ROW_BUDGET", budget), \
-            mock.patch.object(vit, "_encoder_core", recording):
-        for pool in (mock.patch.object(vit, "_pool_workers", lambda: 1), forced_stack_pool()):
-            voted.clear()
-            with pool:
-                per_ablation_predictions(x, spec, params, cfg)
-            assert len(voted) == len(ablations)
-            logits = {}  # an ablation's logits, keyed by the grid indices and cells it keeps
-            for grid_idx, cells, out in voted:
-                logits.setdefault((grid_idx.tobytes(), cells.tobytes()), []).append(out)
-            for j in picked:
-                cells, grid_idx = ablated_cells_reference(ablations[j], cfg)
-                want = ablation_logits(ablations[j], params, cfg)
-                for got in logits[grid_idx.tobytes(), cells.tobytes()]:
-                    assert np.max(np.abs(got - want)) <= ORACLE_TOLERANCE
+# strided sets, with and without an offset, column and block, at both north-star configs
+@pytest.mark.parametrize("config,spec", [
+    ("cifar", AblationSpec("column", 4, 2, 1)), ("cifar", AblationSpec("block", 5, 3, 1)),
+    ("imagenet", AblationSpec("column", 19, 10)), ("imagenet", AblationSpec("block", 75, 25, 5)),
+], ids=["cifar-column", "cifar-block", "imagenet-column", "imagenet-block"])
+def test_an_ablations_logits_do_not_depend_on_the_row_budget(config, spec):
+    _assert_voting_logits_are_the_ablation_logits(config, spec, [1, 7, vit.ROW_BUDGET, 4096], 22)
 
 
 def _float64(params):
@@ -739,7 +768,8 @@ def test_only_inference_attention_runs_through_nx_matmul(monkeypatch):
 
 def test_training_weight_products_take_the_parameters_themselves(monkeypatch):
     # every 2-D operand of a training nx.matmul_stacked is a parameter array, or its
-    # transpose for an input gradient, so a product can be staged by its weight's identity
+    # transpose for an input gradient, so a product can be staged by its weight's identity;
+    # the head's forward is a 2-D nx.matmul per set, so only the embedding's is stacked
     cfg = ViTConfig(h=16, w=16, c=3, p=4, d=16, heads=4, layers=2, k=5)
     params = Model.init(cfg, seed=16).params
     x = _image(cfg, 16)
@@ -762,7 +792,7 @@ def test_training_weight_products_take_the_parameters_themselves(monkeypatch):
         loss_and_gradients([x], spec, [anchor], [label], params, cfg)
     layer_weights = [f"layers.{i}.{w}" for i in range(cfg.layers)
                      for w in ("mlp.w2", "mlp.w1", "attn.wo", "attn.wq", "attn.wk", "attn.wv")]
-    assert sorted(plain) == sorted(["patch_embed.weight", "head.weight"] * 3)
+    assert plain == ["patch_embed.weight"] * 3
     assert sorted(transposed) == sorted((["head.weight"] + layer_weights) * 3)
 
 
@@ -1020,7 +1050,7 @@ def test_train_epoch_refuses_empty_data_by_name():
         train_epoch(Model.init(cfg, seed=5), empty, TrainConfig(b_train=3))
 
 
-def test_training_builds_no_pixel_ablation(monkeypatch, tmp_path):
+def test_training_builds_no_pixel_ablation(monkeypatch):
     # training and its validation read the stack plan; the pixel builders are
     # left for ablate, the logit gate and the oracle
     def refuse(*args):
@@ -1032,7 +1062,7 @@ def test_training_builds_no_pixel_ablation(monkeypatch, tmp_path):
     for kind in ("column", "block"):
         tcfg = TrainConfig(epochs=2, batch_size=8, b_train=3, kind=kind, seed=9)
         train_epoch(Model.init(cfg, seed=9), data.subset("train"), tcfg)
-        fit(Model.init(cfg, seed=9), data, tcfg, log_path=tmp_path / f"{kind}.jsonl")
+        fit(Model.init(cfg, seed=9), data, tcfg)
 
 
 def test_seeded_fit_is_byte_identical(tmp_path):
@@ -1041,16 +1071,15 @@ def test_seeded_fit_is_byte_identical(tmp_path):
     tcfg = TrainConfig(epochs=3, batch_size=8, b_train=3, kind="column", seed=7, patience=3)
     runs = []
     for run in range(2):
-        log = tmp_path / f"fit{run}.jsonl"
-        result = fit(Model.init(cfg, seed=7), data, tcfg, log_path=log)
+        result = fit(Model.init(cfg, seed=7), data, tcfg)
         ckpt = tmp_path / f"fit{run}.svit"
         save_checkpoint(result["model"], ckpt)
-        runs.append((ckpt.read_bytes(), log.read_bytes()))
+        runs.append((ckpt.read_bytes(), result["log"]))
     assert runs[0] == runs[1]
     assert len(runs[0][1].splitlines()) == 3
 
 
-def test_fit_stops_after_patience_epochs_without_improvement(tmp_path, monkeypatch):
+def test_fit_stops_after_patience_epochs_without_improvement(monkeypatch):
     cfg = ViTConfig(h=8, w=8, c=1, p=2, d=8, heads=2, layers=1, k=3)
     data = make_stripe_dataset(40, 8, 8, 3, 0.2, seed=7)
     tcfg = TrainConfig(epochs=10, batch_size=8, b_train=3, kind="column", seed=7, patience=2)
@@ -1063,14 +1092,13 @@ def test_fit_stops_after_patience_epochs_without_improvement(tmp_path, monkeypat
         return scores[len(seen) - 1]  # an IndexError if a fifth epoch ran
 
     monkeypatch.setattr(train, "_ablation_accuracy", scripted)
-    log = tmp_path / "fit.jsonl"
-    result = fit(Model.init(cfg, seed=7), data, tcfg, log_path=log)
+    result = fit(Model.init(cfg, seed=7), data, tcfg)
     assert len(seen) == 4
     assert result["best_epoch"] == 1 and result["val_history"] == scores
     for name, value in result["model"].params.items():
         assert value.tobytes() == seen[1][name].tobytes(), name
     assert any(seen[3][k].tobytes() != seen[1][k].tobytes() for k in seen[1])
-    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    lines = [json.loads(line) for line in result["log"].splitlines()]
     assert [(line["epoch"], line["val_ablation_acc"]) for line in lines] == list(enumerate(scores))
 
 
